@@ -489,11 +489,12 @@ def measure_serve_latency(reps: int = 5) -> dict:
     """Round-trip request latency through the experiment service.
 
     An in-process :class:`repro.serve.ExperimentServer` on an ephemeral
-    port with a fresh throwaway store answers the same one-cell matrix
-    query cold (simulated on first contact) and warm (pure store hit).
-    The warm number is the service's overhead floor — connection setup,
-    LDJSON framing, the admission probe and the result decode; the
-    cold number adds one small simulation plus the artifact writes.
+    port with a fresh throwaway store answers the same one-cell matrix,
+    sent with ``run_matrix(cluster=[address])``, cold (simulated on
+    first contact) and warm (pure store hit).  The warm number is the
+    service's overhead floor — connection setup, LDJSON framing, the
+    admission probe and the result decode; the cold number adds one
+    small simulation plus the artifact writes.
     The scheduler runs serially here so the cold number measures the
     service, not fork-pool spin-up (that cost is already reported as
     ``worker_setup_seconds``, and a long-lived daemon keeps its pool
@@ -511,14 +512,14 @@ def measure_serve_latency(reps: int = 5) -> dict:
     try:
         with ExperimentServer(store_root=os.path.join(root, "store"),
                               max_workers=1, use_fork_pool=False) as server:
-            host, port = server.address
-            client = ServeClient(host, port)
+            client = ServeClient(*server.address)
+            fleet = [client.address]
             ping_seconds = _best_of(reps, client.ping)
             t0 = time.perf_counter()
-            client.run_matrix(**kwargs)
+            run_matrix(cluster=fleet, **kwargs)
             cold_seconds = time.perf_counter() - t0
             warm_seconds = _best_of(
-                reps, lambda: client.run_matrix(**kwargs)
+                reps, lambda: run_matrix(cluster=fleet, **kwargs)
             )
     finally:
         shutil.rmtree(root, ignore_errors=True)

@@ -37,7 +37,7 @@ MATRIX = dict(benchmarks=("gzip",), widths=(4, 8),
 
 def sweep(daemon: _Daemon, label: str, base) -> None:
     t0 = time.perf_counter()
-    out = daemon.client.run_matrix(**MATRIX)
+    out = run_matrix(cluster=[daemon.address], **MATRIX)
     dt = time.perf_counter() - t0
     ok = "bit-identical" if out.results == base.results else "DIVERGED!"
     status = daemon.client.status()

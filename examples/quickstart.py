@@ -9,7 +9,14 @@ and branch misprediction rate.
 Run:  python examples/quickstart.py
 """
 
-from repro import simulate
+import os
+import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.experiments.configs import simulate  # noqa: E402
 
 N_INSTRUCTIONS = 60_000
 WARMUP = 20_000

@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""Talking to the experiment daemon: cold and warm matrix requests.
+"""Running a sweep on the experiment daemon: cold and warm.
 
-Asks a running ``python -m repro.serve`` daemon for a small matrix
-twice.  The first (cold) request simulates on the daemon and persists
-every cell to its store; the second (warm) request is answered from
-the store without simulating — both bit-identical to a local
-``run_matrix``.  A second client asking the same cells while the cold
-request is still running would be coalesced onto the in-flight work,
-not queued behind it; `status` shows those counters.
+Runs a small matrix on a running ``python -m repro.serve`` daemon
+twice, through ``run_matrix(cluster=[address])``.  The first (cold)
+sweep simulates on the daemon and persists every cell to its store; the
+second (warm) sweep is answered from the store without simulating —
+both bit-identical to a local ``run_matrix``.  A second client asking
+the same cells while the cold sweep is still running would be coalesced
+onto the in-flight work, not queued behind it; `status` shows those
+counters.
 
 With no daemon address on the command line, the example boots an
 in-process server on an ephemeral port with a throwaway store so it is
@@ -16,6 +17,9 @@ self-contained:
     python examples/serve_client.py              # in-process server
     python -m repro.serve --store /tmp/s --port 7777 &
     python examples/serve_client.py 7777         # real daemon
+
+Any matrix command of the CLI takes the same address:
+``repro-experiments fig8 --cluster 127.0.0.1:7777``.
 """
 
 import os
@@ -32,12 +36,12 @@ from repro.experiments.runner import run_matrix  # noqa: E402
 from repro.serve import ExperimentServer, ServeClient  # noqa: E402
 
 BENCHMARKS = ("gzip",)
-KWARGS = dict(widths=(8,), instructions=20_000, scale=0.4)
+KWARGS = dict(widths=(8,), instructions=10_000, scale=0.4)
 
 
-def ask(client: ServeClient, label: str) -> "object":
+def sweep(address: str, label: str) -> "object":
     t0 = time.perf_counter()
-    matrix = client.run_matrix(BENCHMARKS, **KWARGS)
+    matrix = run_matrix(BENCHMARKS, cluster=[address], **KWARGS)
     dt = time.perf_counter() - t0
     print(f"{label}: {len(matrix.results)} cells in {dt:6.2f}s")
     return matrix
@@ -53,13 +57,15 @@ def main() -> None:
         server = ExperimentServer(store_root=tmp_store).start()
         client = ServeClient(*server.address)
         print(f"no address given; started an in-process server on "
-              f"{server.address[0]}:{server.address[1]}")
+              f"{client.address}")
     try:
         ping = client.ping()
         print(f"daemon pid {ping['pid']}, protocol v{ping['version']}")
 
-        cold = ask(client, "cold request (daemon simulates + persists)")
-        warm = ask(client, "warm request (served from the daemon's store)")
+        cold = sweep(client.address,
+                     "cold sweep (daemon simulates + persists)")
+        warm = sweep(client.address,
+                     "warm sweep (served from the daemon's store)")
         local = run_matrix(BENCHMARKS, **KWARGS)
         print("served cells bit-identical to a local run: "
               f"{cold.results == warm.results == local.results}")
@@ -83,14 +89,6 @@ def main() -> None:
             if line.startswith(("repro_serve_requests_total",
                                 "repro_serve_cells_total")):
                 print(f"  {line}")
-
-        # The same knob from the CLI: any matrix command accepts
-        # --serve HOST:PORT, and run_matrix(serve=...) falls back to a
-        # local run (one warning) when no daemon answers there.
-        address = f"{client.host}:{client.port}"
-        via = run_matrix(BENCHMARKS, **KWARGS, serve=address)
-        print(f"run_matrix(serve={address!r}) matches: "
-              f"{via.results == local.results}")
     finally:
         if server is not None:
             server.stop()

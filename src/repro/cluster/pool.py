@@ -34,9 +34,10 @@ Failure handling, end to end:
 * with the **whole fleet dead** (every breaker open and
   ``probe_rounds`` of heartbeat pings failed per node) the pool
   degrades — warn-once, obs-evented — to a local pool from
-  ``fallback_factory`` (``run_matrix`` passes its own fork/serial
-  choice) and finishes the remaining cells locally, still
-  bit-identically.
+  ``fallback_factory`` and finishes the remaining cells locally, still
+  bit-identically.  ``run_matrix`` passes the serial-or-fork choice it
+  makes without a fleet, so the fallback stores images, traces and
+  results exactly like a plain local run.
 
 The pool implements the standard :meth:`Pool.run` contract —
 ``completed`` fires in the caller's thread the moment each cell
@@ -102,10 +103,10 @@ class ClusterPool(Pool):
     follow the sweep-cell convention of
     :func:`repro.experiments.runner.run_matrix`: ``job.key`` is a
     ``RunSpec`` and ``job.args`` is ``(spec, instructions, warmup,
-    scale, program_key, engine_mode)`` — the tuple
-    ``_run_cell_worker`` takes, which is also everything a one-cell
-    matrix query needs.  ``fn`` is used only on the local-fallback
-    rung.
+    scale, program_key, engine_mode)`` — the arguments of the sweep's
+    cell function, which are also everything a one-cell matrix query
+    needs.  ``fn`` runs only on the local-fallback rung, in the pool
+    ``fallback_factory`` builds (a :class:`SerialPool` by default).
 
     ``node_slots`` bounds concurrent in-flight requests per node
     (daemons parallelize internally; a couple of outstanding requests

@@ -136,6 +136,15 @@ class Pool:
         """
         raise NotImplementedError
 
+    def take_raw(self, key: Any) -> Optional[bytes]:
+        """Pop the encoded bytes a settled job's result arrived as.
+
+        None for results computed by this host's processes; a pool fed
+        by serve daemons returns what the daemon shipped, so the caller
+        can store it verbatim.
+        """
+        return None
+
     def close(self) -> None:
         """Release pool resources (idempotent)."""
 

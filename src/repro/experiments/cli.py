@@ -90,12 +90,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     _add_store(parser)
     parser.add_argument(
-        "--serve", metavar="HOST:PORT", default=None,
-        help="send the matrix to a running repro.serve daemon (results "
-             "are bit-identical; falls back to local execution if the "
-             "daemon is unreachable or overloaded)",
-    )
-    parser.add_argument(
         "--cluster", metavar="HOST:PORT,HOST:PORT", default=None,
         help="shard missing cells across a fleet of repro.serve "
              "daemons (bit-identical results; dead or partitioned "
@@ -249,7 +243,6 @@ def main(argv: List[str] | None = None) -> int:
                             ("--store", store_flag_given),
                             ("--timeout/--retries", fault_policy is not None),
                             ("--resume", args.resume),
-                            ("--serve", args.serve is not None),
                             ("--cluster", args.cluster is not None),
                             ("--store-peers",
                              args.store_peers is not None)):
@@ -267,37 +260,24 @@ def main(argv: List[str] | None = None) -> int:
             print(f"[{time.time() - t0:6.0f}s] {result.summary()}",
                   file=sys.stderr, flush=True)
 
+    matrix_kwargs = dict(
+        instructions=args.instructions, scale=args.scale, progress=progress,
+        jobs=args.jobs, store=args.store, engine_mode=args.engine_mode,
+        fault_policy=fault_policy, resume=args.resume, cluster=args.cluster,
+        peers=args.store_peers,
+    )
     if args.command == "fig8":
         matrix = run_matrix(args.benchmarks, widths=tuple(args.widths),
-                            instructions=args.instructions,
-                            scale=args.scale, progress=progress,
-                            jobs=args.jobs, store=args.store,
-                            engine_mode=args.engine_mode,
-                            fault_policy=fault_policy, resume=args.resume,
-                            serve=args.serve, cluster=args.cluster,
-                            peers=args.store_peers)
+                            **matrix_kwargs)
         print(figure8_text(matrix, args.benchmarks, tuple(args.widths)))
     elif args.command == "fig9":
         matrix = run_matrix(args.benchmarks, widths=(8,), layouts=(True,),
-                            instructions=args.instructions,
-                            scale=args.scale, progress=progress,
-                            jobs=args.jobs, store=args.store,
-                            engine_mode=args.engine_mode,
-                            fault_policy=fault_policy, resume=args.resume,
-                            serve=args.serve, cluster=args.cluster,
-                            peers=args.store_peers)
+                            **matrix_kwargs)
         print(figure9_text(matrix, args.benchmarks))
     elif args.command == "table1":
         print(table1_text(args.benchmarks, args.instructions, args.scale))
     elif args.command == "table3":
-        matrix = run_matrix(args.benchmarks, widths=(8,),
-                            instructions=args.instructions,
-                            scale=args.scale, progress=progress,
-                            jobs=args.jobs, store=args.store,
-                            engine_mode=args.engine_mode,
-                            fault_policy=fault_policy, resume=args.resume,
-                            serve=args.serve, cluster=args.cluster,
-                            peers=args.store_peers)
+        matrix = run_matrix(args.benchmarks, widths=(8,), **matrix_kwargs)
         print(table3_text(matrix, args.benchmarks))
     elif args.command == "ablations":
         print(ablations.line_width_sweep(

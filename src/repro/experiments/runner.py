@@ -18,10 +18,16 @@ most once.  Every simulation is fully deterministic given its
 :class:`RunSpec`, so the parallel path produces bit-identical
 :class:`SimulationResult`\\ s to the serial path, in the same order.
 
-Dispatch goes through the fault-tolerant pools in :mod:`repro.exec`
-(:class:`~repro.exec.pool.SerialPool` /
-:class:`~repro.exec.pool.ForkServerPool`): worker crashes lose only the
-cells that worker held, failing cells retry under the configured
+Dispatch has one path.  ``run_matrix`` picks one
+:class:`~repro.exec.pool.Pool` — a :class:`~repro.exec.pool.SerialPool`,
+a :class:`~repro.exec.pool.ForkServerPool` (``jobs > 1``), or a
+:class:`~repro.cluster.pool.ClusterPool` (``cluster=``) whose local
+fallback is that same serial-or-fork choice — runs the missing cells
+through it once, and settles every cell in one completion handler,
+which stores a daemon's wire bytes verbatim when the pool has them
+(:meth:`~repro.exec.pool.Pool.take_raw`) and encodes the result
+otherwise.  Worker crashes lose only the cells that worker held,
+failing cells retry under the configured
 :class:`~repro.exec.policy.FaultPolicy` (accel cells fall back to the
 interpreter before giving up), and a sweep that still cannot finish
 raises :class:`~repro.exec.policy.SweepError` naming the failed cells
@@ -40,6 +46,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, \
     Tuple, Union
@@ -50,7 +57,7 @@ from repro.common.params import default_machine
 from repro.common.warnonce import warn_once
 from repro.core.results import SimulationResult
 from repro.exec.journal import SweepJournal, sweep_fingerprint
-from repro.exec.policy import FaultPolicy, SweepError
+from repro.exec.policy import FaultPolicy
 from repro.exec.pool import ForkServerPool, Job, Pool, SerialPool
 from repro.experiments.configs import ARCHITECTURES, build_processor
 from repro.isa.program import Program
@@ -319,46 +326,95 @@ def reset_program_cache() -> None:
 
 
 def _worker_init(store_root: Optional[str] = None) -> None:
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = ProgramCache()
-    if store_root is not None and _WORKER_CACHE.artifacts is None:
+    cache = _default_cache()
+    if store_root is not None and cache.artifacts is None:
         # Attach the store in the *worker* only: under fork this mutates
         # the child's copy of the inherited cache, so the parent's
         # module-level cache stays store-free for later storeless runs.
-        _WORKER_CACHE.artifacts = ArtifactCache(ArtifactStore(store_root))
+        cache.artifacts = ArtifactCache(ArtifactStore(store_root))
 
 
-def _run_cell_worker(
-    spec: RunSpec,
-    instructions: int,
-    warmup: int,
-    scale: float,
-    program_key: Optional[str] = None,
-    engine_mode: Optional[str] = None,
-) -> SimulationResult:
-    """Pool entry point: one (arch, benchmark, width, layout) cell.
+class _CellRunner:
+    """Runs one (arch, benchmark, width, layout) cell, whatever pool runs it.
 
-    ``program_key`` is the parent's precomputed program fingerprint
-    (None on storeless runs, where the worker keys its own cache).
+    Made with the run's store, a runner loads images and traces through
+    it and keeps each image it used, so :meth:`save_traces` persists the
+    grown traces once, after the pool returns; that covers every cell
+    run in the calling process (the serial pool, a fork pool degraded to
+    serial, a cluster's local fallback).  Pickled for a forked worker it
+    arrives without the store.  A runner without one uses the store that
+    :func:`_worker_init` attached to this process's image cache, if any,
+    and saves grown traces after every cell, since a worker never sees
+    the sweep end.
     """
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:  # pragma: no cover - initializer always ran
-        _WORKER_CACHE = ProgramCache()
-    cache = _WORKER_CACHE
-    key = program_key or program_fingerprint(
-        spec.benchmark, spec.optimized, scale
-    )
-    program = cache.get(spec.benchmark, spec.optimized, scale, key=key)
-    result = _run_cell(program, spec.benchmark, spec.optimized, spec.width,
-                       spec.arch, instructions, warmup,
-                       engine_mode=engine_mode)
-    if cache.artifacts is not None:
-        # Persist the (possibly grown) dynamic trace; racing writers on
-        # one key are safe — writes are atomic and any saved prefix
-        # extends deterministically.
-        cache.artifacts.save_traces(program, key)
-    return result
+
+    def __init__(self, artifacts: Optional[ArtifactCache] = None) -> None:
+        self.artifacts = artifacts
+        self.used: Dict[str, Program] = {}
+
+    def __reduce__(self) -> Tuple[type, Tuple]:
+        # Pickled for a forked worker: the parent's store stays here.
+        return (_CellRunner, ())
+
+    def __call__(
+        self,
+        spec: RunSpec,
+        instructions: int,
+        warmup: int,
+        scale: float,
+        program_key: Optional[str] = None,
+        engine_mode: Optional[str] = None,
+    ) -> SimulationResult:
+        cache = _default_cache()
+        key = program_key or program_fingerprint(
+            spec.benchmark, spec.optimized, scale
+        )
+        program = cache.get(spec.benchmark, spec.optimized, scale, key=key,
+                            artifacts=self.artifacts)
+        result = _run_cell(program, spec.benchmark, spec.optimized,
+                           spec.width, spec.arch, instructions, warmup,
+                           engine_mode=engine_mode)
+        if self.artifacts is not None:
+            self.used[key] = program
+        elif cache.artifacts is not None:
+            # Racing writers on one key are safe — writes are atomic
+            # and any saved prefix extends deterministically.
+            cache.artifacts.save_traces(program, key)
+        return result
+
+    def save_traces(self) -> None:
+        """Persist the traces that grew on the images this runner used."""
+        for key, program in self.used.items():
+            self.artifacts.save_traces(program, key)
+
+
+def prelink_images(jobs: Sequence[Job],
+                   artifacts: Optional[ArtifactCache]) -> None:
+    """Link or store-load, once each, the images that cell jobs need.
+
+    The images land in the module-level cache of this process, so call
+    it before a fork pool starts: forked workers (including ones rebuilt
+    after a crash) inherit the warm images and their stored traces and
+    never link.  A failed link only warns; the cells then link in the
+    workers, where a failure goes through the pool's retries.
+    """
+    cache = _default_cache()
+    seen = set()
+    for job in jobs:
+        spec, _instructions, _warmup, scale, key, _mode = job.args
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            cache.get(spec.benchmark, spec.optimized, scale, key=key,
+                      artifacts=artifacts)
+        except Exception as exc:
+            warnings.warn(
+                f"repro.experiments: pre-linking "
+                f"{(spec.benchmark, spec.optimized, scale)} failed "
+                f"({exc}); workers will link on demand",
+                RuntimeWarning, stacklevel=2,
+            )
 
 
 def _result_meta(spec: RunSpec, instructions: int, warmup: int,
@@ -375,49 +431,24 @@ def _result_meta(spec: RunSpec, instructions: int, warmup: int,
     }
 
 
-def _try_serve(
-    serve: str,
-    benchmarks: Sequence[str],
-    widths: Sequence[int],
-    archs: Sequence[str],
-    layouts: Sequence[bool],
-    instructions: int,
-    warmup: int,
-    scale: float,
-    engine_mode: Optional[str],
-    progress: Optional[Callable[[SimulationResult], None]],
-) -> Optional[RunMatrixResult]:
-    """Ask a serve daemon for the matrix; None means "run locally".
+def _fleet_pool(
+    cluster: Union[str, Sequence[str], Any],
+    policy: FaultPolicy,
+    fallback: Callable[[], Pool],
+) -> Pool:
+    """The :class:`~repro.cluster.pool.ClusterPool` behind ``cluster=``:
+    the caller's own, or one over the listed addresses that falls back
+    to ``fallback()`` once every node is unreachable."""
+    from repro.cluster.pool import ClusterPool
 
-    Unreachable, overloaded or draining daemons degrade to local
-    execution with one warning per address — a missing daemon costs
-    speed, never a result.  Genuine sweep failures
-    (:class:`~repro.exec.policy.SweepError`) and protocol breakage
-    propagate: those are answers, not absence.
-    """
-    from repro.serve.client import (
-        ServeClient,
-        ServeDraining,
-        ServeOverloaded,
-        ServeUnavailable,
+    if isinstance(cluster, ClusterPool):
+        return cluster
+    addresses = (
+        [a.strip() for a in cluster.split(",") if a.strip()]
+        if isinstance(cluster, str)
+        else [str(a) for a in cluster]
     )
-
-    try:
-        return ServeClient.at(serve).run_matrix(
-            benchmarks, widths=widths, archs=archs, layouts=layouts,
-            instructions=instructions, warmup=warmup, scale=scale,
-            engine_mode=engine_mode, progress=progress,
-        )
-    except (ServeUnavailable, ServeOverloaded, ServeDraining) as exc:
-        # Keyed per address: one warning, then every further matrix
-        # against that daemon quietly runs locally.
-        warn_once(
-            f"serve.unreachable:{serve}",
-            f"repro.serve: daemon at {serve} did not take the run "
-            f"({exc}); running locally",
-            stacklevel=4,
-        )
-        return None
+    return ClusterPool(addresses, policy=policy, fallback_factory=fallback)
 
 
 def _federate_store(
@@ -497,14 +528,12 @@ def run_matrix(
     instructions: int = 100_000,
     warmup: Optional[int] = None,
     scale: float = 1.0,
-    program_cache: Optional[ProgramCache] = None,
     progress: Optional[Callable[[SimulationResult], None]] = None,
     jobs: int = 1,
     store: Optional[Union[ArtifactCache, ArtifactStore, str]] = None,
     engine_mode: Optional[str] = None,
     fault_policy: Optional[FaultPolicy] = None,
     resume: bool = False,
-    serve: Optional[str] = None,
     cluster: Optional[Union[str, Sequence[str], Any]] = None,
     peers: Optional[Union[str, Sequence[str]]] = None,
 ) -> RunMatrixResult:
@@ -538,10 +567,6 @@ def run_matrix(
     included, and ``progress`` still fires once per cell in the
     deterministic order.
 
-    An explicitly provided ``program_cache`` forces the serial path:
-    the caller asked for shared already-linked images, which worker
-    processes cannot see.
-
     ``fault_policy`` tunes per-cell fault handling (attempt timeout,
     retries with deterministic backoff, worker-rebuild budget — see
     :class:`~repro.exec.policy.FaultPolicy`); both the serial and the
@@ -556,22 +581,15 @@ def run_matrix(
     (requires ``store``) additionally reports the journaled progress of
     the interrupted sweep on stderr before running the missing cells.
 
-    ``serve="host:port"`` sends the matrix to a running ``repro.serve``
-    daemon instead (bit-identical results — the daemon ships the
-    store's own result encoding); an unreachable or overloaded daemon
-    falls back to local execution with one warning per address.  The
-    daemon applies its own store, worker pool and fault policy, so
-    ``jobs``/``store``/``fault_policy`` govern only the local fallback.
-
     ``cluster`` shards the *missing* cells across a fleet of serve
     daemons instead of local workers: a comma-separated address string
-    (``"host:port,host:port"``), a sequence of addresses, or an
-    already-constructed :class:`~repro.cluster.pool.ClusterPool`.
-    Unlike ``serve=``, the cluster path keeps the local store in the
-    loop — cached cells are never sent anywhere, remote results are
-    ingested byte-for-byte into the store and journal as they settle,
-    and ``fault_policy.timeout`` propagates as the per-request serve
-    deadline.  Dead or partitioned nodes cost redispatches; an
+    (``"host:port,host:port"``), a sequence of addresses (one address
+    is one daemon), or an already-constructed
+    :class:`~repro.cluster.pool.ClusterPool`.  The local store stays in
+    the loop — cached cells are never sent anywhere, remote results
+    are ingested byte-for-byte into the store and journal as they
+    settle, and ``fault_policy.timeout`` propagates as the per-request
+    serve deadline.  Dead or partitioned nodes cost redispatches; an
     entirely unreachable fleet degrades (warn-once) to the local pool
     the run would otherwise have used.
 
@@ -586,12 +604,6 @@ def run_matrix(
     """
     if warmup is None:
         warmup = instructions // 3
-    if serve is not None:
-        remote = _try_serve(serve, benchmarks, widths, archs, layouts,
-                            instructions, warmup, scale, engine_mode,
-                            progress)
-        if remote is not None:
-            return remote
     if resume and store is None:
         raise ValueError(
             "resume=True requires an artifact store (store=...)"
@@ -600,7 +612,6 @@ def run_matrix(
 
     specs = matrix_specs(benchmarks, widths, archs, layouts)
 
-    artifacts: Optional[ArtifactCache] = None
     cached: Dict[RunSpec, SimulationResult] = {}
     result_fps: Dict[RunSpec, str] = {}
     # Computed once per image (not per cell): the fingerprint keys the
@@ -685,24 +696,9 @@ def run_matrix(
         finish_recording()
         return out
 
-    def on_completed(job: Job, result: SimulationResult) -> None:
-        # Fires the moment each cell settles, so everything finished is
-        # durable (store + journal) before any later failure can abort
-        # the sweep.
-        spec = job.key
-        if artifacts is not None:
-            artifacts.put_result(
-                result_fps[spec], result,
-                meta=_result_meta(spec, instructions, warmup, scale),
-            )
-            if journal is not None:
-                journal.append(result_fps[spec])
-        done[spec] = result
-        advance()
-
     def make_job(spec: RunSpec) -> Job:
         args = (spec, instructions, warmup, scale,
-                program_fps.get((spec.benchmark, spec.optimized)), mode)
+                program_fps[(spec.benchmark, spec.optimized)], mode)
         # An accel cell that exhausts its retries gets one last shot
         # interpreted — results are bit-identical across engines, so a
         # kernel-level fault must not fail the sweep.
@@ -711,128 +707,52 @@ def run_matrix(
 
     cell_jobs = [make_job(spec) for spec in misses]
 
-    if cluster is not None:
-        from repro.cluster.pool import ClusterPool
-
-        fb_store_root = (
-            artifacts.store.root if artifacts is not None else None
+    def local_pool() -> Pool:
+        # The pool this run uses without a fleet, and a fleet's fallback
+        # once every node is unreachable: full-fleet degradation then
+        # behaves exactly like a plain local run.
+        if jobs <= 1 or len(misses) <= 1:
+            return SerialPool(policy=policy)
+        if multiprocessing.get_start_method() == "fork":
+            prelink_images(cell_jobs, artifacts)
+        return ForkServerPool(
+            max(1, min(jobs, len(misses), os.cpu_count() or 1)),
+            initializer=_worker_init,
+            initargs=(artifacts.store.root if artifacts is not None
+                      else None,),
+            policy=policy,
         )
 
-        def _local_fallback_pool() -> Pool:
-            # Mirror the pool this run would have used without a
-            # fleet, so full-fleet degradation behaves exactly like a
-            # plain local run.
-            if jobs > 1 and len(misses) > 1:
-                workers = max(1, min(jobs, len(misses),
-                                     os.cpu_count() or 1))
-                return ForkServerPool(
-                    workers, initializer=_worker_init,
-                    initargs=(fb_store_root,), policy=policy,
-                )
-            return SerialPool(policy=policy)
+    pool = local_pool() if cluster is None else \
+        _fleet_pool(cluster, policy, local_pool)
+    cells = _CellRunner(artifacts)
 
-        if isinstance(cluster, ClusterPool):
-            cluster_pool = cluster
-            owns_pool = False
-        else:
-            addresses = (
-                [a.strip() for a in cluster.split(",") if a.strip()]
-                if isinstance(cluster, str)
-                else [str(a) for a in cluster]
-            )
-            cluster_pool = ClusterPool(
-                addresses, policy=policy,
-                fallback_factory=_local_fallback_pool,
-            )
-            owns_pool = True
-
-        def on_cluster_completed(job: Job,
-                                 result: SimulationResult) -> None:
-            spec = job.key
-            raw = cluster_pool.take_raw(spec)
-            if artifacts is not None:
-                meta = _result_meta(spec, instructions, warmup, scale)
-                ingested = None
-                if raw is not None:
-                    # Remote-result ingest: persist the daemon's wire
-                    # bytes verbatim (already the store's canonical
-                    # encoding), validated by decode.
-                    ingested = artifacts.put_result_bytes(
-                        result_fps[spec], raw, meta=meta
-                    )
-                if ingested is None:
-                    artifacts.put_result(result_fps[spec], result,
-                                         meta=meta)
-                if journal is not None:
-                    journal.append(result_fps[spec])
-            done[spec] = result
-            advance()
-
-        try:
-            cluster_pool.run(_run_cell_worker, cell_jobs,
-                             completed=on_cluster_completed)
-        finally:
-            if owns_pool:
-                cluster_pool.close()
-            finish_recording()
-        return out
-
-    if jobs > 1 and len(misses) > 1 and program_cache is None:
-        max_workers = max(1, min(jobs, len(misses), os.cpu_count() or 1))
-        store_root = artifacts.store.root if artifacts is not None else None
-        if multiprocessing.get_start_method() == "fork":
-            # Fork server: link or load every missing image once in the
-            # parent; forked workers (including ones rebuilt after a
-            # crash) inherit the warm cache (stored traces included) and
-            # pull cells from the shared queue without ever linking.
-            cache = _default_cache()
-            needed = {(spec.benchmark, spec.optimized) for spec in misses}
-            for benchmark in benchmarks:
-                for optimized in layouts:
-                    if (benchmark, optimized) in needed:
-                        cache.get(benchmark, optimized, scale,
-                                  key=program_fps.get((benchmark, optimized)),
-                                  artifacts=artifacts)
-        try:
-            with ForkServerPool(
-                max_workers, initializer=_worker_init,
-                initargs=(store_root,), policy=policy,
-            ) as pool:
-                pool.run(_run_cell_worker, cell_jobs,
-                         completed=on_completed)
-        finally:
-            finish_recording()
-        return out
-
-    cache = program_cache or _default_cache()
-    used_programs: Dict[Tuple[str, bool], Program] = {}
-
-    def serial_cell(
-        spec: RunSpec,
-        cell_instructions: int,
-        cell_warmup: int,
-        cell_scale: float,
-        program_key: Optional[str],
-        cell_mode: Optional[str],
-    ) -> SimulationResult:
-        program = cache.get(spec.benchmark, spec.optimized, cell_scale,
-                            key=program_key, artifacts=artifacts)
-        used_programs[(spec.benchmark, spec.optimized)] = program
-        return _run_cell(program, spec.benchmark, spec.optimized,
-                         spec.width, spec.arch, cell_instructions,
-                         cell_warmup, engine_mode=cell_mode)
+    def on_completed(job: Job, result: SimulationResult) -> None:
+        # Fires the moment each cell settles, so everything finished is
+        # durable (store + journal) before any later failure can abort
+        # the sweep.
+        spec = job.key
+        raw = pool.take_raw(spec)
+        if artifacts is not None:
+            fp = result_fps[spec]
+            meta = _result_meta(spec, instructions, warmup, scale)
+            # A daemon's wire bytes are already the store's encoding:
+            # persist them verbatim unless they fail to decode here.
+            if raw is None or \
+                    artifacts.put_result_bytes(fp, raw, meta=meta) is None:
+                artifacts.put_result(fp, result, meta=meta)
+            journal.append(fp)
+        done[spec] = result
+        advance()
 
     try:
-        with SerialPool(policy=policy) as pool:
-            pool.run(serial_cell, cell_jobs, completed=on_completed)
+        pool.run(cells, cell_jobs, completed=on_completed)
     finally:
+        if pool is not cluster:
+            pool.close()
         # Persist grown traces even when a long run fails or is
         # interrupted mid-matrix (per-cell results above are already
-        # durable); mirrors the per-cell save in _run_cell_worker.
-        if artifacts is not None:
-            for (benchmark, optimized), program in used_programs.items():
-                artifacts.save_traces(
-                    program, program_fps[(benchmark, optimized)]
-                )
+        # durable).
+        cells.save_traces()
         finish_recording()
     return out

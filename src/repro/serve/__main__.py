@@ -217,6 +217,19 @@ def _query(**overrides: Any) -> MatrixQuery:
     )
 
 
+def _sweep(daemon: _Daemon):
+    """The selftest matrix through ``run_matrix(cluster=...)`` on one
+    daemon, which must answer every cell itself (no local fallback)."""
+    from repro.cluster.pool import ClusterPool
+    from repro.experiments.runner import run_matrix
+
+    pool = ClusterPool([daemon.address])
+    out = run_matrix(cluster=pool, **MATRIX)
+    assert not pool.degraded_local, \
+        f"daemon at {daemon.address} never answered; the sweep ran locally"
+    return out
+
+
 def _assert_identical(remote, base) -> None:
     assert remote.results == base.results, \
         "daemon results differ from a local run_matrix"
@@ -231,7 +244,7 @@ def _check_coalesce(base) -> None:
 
         def request(i: int) -> None:
             barrier.wait()
-            outputs[i] = daemon.client.run_matrix(**MATRIX)
+            outputs[i] = _sweep(daemon)
 
         threads = [threading.Thread(target=request, args=(i,))
                    for i in range(n_clients)]
@@ -252,7 +265,7 @@ def _check_coalesce(base) -> None:
         assert cells["coalesced"] >= N_CELLS, \
             f"no coalescing happened: {cells}"
         # Warm re-request: served from the store, nothing recomputed.
-        again = daemon.client.run_matrix(**MATRIX)
+        again = _sweep(daemon)
         _assert_identical(again, base)
         status = daemon.client.status()
         assert status["cells"]["computed"] == N_CELLS
@@ -264,7 +277,7 @@ def _check_worker_kill(base) -> None:
     plan = encode_plan(FaultSpec("kill", match="ev8", times=1))
     with tempfile.TemporaryDirectory() as root, \
             _Daemon(root, "--retries", "2", faults=plan) as daemon:
-        out = daemon.client.run_matrix(**MATRIX)
+        out = _sweep(daemon)
         _assert_identical(out, base)
         status = daemon.client.status()
         assert status["cells"]["failed"] == 0, status["cells"]
@@ -277,7 +290,7 @@ def _check_hang_deadline(base) -> None:
     with tempfile.TemporaryDirectory() as root, \
             _Daemon(root, "--timeout", "20", "--retries", "2",
                     faults=plan) as daemon:
-        out = daemon.client.run_matrix(**MATRIX)
+        out = _sweep(daemon)
         _assert_identical(out, base)
         assert daemon.drain_and_wait() == 0
 
@@ -287,7 +300,7 @@ def _check_store_errors(base) -> None:
     plan = encode_plan(FaultSpec("store_err", match="result", times=2))
     with tempfile.TemporaryDirectory() as root, \
             _Daemon(root, faults=plan) as daemon:
-        out = daemon.client.run_matrix(**MATRIX)
+        out = _sweep(daemon)
         _assert_identical(out, base)
         assert daemon.drain_and_wait() == 0
 
@@ -325,7 +338,7 @@ def _check_restart_resume(base) -> None:
         # Fault-free restart over the same store: the finished cell
         # must come back from disk, only the lost one re-simulates.
         with _Daemon(root) as daemon:
-            out = daemon.client.run_matrix(**MATRIX)
+            out = _sweep(daemon)
             _assert_identical(out, base)
             status = daemon.client.status()
             assert status["cells"]["computed"] == 1, (
@@ -341,7 +354,7 @@ def _check_overloaded(base) -> None:
     with tempfile.TemporaryDirectory() as root, \
             _Daemon(root, "--queue-limit", "0") as daemon:
         try:
-            daemon.client.run_matrix(**MATRIX)
+            daemon.client.matrix(_query())
         except ServeOverloaded:
             pass
         else:

@@ -6,30 +6,28 @@ pinning a handler thread between requests) and surfaces the protocol's
 typed errors as typed exceptions, so callers can distinguish "back off"
 (:class:`ServeOverloaded`), "daemon going away" (:class:`ServeDraining`)
 and "no daemon there at all" (:class:`ServeUnavailable`) — the
-distinction :func:`repro.experiments.runner.run_matrix`'s ``serve=``
-path uses to fall back to local execution.
+distinction :class:`~repro.cluster.pool.ClusterPool` uses to requeue a
+cell or strike a node.
 
-:meth:`ServeClient.run_matrix` mirrors the local
-:func:`~repro.experiments.runner.run_matrix` contract: it returns a
-:class:`~repro.experiments.runner.RunMatrixResult` whose cells are
-bit-identical to a local run (the daemon ships the store's own result
-encoding), raises :class:`~repro.exec.policy.SweepError` naming cells
-that failed or missed the deadline after delivering everything that
-completed, and streams ``progress`` in deterministic spec order.
+:meth:`ServeClient.matrix` is the raw ``matrix`` op: one request, the
+per-cell answers undecoded.  To run a sweep on a daemon, pass its
+address to :func:`~repro.experiments.runner.run_matrix` as
+``cluster=["host:port"]``: cells come back bit-identical to a local run
+(the daemon ships the store's own result encoding), and the local store
+and journal stay in the loop.
 """
 
 from __future__ import annotations
 
 import socket
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.net import (
     TRANSIENT_CONNECT_ERRNOS,
     connect_with_retries,
     parse_hostport,
 )
-from repro.core.results import SimulationResult
-from repro.exec.policy import FaultPolicy, SweepError
+from repro.exec.policy import FaultPolicy
 from repro.serve import protocol
 
 __all__ = [
@@ -202,68 +200,3 @@ class ServeClient:
         else:
             timeout = self.matrix_timeout
         return self.request(query.to_wire(), timeout=timeout)
-
-    def run_matrix(
-        self,
-        benchmarks: Sequence[str],
-        widths: Sequence[int] = (8,),
-        archs: Optional[Sequence[str]] = None,
-        layouts: Sequence[bool] = (False, True),
-        instructions: int = 100_000,
-        warmup: Optional[int] = None,
-        scale: float = 1.0,
-        engine_mode: Optional[str] = None,
-        deadline: Optional[float] = None,
-        progress: Optional[Callable[[SimulationResult], None]] = None,
-    ) -> "Any":
-        """Remote ``run_matrix``: same arguments, same result contract."""
-        from repro.experiments.configs import ARCHITECTURES
-        from repro.experiments.runner import (
-            RunMatrixResult,
-            RunSpec,
-            matrix_specs,
-        )
-
-        if archs is None:
-            archs = tuple(ARCHITECTURES)
-        query = protocol.MatrixQuery(
-            benchmarks=tuple(benchmarks), widths=tuple(widths),
-            archs=tuple(archs), layouts=tuple(layouts),
-            instructions=instructions,
-            warmup=instructions // 3 if warmup is None else warmup,
-            scale=float(scale), engine_mode=engine_mode, deadline=deadline,
-        )
-        response = self.matrix(query)
-        cells = response.get("cells")
-        specs = matrix_specs(query.benchmarks, query.widths, query.archs,
-                             query.layouts)
-        if not isinstance(cells, list) or len(cells) != len(specs):
-            raise ServeError(
-                f"daemon answered {len(cells) if isinstance(cells, list) else 'no'} "
-                f"cells for a {len(specs)}-cell matrix"
-            )
-        out = RunMatrixResult(instructions=instructions, scale=query.scale)
-        failures: Dict[Any, List[str]] = {}
-        for spec, cell in zip(specs, cells):
-            wire_spec = RunSpec(cell.get("arch"), cell.get("benchmark"),
-                                cell.get("width"), cell.get("optimized"))
-            if wire_spec != spec:
-                raise ServeError(
-                    f"daemon cell order diverged: expected {spec}, "
-                    f"got {wire_spec}"
-                )
-            status = cell.get("status")
-            if status == protocol.CELL_OK:
-                result = protocol.decode_result(cell["result"])
-                out.add(spec, result)
-                if progress is not None:
-                    progress(result)
-            elif status == protocol.CELL_DEADLINE:
-                failures[spec] = [
-                    f"deadline: not finished within {deadline}s"
-                ]
-            else:
-                failures[spec] = [cell.get("error") or "failed"]
-        if failures:
-            raise SweepError(failures, completed=len(out.results))
-        return out

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -53,16 +52,17 @@ from repro import obs
 from repro.accel import resolve_engine_mode
 from repro.common.warnonce import warn_once
 from repro.exec.journal import SweepJournal, sweep_fingerprint
-from repro.exec.policy import FaultPolicy, SweepError
+from repro.exec.policy import FaultPolicy, SweepError, backoff_delay
 from repro.exec.pool import ForkServerPool, Job, Pool, SerialPool
 from repro.experiments.runner import (
     RunSpec,
+    _CellRunner,
     _default_cache,
     _result_meta,
-    _run_cell_worker,
     _worker_init,
     cell_fingerprints,
     matrix_specs,
+    prelink_images,
     program_fingerprints,
 )
 from repro.serve.protocol import (
@@ -205,7 +205,11 @@ class ExperimentScheduler:
         self.queue_limit = queue_limit
         self.policy = policy or FaultPolicy()
         self.max_pool_strikes = max_pool_strikes
-        self.pool_backoff = pool_backoff
+        #: Pool-rebuild delay: ``pool_backoff`` doubling per strike,
+        #: capped at 30 s, without jitter.
+        self._rebuild_backoff = FaultPolicy(
+            backoff=pool_backoff, backoff_max=30.0, jitter=0.0,
+        )
         if use_fork_pool is None:
             import multiprocessing
             use_fork_pool = \
@@ -416,34 +420,6 @@ class ExperimentScheduler:
             for journal in self._journals.pop(fp, []):
                 journal.append(fp)
 
-    def _prelink_images(self, runnable: List[_CellTask]) -> None:
-        """Link or store-load each batch image once, in the parent.
-
-        Freshly forked workers inherit the warm cache; resident or
-        spawn workers at least find the image in the store instead of
-        relinking.  The cache is module-level, so it survives pool
-        churn — a rebuilt pool never pays linking again.
-        """
-        cache = _default_cache()
-        seen = set()
-        for task in runnable:
-            spec, scale, key = task.spec, task.args[3], task.args[4]
-            image = (spec.benchmark, spec.optimized, scale)
-            if image in seen:
-                continue
-            seen.add(image)
-            try:
-                cache.get(spec.benchmark, spec.optimized, scale, key=key,
-                          artifacts=self._artifacts)
-            except Exception as exc:
-                # Linking failures surface per-cell through the pool
-                # (with retries/fallback), not as a batch abort.
-                warnings.warn(
-                    f"repro.serve: pre-linking {image} failed ({exc}); "
-                    f"workers will link on demand",
-                    RuntimeWarning, stacklevel=2,
-                )
-
     def _ensure_pool(self) -> Pool:
         if self._pool is not None:
             fork = isinstance(self._pool, ForkServerPool)
@@ -459,8 +435,8 @@ class ExperimentScheduler:
         if self._pool_rebuilds:
             # Exponential backoff between pool builds — a host that
             # keeps killing workers gets geometrically quieter retries.
-            delay = min(self.pool_backoff * (2 ** (self._pool_strikes - 1))
-                        if self._pool_strikes else 0.0, 30.0)
+            delay = backoff_delay(self._rebuild_backoff, "serve.pool",
+                                  self._pool_strikes)
             if delay > 0:
                 time.sleep(delay)
         self._pool = ForkServerPool(
@@ -501,9 +477,12 @@ class ExperimentScheduler:
         # cell name) and the fp (uniqueness when two requests queue the
         # same spec under different parameters).
         by_key = {(task.spec, task.fp): task for task in runnable}
-        self._prelink_images(runnable)
         jobs = [Job((task.spec, task.fp), task.args,
                     fallback_args=task.fallback) for task in runnable]
+        # Freshly forked workers inherit the warm images; resident or
+        # spawned ones at least find them in the store.  The cache is
+        # module-level, so a rebuilt pool never pays linking again.
+        prelink_images(jobs, self._artifacts)
 
         def on_completed(job: Job, result: Any) -> None:
             task = by_key[job.key]
@@ -522,7 +501,7 @@ class ExperimentScheduler:
 
         try:
             pool = self._ensure_pool()
-            pool.run(_run_cell_worker, jobs, completed=on_completed)
+            pool.run(_CellRunner(), jobs, completed=on_completed)
         except SweepError as exc:
             # The pool machinery worked; these cells exhausted their
             # per-cell fault budget (retries + engine fallback).

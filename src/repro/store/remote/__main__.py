@@ -41,6 +41,7 @@ from repro.serve.__main__ import (
     N_CELLS,
     _assert_identical,
     _Daemon,
+    _sweep,
     free_port,
 )
 from repro.store.remote.tiered import TieredStore
@@ -92,7 +93,7 @@ def _check_version_skew(base) -> None:
     with tempfile.TemporaryDirectory() as remote_root, \
             tempfile.TemporaryDirectory() as local_root, \
             _Daemon(remote_root) as daemon:
-        warm = daemon.client.run_matrix(**MATRIX)
+        warm = _sweep(daemon)
         _assert_identical(warm, base)
         tier = _tier(local_root, daemon.address, version="bogus-selftest")
         try:
@@ -115,7 +116,7 @@ def _check_garbage_payload(base) -> None:
             _Daemon(remote_root, faults=plan) as daemon:
         # The fault matches frame text, so the daemon's ordinary matrix
         # responses are untouched — only store_get traffic is garbled.
-        warm = daemon.client.run_matrix(**MATRIX)
+        warm = _sweep(daemon)
         _assert_identical(warm, base)
         tier = _tier(local_root, daemon.address)
         try:
@@ -135,7 +136,7 @@ def _check_kill_mid_get(base) -> None:
     with tempfile.TemporaryDirectory() as remote_root, \
             tempfile.TemporaryDirectory() as local_root, \
             _Daemon(remote_root) as daemon:
-        warm = daemon.client.run_matrix(**MATRIX)
+        warm = _sweep(daemon)
         _assert_identical(warm, base)
         tier = _tier(local_root, daemon.address)
         killer = threading.Timer(1.0, daemon.kill)
@@ -199,11 +200,11 @@ def _check_fleet_read_through(base) -> None:
     with tempfile.TemporaryDirectory() as root_a, \
             tempfile.TemporaryDirectory() as root_b, \
             _Daemon(root_a) as node_a:
-        out_a = node_a.client.run_matrix(**MATRIX)
+        out_a = _sweep(node_a)
         _assert_identical(out_a, base)
         assert node_a.client.status()["cells"]["computed"] == N_CELLS
         with _Daemon(root_b, "--store-peers", node_a.address) as node_b:
-            out_b = node_b.client.run_matrix(**MATRIX)
+            out_b = _sweep(node_b)
             _assert_identical(out_b, base)
             status = node_b.client.status()
             assert status["cells"]["computed"] == 0, (

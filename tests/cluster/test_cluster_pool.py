@@ -8,6 +8,8 @@ contract.  The end-to-end daemon scenarios live in
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.cluster.health import DEAD, HEALTHY, SUSPECT, HealthPolicy
@@ -236,7 +238,7 @@ def test_run_matrix_cluster_ingests_wire_bytes_into_store(
     """run_matrix(cluster=...) end to end against in-process 'nodes'
     that really simulate: results bit-identical and the client store
     holds the daemon's exact bytes (all hits on the next run)."""
-    from repro.experiments.runner import _run_cell_worker
+    from repro.experiments.runner import _CellRunner
     from repro.store.cache import ArtifactCache
 
     class ServingClient(FakeClient):
@@ -244,7 +246,7 @@ def test_run_matrix_cluster_ingests_wire_bytes_into_store(
             self.queries.append(query)
             spec = RunSpec(query.archs[0], query.benchmarks[0],
                            query.widths[0], query.layouts[0])
-            result = _run_cell_worker(
+            result = _CellRunner()(
                 spec, query.instructions, query.warmup, query.scale,
                 None, query.engine_mode,
             )
@@ -269,3 +271,38 @@ def test_run_matrix_cluster_ingests_wire_bytes_into_store(
     again = run_matrix(store=arts, **matrix)
     assert again.results == base.results
     assert arts.hits["result"] == 2
+
+
+def _index(store):
+    """Fingerprints per artifact kind in a store's index."""
+    out = {}
+    for kind, fp, _entry in store.iter_index():
+        out.setdefault(kind, set()).add(fp)
+    return out
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_dead_fleet_fallback_stores_what_a_local_run_stores(
+        tmp_path, monkeypatch, jobs):
+    """With every node unreachable the sweep finishes on the pool a
+    local run picks (serial for jobs=1, forked for jobs=2), and leaves
+    the same program, trace and result entries in the store."""
+    from repro.serve.__main__ import free_port
+    from repro.store.store import ArtifactStore
+
+    # The pool run_matrix builds gives up on the dead node at once: this
+    # test is about what the fallback stores, not how long probing takes.
+    monkeypatch.setattr(ClusterPool, "__init__", functools.partialmethod(
+        ClusterPool.__init__, health_policy=FAST_HEALTH, probe_rounds=1))
+    matrix = dict(ONE_CELL, archs=("stream", "ev8"), instructions=3000,
+                  warmup=1000)
+    local = ArtifactStore(str(tmp_path / "local"))
+    base = run_matrix(store=local, jobs=jobs, **matrix)
+    fleet = ArtifactStore(str(tmp_path / "fleet"))
+    with pytest.warns(RuntimeWarning, match="no fleet node reachable"):
+        out = run_matrix(cluster=[f"127.0.0.1:{free_port()}"], store=fleet,
+                         jobs=jobs, **matrix)
+    assert out.results == base.results
+    assert _index(fleet) == _index(local)
+    assert {kind: len(fps) for kind, fps in _index(fleet).items()} == \
+        {"program": 1, "trace": 1, "result": 2}

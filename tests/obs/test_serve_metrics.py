@@ -28,7 +28,7 @@ def test_metrics_op_serves_prometheus_text(served):
     # see exactly this test's traffic regardless of suite order.
     obs.reset_metrics()
     base = run_matrix(**KW)
-    got = client.run_matrix(**KW)
+    got = run_matrix(cluster=[client.address], **KW)
     assert got.results == base.results
 
     text = client.metrics()
@@ -52,7 +52,7 @@ def test_metrics_op_serves_prometheus_text(served):
 def test_status_reports_uptime_queue_and_in_flight(served):
     server, client = served
     obs.reset_metrics()
-    client.run_matrix(**KW)
+    run_matrix(cluster=[client.address], **KW)
     status = client.status()
     assert status["uptime"] > 0
     assert status["queue"]["backlog"] == 0
@@ -66,7 +66,7 @@ def test_daemon_keeps_its_own_flight_recorder(tmp_path):
                           use_fork_pool=False) as server:
         client = ServeClient(*server.address)
         base = run_matrix(**KW)
-        got = client.run_matrix(**KW)
+        got = run_matrix(cluster=[client.address], **KW)
         assert got.results == base.results
     events = obs.read_events(os.path.join(root, "runs", "daemon.events"))
     kinds = {e["ev"] for e in events}
@@ -83,7 +83,7 @@ def test_served_results_identical_with_obs_disabled(tmp_path, monkeypatch):
     with ExperimentServer(store_root=root, max_workers=1,
                           use_fork_pool=False) as server:
         client = ServeClient(*server.address)
-        got = client.run_matrix(**KW)
+        got = run_matrix(cluster=[client.address], **KW)
     assert got.results == base.results
     # Disabled: the daemon attached no recorder at all.
     assert not os.path.exists(os.path.join(root, "runs", "daemon.events"))

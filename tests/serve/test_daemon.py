@@ -4,7 +4,6 @@ subprocess on an ephemeral port, driven through the public client."""
 from __future__ import annotations
 
 import socket
-import warnings
 
 import pytest
 from helpers import result_digest
@@ -24,12 +23,12 @@ def test_daemon_smoke_cold_warm_bitidentical_drain(tmp_path):
         ping = daemon.client.ping()
         assert ping["ok"] and ping["pid"] == daemon.proc.pid
 
-        cold = daemon.client.run_matrix(**MATRIX)
+        cold = run_matrix(cluster=[daemon.address], **MATRIX)
         assert cold.results == base.results
         assert [result_digest(r) for r in cold.results.values()] == \
             [result_digest(r) for r in base.results.values()]
 
-        warm = daemon.client.run_matrix(**MATRIX)
+        warm = run_matrix(cluster=[daemon.address], **MATRIX)
         assert warm.results == base.results
 
         status = daemon.client.status()
@@ -39,32 +38,6 @@ def test_daemon_smoke_cold_warm_bitidentical_drain(tmp_path):
         assert not status["draining"]
 
         assert daemon.drain_and_wait() == 0
-
-
-def test_run_matrix_serve_param_uses_daemon_and_falls_back(tmp_path):
-    """The runner's serve= path: daemon when present, local otherwise."""
-    base = run_matrix(**MATRIX)
-    with _Daemon(str(tmp_path / "store")) as daemon:
-        address = f"{daemon.client.host}:{daemon.client.port}"
-        seen = []
-        remote = run_matrix(**MATRIX, serve=address,
-                            progress=seen.append)
-        assert remote.results == base.results
-        assert len(seen) == 1  # progress streamed per cell
-        assert daemon.client.status()["requests"] == 1
-        assert daemon.drain_and_wait() == 0
-
-    # Nothing listens there anymore: one warning, then a local run
-    # that still returns the identical matrix.
-    from repro.common import reset_warn_once
-    reset_warn_once(f"serve.unreachable:{address}")
-    with pytest.warns(RuntimeWarning, match="running locally"):
-        fallback = run_matrix(**MATRIX, serve=address)
-    assert fallback.results == base.results
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second failure is quiet
-        again = run_matrix(**MATRIX, serve=address)
-    assert again.results == base.results
 
 
 def test_daemon_answers_bad_requests_typed(tmp_path):

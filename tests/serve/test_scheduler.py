@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import threading
 import time
+import types
 
 import pytest
 from helpers import result_digest
@@ -12,6 +13,7 @@ from helpers import result_digest
 from repro.exec.faults import FaultSpec, active_plan
 from repro.exec.policy import FaultPolicy
 from repro.experiments.runner import run_matrix
+from repro.serve import scheduler as scheduler_mod
 from repro.serve.protocol import CELL_DEADLINE, CELL_FAILED, CELL_OK, \
     MatrixQuery
 from repro.serve.scheduler import Draining, ExperimentScheduler, Overloaded
@@ -193,3 +195,25 @@ def test_status_surface_shape(scheduler):
     assert status["resident"]["programs"] >= 1
     assert status["store"]["misses"]["result"] >= 1
     assert status["uptime"] > 0
+
+
+@pytest.mark.parametrize("pool_backoff, delays", [
+    (0.5, [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+    (1.0, [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0]),
+])
+def test_pool_rebuild_backoff_doubles_per_strike_up_to_30s(
+        monkeypatch, pool_backoff, delays):
+    slept = []
+    monkeypatch.setattr(scheduler_mod, "time", types.SimpleNamespace(
+        sleep=slept.append, monotonic=time.monotonic))
+    sched = ExperimentScheduler(pool_backoff=pool_backoff,
+                                use_fork_pool=True)
+    try:
+        for strikes in range(7):
+            # A rebuild after ``strikes`` consecutive failed pools.
+            sched._pool, sched._pool_rebuilds = None, 1
+            sched._pool_strikes = strikes
+            sched._ensure_pool().close()
+    finally:
+        assert sched.drain(timeout=60)
+    assert slept == [d for d in delays if d > 0]
