@@ -43,13 +43,10 @@ rather than one machine epoch against another.
 ``--quick`` is the CI smoke mode: a few seconds of engine-only
 measurement **in both engine modes**, compared against the committed
 baseline's ``quick_engines`` (accel) and ``quick_engines_interp``
-sections, plus the per-engine accel/interp ratio and the default-matrix
-**chain hit rate** gated against the committed ``chain.floor`` (schema
-4).  A regression of more than ``REGRESSION_TOLERANCE`` (30%) on any
-engine in either mode — or a chain hit rate below the floor, or an
-observability hook costing more than ``OBS_OVERHEAD_LIMIT`` (2%) of
-the fastest cell, or results diverging with recording on vs off —
-fails loudly (exit code 1).
+sections.  A regression of more than ``REGRESSION_TOLERANCE`` (30%) on
+any engine in either mode — or an observability hook costing more than
+``OBS_OVERHEAD_LIMIT`` (2%) of the fastest cell, or results diverging
+with recording on vs off — fails loudly (exit code 1).
 
 ``--store DIR`` measurements never feed the regression gate, and the
 ``--quick`` gate never touches a store — the gate always measures cold
@@ -148,9 +145,9 @@ PR3_BASELINE = {
     "calibration_seconds": 0.07972,
 }
 
-#: The PR 4 tree (exec-compiled kernels, pre-chaining) on the reference
-#: container — the baseline the chained-template scheme's ">= 1.15x
-#: per-engine throughput" target is measured against.
+#: The PR 4 tree (exec-compiled kernels) on the reference container —
+#: the baseline PR 5's ">= 1.15x per-engine throughput" target was
+#: measured against.
 PR4_BASELINE = {
     "engine_ips": {
         "ev8": 465_204,
@@ -362,52 +359,6 @@ def measure_matrix(jobs: int, reps: int = 3) -> dict:
             "a pool cannot beat the serial path here"
         )
     return row
-
-
-def measure_chain_rates() -> dict:
-    """Steady-state chain hit rates over the default perf matrix.
-
-    Two serial, storeless, accel-mode passes over the default matrix:
-    the first trains the shared per-image template stores and their
-    transition tables (the equivalent of the first fraction of a long
-    run), the second — measured from the per-cell ``result.extras``
-    counters — reports the steady-state rate, which is the regime the
-    chained-template scheme targets (the paper's streams replay the
-    same short dynamic segments millions of times; a 100k-instruction
-    cell spends its one cold pass mostly *installing* edges).
-    Simulation is deterministic, so for a given code version these
-    rates are too — the full run commits a floor a few points under its
-    measurement and the ``--quick`` gate re-measures against it, so a
-    refactor that silently knocks segments off the chained path fails
-    loudly.
-    """
-    kwargs = dict(
-        benchmarks=MATRIX_BENCHMARKS, widths=(8,),
-        instructions=MATRIX_INSTRUCTIONS, scale=MATRIX_SCALE,
-        engine_mode="accel",
-    )
-    run_matrix(**kwargs)  # training pass: install templates and edges
-    matrix = run_matrix(**kwargs)
-    segments = {}
-    hits = {}
-    for spec, res in matrix.results.items():
-        x = res.extras
-        segments[spec.arch] = segments.get(spec.arch, 0) + x["segments"]
-        hits[spec.arch] = hits.get(spec.arch, 0) + x["chain_hits"]
-    total_segments = sum(segments.values())
-    total_hits = sum(hits.values())
-    return {
-        "benchmarks": list(MATRIX_BENCHMARKS),
-        "instructions": MATRIX_INSTRUCTIONS,
-        "scale": MATRIX_SCALE,
-        "per_engine": {
-            arch: round(hits[arch] / segments[arch], 4)
-            for arch in sorted(segments)
-        },
-        "hit_rate": round(
-            total_hits / total_segments if total_segments else 0.0, 4
-        ),
-    }
 
 
 def measure_obs_hook(reps: int = 3, calls: int = 20_000) -> float:
@@ -720,7 +671,6 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
     serve = measure_serve_latency()
     cluster = measure_cluster_latency()
     remote_store = measure_remote_store_latency()
-    chain = measure_chain_rates()
     hook_seconds = measure_obs_hook()
     obs_row = {
         "hook_us_per_cell": round(hook_seconds * 1e6, 2),
@@ -733,10 +683,6 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
         "limit": OBS_OVERHEAD_LIMIT,
         "bit_identical": check_obs_identity(),
     }
-    # The committed floor the --quick gate re-measures against: a few
-    # points of slack absorb warmth differences between the full run's
-    # and the quick run's in-process measurement order.
-    chain["floor"] = round(chain["hit_rate"] - 0.03, 3)
 
     seed_ips = SEED_BASELINE["engine_ips"]
     pr3_ips = PR3_BASELINE["engine_ips"]
@@ -788,7 +734,6 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
         "serve": serve,
         "cluster": cluster,
         "remote_store": remote_store,
-        "chain": chain,
         "obs": obs_row,
         "seed_baseline": SEED_BASELINE,
         "pr3_baseline": PR3_BASELINE,
@@ -805,10 +750,7 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
               f"({speedups['engine_ips_vs_seed'][arch]:.2f}x seed, "
               f"{speedups['engine_ips_vs_pr4'][arch]:.2f}x PR4, "
               f"{speedups['accel_vs_interp'][arch]:.2f}x interp "
-              f"[{engines_interp[arch]['ips']:,d}], "
-              f"chain {chain['per_engine'][arch]:.3f})")
-    print(f"  chain hit rate  {chain['hit_rate']:.4f} on the default "
-          f"matrix (committed floor {chain['floor']:.3f})")
+              f"[{engines_interp[arch]['ips']:,d}])")
     print(f"  matrix serial   {matrix['serial_seconds']:6.2f}s "
           f"({speedups['single_process_vs_seed']:.2f}x seed)")
     if "parallel_seconds" in matrix:
@@ -965,28 +907,6 @@ def quick_run(baseline_path: str) -> int:
               "(instrumentation is contaminating the simulation)")
         return 1
     print("  obs on/off bit-identity: ok")
-
-    # Chain-hit-rate gate: unlike the ips floors this is a property of
-    # the *code*, not the host — simulation is deterministic — so a
-    # measurement below the committed floor means a refactor knocked
-    # segments off the chained path.
-    from repro.core.backend import chains_enabled_default
-
-    chain_base = report.get("chain")
-    if chain_base is None:
-        print("baseline has no chain section (schema < 3); "
-              "chain gate skipped")
-    elif not chains_enabled_default():
-        print("chains disabled via $REPRO_CHAINS; chain gate skipped")
-    else:
-        rates = measure_chain_rates()
-        floor = chain_base.get("floor", 0.0)
-        status = "ok" if rates["hit_rate"] >= floor else "REGRESSION"
-        print(f"  chain hit rate {rates['hit_rate']:.4f} on the default "
-              f"matrix (floor {floor:.3f}) {status}")
-        if rates["hit_rate"] < floor:
-            print("chain hit rate fell below the committed floor")
-            return 1
     print("quick perf smoke: ok")
     return 0
 

@@ -122,11 +122,9 @@ def compiled_run(processor) -> Optional[Callable]:
 def kernel_sources(processor) -> dict:
     """Generated source texts for ``processor``'s configuration.
 
-    Returns ``{"run": str, "cycle": str | None, "chains": str}`` — the
-    specialized processor/scheduler kernel, the engine's cycle kernel
-    (None when the engine class has no specialization), and the
-    transition-follow block of the chained-template fast path exactly
-    as it is spliced into the run kernel.  For debugging; see
+    Returns ``{"run": str, "cycle": str | None}`` — the specialized
+    processor/scheduler kernel and the engine's cycle kernel (None when
+    the engine class has no specialization).  For debugging; see
     ``python -m repro.accel``.
     """
     from repro.accel import core_gen, engine_gen
@@ -134,5 +132,4 @@ def kernel_sources(processor) -> dict:
     return {
         "run": core_gen.run_kernel_source(processor),
         "cycle": engine_gen.cycle_kernel_source(processor.engine),
-        "chains": core_gen.chain_follow_source(processor),
     }

@@ -23,11 +23,8 @@ def main(argv=None) -> int:
     parser.add_argument("width", nargs="?", type=int, default=8,
                         choices=(2, 4, 8))
     parser.add_argument("--which", choices=("run", "cycle", "both"),
-                        default="both")
-    parser.add_argument("--chains", action="store_true",
-                        help="print only the generated transition-follow "
-                             "block (the chained-template fast path) "
-                             "instead of the full kernels")
+                        default="both",
+                        help="which kernel to print (default: both)")
     args = parser.parse_args(argv)
 
     from repro import accel
@@ -41,10 +38,6 @@ def main(argv=None) -> int:
         engine_mode="interp",  # do not build/bind kernels twice
     )
     sources = accel.kernel_sources(processor)
-    if args.chains:
-        print(f"# ---- chain follow: {args.arch} width={args.width} ----")
-        print(sources["chains"])
-        return 0
     if args.which in ("run", "both"):
         print(f"# ---- run kernel: {args.arch} width={args.width} ----")
         print(sources["run"])

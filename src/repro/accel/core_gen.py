@@ -37,12 +37,6 @@ from typing import Callable, Optional
 
 from repro.common.types import BranchKind, InstrClass
 from repro.core.backend import (
-    _CHAIN_DEEP_LIMIT,
-    _CHAIN_EDGE_LIMIT,
-    _CHAIN_G_BUCKET,
-    _CHAIN_G_MAX,
-    _CHAIN_LVL_LIMIT,
-    _CHAIN_SKEY_MAX,
     _IU_LIMIT,
     _IU_MASK,
     _TPL_CACHE_LIMIT,
@@ -57,7 +51,7 @@ from repro.isa.program import segment_plan
 
 from repro.accel.codegen import CompiledKernel, compile_kernel
 
-__all__ = ["chain_follow_source", "run_kernel", "run_kernel_source"]
+__all__ = ["run_kernel", "run_kernel_source"]
 
 #: Sentinel "no queued entry" cycle, mirroring processor.py.
 _NEVER = 1 << 62
@@ -114,111 +108,6 @@ def _indent(block: str, spaces: int) -> str:
         pad + line if line else line for line in block.splitlines()
     )
 
-
-# Chained-template transition follow: the first branch of the inlined
-# segment scheduler.  After a template replay, its transition table maps
-# (successor segment, dispatch gap) straight to the successor template —
-# no key packing, no hashing, no template-dict probe.  The stateful
-# D-cache probes still run (through the edge's memory plan) and pick the
-# successor via the per-level map; "deep" completion deltas (dependences
-# reaching past the previous segment) are re-verified against the record
-# before the edge is trusted, and the successor's store generation is
-# checked so an evicted template can never replay through a stale edge.
-# With $CHAINS_ON folded to False the whole branch compiles away and the
-# keyed path is the only template route.
-_CHAIN_BLOCK = """\
-tpl = None
-key = None
-levels = 0
-lvl_map = None
-edge_new = None
-edge_miss = False
-if $CHAINS_ON:
-    prev_tpl = cur_tpl
-    cur_tpl = None
-    ek = 0
-    dmap_install = None
-    if prev_tpl is not None:
-        g = D - tail_cycle
-        if g >= prev_tpl[9]:
-            g = $CHAIN_G_BUCKET
-        elif not 0 <= g <= $CHAIN_G_MAX:
-            # The bucket sentinel is reserved: a raw gap of exactly
-            # $CHAIN_G_BUCKET below g_big must not alias the bucket.
-            g = -1
-        if g >= 0 and skey < $CHAIN_SKEY_MAX:
-            if floor <= D + 1 and entries + take <= $IU_LIMIT:
-                ek = (dyn.addr * 4096 + skey) * 512 + g
-                rec = prev_tpl[8].get(ek)
-                if rec is None:
-                    edge_miss = True
-                elif rec.__class__ is tuple:
-                    # Fast edge (no memory plan, no deep reach): the
-                    # value IS the successor template — one probe, one
-                    # generation check, straight to replay.
-                    if rec[7] == gen:
-                        tpl = rec
-                        hits += 1
-                        tail_cycle = D
-                    else:
-                        edge_miss = True
-                else:
-                    (deep_offs, mem_plan, lvl_span, tail2,
-                     tail_k2, dmap) = rec
-                    dv = 0
-                    okc = True
-                    if deep_offs:
-                        base = D + 1
-                        for o in deep_offs:
-                            v = completions[(cnt + o) & 127] - base
-                            if v <= 0:
-                                dv = dv * $K_RADIX
-                            elif v <= $TPL_MAX_DELTA:
-                                dv = dv * $K_RADIX + v
-                            else:
-                                okc = False
-                                break
-                    if okc:
-                        hit2 = dmap.get(dv)
-                        if hit2 is None:
-                            edge_miss = True
-                            dmap_install = dmap
-                        else:
-                            K0, rec_map = hit2
-                            if mem_plan:
-                                for (slot_key, is_load, base_a, stride,
-                                     span) in mem_plan:
-                                    k = counters_get(slot_key, 0)
-                                    counters[slot_key] = k + 1
-                                    a = base_a + (k * stride) % span
-$PROBE_CHAIN
-                                    if is_load:
-                                        levels = levels * 4 + lvl
-                                        loads += 1
-                                    else:
-                                        stores += 1
-                            tpl = rec_map.get(levels)
-                            if tpl is not None and tpl[7] == gen:
-                                # Chain hit: successor reached with no
-                                # key build, no hash, no template-dict
-                                # probe.
-                                hits += 1
-                                tail_cycle = D
-                            else:
-                                # Profile known, level vector new (or
-                                # the successor was evicted): the full
-                                # key is pure in the profile — no
-                                # offsets walk, no tail shift.
-                                tpl = None
-                                key = (dyn.addr, skey,
-                                       K0 * lvl_span + levels, tail_k2)
-                                tail = tail2
-                                tail_k = tail_k2
-                                tail_cycle = D
-                                lvl_map = rec_map
-                                tpl = templates_get(key)
-"""
-_CHAIN_BLOCK = _CHAIN_BLOCK.replace("$PROBE_CHAIN", _indent(_PROBE_BLOCK, 36))
 
 _TEMPLATE = '''\
 def make_run(processor, engine_cycle=None, engine_note_commit=None):
@@ -329,15 +218,8 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         dl1_acc = dl1_cache.accesses
         dl1_miss = dl1_cache.misses
         dl1_evict = dl1_cache.evictions
-        # Chained-template state: the previous segment's template (the
-        # transition-table source), the template-store generation, and
-        # the segment / chain-hit counters (with this run's baselines).
-        cur_tpl = backend._chain_tpl
         segs = backend.seg_count
-        hits = backend.chain_hits
         seg_base = segs
-        chain_base = hits
-        gen = templates.generation
 
         warm_target = warmup if warmup else $NEVER
         cycle_limit = 400 * max_instructions + 1_000_000
@@ -432,157 +314,122 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                         # generator protocol removed; see the module docstring.
                         D = dispatch_cycle
                         segs += 1
-                        skey = cur_off * 32 + take
-$CHAIN_FOLLOW
-                        if tpl is None and key is None:
-                            # -- keyed path: shift tail, pack key, probe -----
-                            if tail_cycle != D:
-                                if tail:
-                                    shift = D - tail_cycle
-                                    if tail_k:
-                                        # Encodable tails bound every delta,
-                                        # so a shift past that bound empties
-                                        # the tail and smaller shifts hit the
-                                        # pure-function memo keyed on the
-                                        # packed encoding.
-                                        if shift > $TAIL_DMAX:
-                                            tail = ()
-                                            tail_k = 0
-                                        else:
-                                            mk = tail_k * 512 + shift
-                                            hit = shift_memo_get(mk)
-                                            if hit is not None:
-                                                tail, tail_k = hit
-                                            else:
-                                                tail = tuple([
-                                                    (dc - shift, n)
-                                                    for dc, n in tail
-                                                    if dc > shift
-                                                ])
-                                                tail_k = pack_tail(tail)
-                                                if len(shift_memo) > 32768:
-                                                    shift_memo.clear()
-                                                shift_memo[mk] = (tail, tail_k)
-                                    else:
-                                        tail = tuple([
-                                            (dc - shift, n)
-                                            for dc, n in tail if dc > shift
-                                        ])
-                                        tail_k = pack_tail(tail)
-                                elif tail is None:
-                                    if max_issue <= D:
+                        tpl = None
+                        key = None
+
+                        # -- keyed path: shift tail, pack key, probe ---------
+                        if tail_cycle != D:
+                            if tail:
+                                shift = D - tail_cycle
+                                if tail_k:
+                                    # Encodable tails bound every delta,
+                                    # so a shift past that bound empties
+                                    # the tail and smaller shifts hit the
+                                    # pure-function memo keyed on the
+                                    # packed encoding.
+                                    if shift > $TAIL_DMAX:
                                         tail = ()
                                         tail_k = 0
-                                    elif max_issue - D <= $TAIL_DMAX:
-                                        t = []
-                                        for c in range(D + 1, max_issue + 1):
-                                            s = c & $IU_MASK
-                                            if iu_stamps[s] == c:
-                                                n = iu_vals[s]
-                                            elif iu_spill:
-                                                n = iu_spill.get(c, 0)
-                                            else:
-                                                n = 0
-                                            if n:
-                                                t.append((c - D, n))
-                                        tail = tuple(t)
-                                        tail_k = pack_tail(tail)
                                     else:
-                                        tail_k = None
+                                        mk = tail_k * 512 + shift
+                                        hit = shift_memo_get(mk)
+                                        if hit is not None:
+                                            tail, tail_k = hit
+                                        else:
+                                            tail = tuple([
+                                                (dc - shift, n)
+                                                for dc, n in tail
+                                                if dc > shift
+                                            ])
+                                            tail_k = pack_tail(tail)
+                                            if len(shift_memo) > 32768:
+                                                shift_memo.clear()
+                                            shift_memo[mk] = (tail, tail_k)
                                 else:
+                                    tail = tuple([
+                                        (dc - shift, n)
+                                        for dc, n in tail if dc > shift
+                                    ])
+                                    tail_k = pack_tail(tail)
+                            elif tail is None:
+                                if max_issue <= D:
+                                    tail = ()
                                     tail_k = 0
-                                tail_cycle = D
-
-                            # -- template preconditions ----------------------
-                            if tail_k is not None:
-                                dlc = last - D
-                                if dlc <= 2:
-                                    K = 0
-                                elif dlc <= $TPL_MAX_DELTA:
-                                    K = dlc * 64 + cic
+                                elif max_issue - D <= $TAIL_DMAX:
+                                    t = []
+                                    for c in range(D + 1, max_issue + 1):
+                                        s = c & $IU_MASK
+                                        if iu_stamps[s] == c:
+                                            n = iu_vals[s]
+                                        elif iu_spill:
+                                            n = iu_spill.get(c, 0)
+                                        else:
+                                            n = 0
+                                        if n:
+                                            t.append((c - D, n))
+                                    tail = tuple(t)
+                                    tail_k = pack_tail(tail)
                                 else:
-                                    K = -1
-                                if (
-                                    K >= 0
-                                    and floor <= D + 1
-                                    and entries + take <= $IU_LIMIT
-                                ):
-                                    lb = dyn.lb
-                                    plan = lb._seg_plans.get(skey)
-                                    if plan is None:
-                                        plan = make_plan(lb, cur_off, take)
-                                    offsets, mem_plan, lvl_span = plan
-                                    collecting = False
-                                    dv_new = 0
-                                    if $CHAINS_ON:
-                                        # A missing edge (or a new deep
-                                        # profile on an existing one)
-                                        # installs after this segment
-                                        # resolves; the deep deltas fold
-                                        # into the profile key below.
-                                        if edge_miss and prev_tpl[7] == gen:
-                                            if dmap_install is not None:
-                                                collecting = (
-                                                    len(dmap_install)
-                                                    < $CHAIN_DEEP_LIMIT)
-                                            else:
-                                                collecting = (
-                                                    len(prev_tpl[8])
-                                                    < $CHAIN_EDGE_LIMIT)
-                                            if collecting:
-                                                pred_neg = -len(prev_tpl[0])
-                                                deep_offs_n = ()
-                                    ok = True
-                                    if offsets:
-                                        base = D + 1
-                                        for o in offsets:
-                                            v = completions[(cnt + o) & 127] \
-                                                - base
-                                            if v <= 0:
-                                                K = K * $K_RADIX
-                                                if (collecting
-                                                        and o < pred_neg):
-                                                    dv_new = dv_new * $K_RADIX
-                                            elif v <= $TPL_MAX_DELTA:
-                                                K = K * $K_RADIX + v
-                                                if (collecting
-                                                        and o < pred_neg):
-                                                    dv_new = (dv_new
-                                                              * $K_RADIX + v)
-                                            else:
-                                                ok = False
-                                                break
-                                    if ok:
-                                        levels = 0
-                                        if mem_plan:
-                                            for (slot_key, is_load, base_a,
-                                                 stride, span) in mem_plan:
-                                                k = counters_get(slot_key, 0)
-                                                counters[slot_key] = k + 1
-                                                a = base_a + (k * stride) % span
+                                    tail_k = None
+                            else:
+                                tail_k = 0
+                            tail_cycle = D
+
+                        # -- template preconditions --------------------------
+                        if tail_k is not None:
+                            dlc = last - D
+                            if dlc <= 2:
+                                K = 0
+                            elif dlc <= $TPL_MAX_DELTA:
+                                K = dlc * 64 + cic
+                            else:
+                                K = -1
+                            if (
+                                K >= 0
+                                and floor <= D + 1
+                                and entries + take <= $IU_LIMIT
+                            ):
+                                skey = cur_off * 32 + take
+                                lb = dyn.lb
+                                plan = lb._seg_plans.get(skey)
+                                if plan is None:
+                                    plan = make_plan(lb, cur_off, take)
+                                offsets, mem_plan, lvl_span = plan
+                                ok = True
+                                if offsets:
+                                    base = D + 1
+                                    for o in offsets:
+                                        v = completions[(cnt + o) & 127] \
+                                            - base
+                                        if v <= 0:
+                                            K = K * $K_RADIX
+                                        elif v <= $TPL_MAX_DELTA:
+                                            K = K * $K_RADIX + v
+                                        else:
+                                            ok = False
+                                            break
+                                if ok:
+                                    levels = 0
+                                    if mem_plan:
+                                        for (slot_key, is_load, base_a,
+                                             stride, span) in mem_plan:
+                                            k = counters_get(slot_key, 0)
+                                            counters[slot_key] = k + 1
+                                            a = base_a + (k * stride) % span
 $PROBE_TPL
-                                                if is_load:
-                                                    levels = levels * 4 + lvl
-                                                    loads += 1
-                                                else:
-                                                    stores += 1
-                                        key = (dyn.addr, skey,
-                                               K * lvl_span + levels, tail_k)
-                                        if collecting:
-                                            edge_new = (dv_new, K,
-                                                        tail, tail_k)
-                                            if offsets:
-                                                deep_offs_n = tuple([
-                                                    o for o in offsets
-                                                    if o < pred_neg
-                                                ])
-                                        tpl = templates_get(key)
+                                            if is_load:
+                                                levels = levels * 4 + lvl
+                                                loads += 1
+                                            else:
+                                                stores += 1
+                                    key = (dyn.addr, skey,
+                                           K * lvl_span + levels, tail_k)
+                                    tpl = templates_get(key)
 
                         if tpl is not None:
                             # -- replay a memoized schedule template ---------
                             (completes, exit_lc, exit_cic, exit_tail,
-                             exit_tail_k, bookings, max_issue_d,
-                             _tgen, _tchain, _gbig) = tpl
+                             exit_tail_k, bookings, max_issue_d) = tpl
                             for cd in completes:
                                 completions[cnt & 127] = D + cd
                                 cnt += 1
@@ -691,21 +538,8 @@ $PROBE_TPL
                             tail = exit_tail
                             tail_k = pack_tail(exit_tail)
                             if len(templates) > $TPL_CACHE_LIMIT:
-                                # Eviction: the generation bump exactly
-                                # invalidates every chained edge pointing
-                                # at the dropped templates.
-                                templates.clear()
-                                gen = templates.generation
-                            # Far-gap threshold (see backend.py).
-                            g_big = last - D - 2
-                            if exit_tail and exit_tail[-1][0] > g_big:
-                                g_big = exit_tail[-1][0]
-                            cm = max(rec_completes) - D - 1
-                            if cm > g_big:
-                                g_big = cm
-                            if g_big < 0:
-                                g_big = 0
-                            tpl = (
+                                templates.clear()  # runaway backstop
+                            templates[key] = (
                                 tuple([c - D for c in rec_completes]),
                                 last - D,
                                 cic,
@@ -715,11 +549,7 @@ $PROBE_TPL
                                     (c - D, n) for c, n in bk.items()
                                 )),
                                 seg_max - D,
-                                gen,
-                                {},
-                                g_big,
                             )
-                            templates[key] = tpl
                         else:
                             # -- per-slot loop (canonical rules) -------------
                             tail = None
@@ -805,27 +635,6 @@ $PROBE_SLOT
                                 else:
                                     cic = 1
                                 last = commit2
-                        if $CHAINS_ON:
-                            # The resolved template is the next segment's
-                            # chain source; resolve pending edge installs.
-                            if tpl is not None:
-                                cur_tpl = tpl
-                                if lvl_map is not None:
-                                    if len(lvl_map) < $CHAIN_LVL_LIMIT:
-                                        lvl_map[levels] = tpl
-                                elif edge_new is not None:
-                                    dv_n, K0n, t2, tk2 = edge_new
-                                    if dmap_install is not None:
-                                        dmap_install[dv_n] = (K0n,
-                                                              {levels: tpl})
-                                    elif deep_offs_n or mem_plan:
-                                        prev_tpl[8][ek] = [
-                                            deep_offs_n, mem_plan, lvl_span,
-                                            t2, tk2,
-                                            {dv_n: (K0n, {levels: tpl})},
-                                        ]
-                                    else:
-                                        prev_tpl[8][ek] = tpl
                         seg_commit = last
                         # ==== end inlined segment scheduler ==================
 
@@ -957,9 +766,7 @@ $PROBE_SLOT
             backend._tail_cycle = tail_cycle
             backend.load_accesses = loads
             backend.store_accesses = stores
-            backend._chain_tpl = cur_tpl
             backend.seg_count = segs
-            backend.chain_hits = hits
             dl1_cache.accesses = dl1_acc
             dl1_cache.misses = dl1_miss
             dl1_cache.evictions = dl1_evict
@@ -997,23 +804,15 @@ $PROBE_SLOT
             result.idle_cycles = r_idle - widle
         result.engine_stats = stats_dict()
         result.memory_stats = mem_stats()
-        seg_d = segs - seg_base
-        chain_d = hits - chain_base
-        result.extras = {
-            "segments": seg_d,
-            "chain_hits": chain_d,
-            "chain_hit_rate": (chain_d / seg_d) if seg_d else 0.0,
-        }
+        result.extras = {"segments": segs - seg_base}
         return result
 
     return run
 '''
 
-# Splice the chain-follow branch and the cache-probe blocks at their
-# sites (chain-edge probes, template-recording probes, the per-slot
-# fallback) at the surrounding indentation.
-_TEMPLATE = _TEMPLATE.replace("$CHAIN_FOLLOW", _indent(_CHAIN_BLOCK, 24))
-_TEMPLATE = _TEMPLATE.replace("$PROBE_TPL", _indent(_PROBE_BLOCK, 48))
+# Splice the cache-probe blocks at their sites (the keyed path's probes,
+# the per-slot fallback) at the surrounding indentation.
+_TEMPLATE = _TEMPLATE.replace("$PROBE_TPL", _indent(_PROBE_BLOCK, 44))
 _TEMPLATE = _TEMPLATE.replace("$PROBE_SLOT", _indent(_PROBE_BLOCK, 36))
 
 
@@ -1047,16 +846,6 @@ def _consts(processor) -> dict:
         "TPL_CACHE_LIMIT": _TPL_CACHE_LIMIT,
         "CLS_LOAD": int(InstrClass.LOAD),
         "CLS_STORE": int(InstrClass.STORE),
-        # Chained-template constants; CHAINS_ON folds the transition
-        # follow in or out of the compiled loop (it is part of the
-        # compile-cache key, so on/off kernels never mix).
-        "CHAINS_ON": bool(processor.backend.chains_enabled),
-        "CHAIN_G_MAX": _CHAIN_G_MAX,
-        "CHAIN_G_BUCKET": _CHAIN_G_BUCKET,
-        "CHAIN_SKEY_MAX": _CHAIN_SKEY_MAX,
-        "CHAIN_EDGE_LIMIT": _CHAIN_EDGE_LIMIT,
-        "CHAIN_DEEP_LIMIT": _CHAIN_DEEP_LIMIT,
-        "CHAIN_LVL_LIMIT": _CHAIN_LVL_LIMIT,
     }
 
 
@@ -1101,16 +890,3 @@ def make_run(
 def run_kernel_source(processor) -> str:
     """The generated source text (debugging / ``python -m repro.accel``)."""
     return run_kernel(processor).source
-
-
-def chain_follow_source(processor) -> str:
-    """The rendered transition-follow block for ``processor``'s config.
-
-    This is the chain-hit branch exactly as it is spliced into the
-    compiled cycle loop (``python -m repro.accel ARCH WIDTH --chains``);
-    when chaining is disabled for this processor the block folds to its
-    dead ``if False:`` form, which is what this returns.
-    """
-    from repro.accel.codegen import render
-
-    return render(_indent(_CHAIN_BLOCK, 24), _consts(processor))

@@ -37,25 +37,6 @@ it on every recurrence; the D-cache is still probed per memory access
 (those probes are stateful), and any entry state outside the template
 preconditions falls back to a per-slot loop with identical semantics.
 
-Chained templates
------------------
-
-Deciding *which* template comes next used to be the steady-state cost:
-packing the relative entry-state key, hashing it and probing the shared
-template dict for every ~4-instruction segment.  Every template
-therefore carries a **transition table**: after it replays, the next
-segment probes ``(successor segment, dispatch gap)`` and — through a
-deep-completion-delta profile and a load-level map when the segment has
-such inputs, directly otherwise — reaches the successor template with
-no key build, no hash and no template-dict probe.  Edges are installed
-by the keyed path (bounded per template), dispatch gaps past a
-template's precomputed ``g_big`` threshold share one bucket edge (the
-entry state is provably identical), and eviction is generation-exact:
-clearing the store bumps its generation and every stale edge is
-rejected before it can replay a freed template.  The follow is a pure
-shortcut — both paths are bit-exact — and ``$REPRO_CHAINS`` switches it
-off for A/B measurement.
-
 The scheduler is implemented as a *persistent generator* so all of its
 mutable state lives in one frame's locals for the lifetime of a run —
 the Python-level equivalent of keeping the machine state in registers —
@@ -119,76 +100,15 @@ _TPL_MAX_TAIL = 96
 #: The delta bound covers an L2+memory round trip, and the length/
 #: re-arm window covers the distinct issue cycles such a backlog books:
 #: memory-bound phases (twolf) used to fall off the template path for
-#: whole stall windows, which also severed the chained-template path
-#: at every per-slot blip.
+#: whole stall windows.
 _TPL_MAX_TAIL_DELTA = 511
 #: Template-store capacity backstop.  All engines over one (image,
 #: width, latencies) share a store, and the widened tail/delta bounds
 #: let memory-bound workloads (twolf) legitimately populate tens of
 #: thousands of templates per engine — a cap the old 64k limit could
-#: hit mid-matrix, wiping every template *and* every chained transition
-#: edge for all sharers at once.  The limit is a runaway backstop, not
-#: a working-set bound.
+#: hit mid-matrix, wiping every template for all sharers at once.  The
+#: limit is a runaway backstop, not a working-set bound.
 _TPL_CACHE_LIMIT = 1 << 18
-
-#: Chained-template bounds.  A transition edge is keyed on
-#: ``(successor block addr * 4096 + skey) * 512 + gap`` — injective
-#: while ``skey < 4096`` (segment start below 128 slots) and the
-#: dispatch-cycle gap is at most ``_CHAIN_G_MAX`` — plus the *far
-#: bucket*: every gap at or past the predecessor template's ``g_big``
-#: threshold (precomputed at recording time) leaves a provably
-#: identical relative entry state (empty occupancy tail, saturated
-#: commit delta, fully-drained shallow completions), so all such gaps
-#: share one bucket edge keyed with gap ``_CHAIN_G_BUCKET``.  Segments
-#: outside those bounds simply stay on the keyed path.
-_CHAIN_G_MAX = 255
-_CHAIN_G_BUCKET = 256
-_CHAIN_SKEY_MAX = 4096
-#: At most this many transition edges per template (successor segment x
-#: gap variants); megamorphic successors stop installing.
-_CHAIN_EDGE_LIMIT = 64
-#: At most this many "deep" completion-delta profiles resolved per edge
-#: (dependences reaching past the previous segment are computed at
-#: probe time and select the profile, so variable backlogs chain too).
-_CHAIN_DEEP_LIMIT = 16
-#: At most this many distinct load-level vectors resolved per profile.
-_CHAIN_LVL_LIMIT = 8
-
-#: Environment switch for the chained-template fast path (diagnostics /
-#: A-B measurement; results are bit-identical either way).
-CHAINS_ENV = "REPRO_CHAINS"
-_CHAINS_OFF_VALUES = frozenset({"0", "false", "no", "off"})
-
-
-def chains_enabled_default() -> bool:
-    """Whether schedule-template chaining is on (``$REPRO_CHAINS``)."""
-    import os
-
-    env = os.environ.get(CHAINS_ENV, "").strip().lower()
-    return env not in _CHAINS_OFF_VALUES
-
-
-class TemplateStore(dict):
-    """A schedule-template dict with an eviction generation.
-
-    Templates carry the store generation they were recorded under;
-    :meth:`clear` (the eviction path when the store overflows
-    ``_TPL_CACHE_LIMIT``) bumps the generation, which *exactly*
-    invalidates every chained transition edge pointing at an evicted
-    template — a chain follow re-validates ``template[7] ==
-    store.generation`` before replaying, so a stale edge can never
-    replay a freed template.
-    """
-
-    __slots__ = ("generation",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.generation = 0
-
-    def clear(self) -> None:  # noqa: A003 - dict interface
-        self.generation += 1
-        super().clear()
 
 
 #: Shared schedule-template stores, keyed weakly by program image and
@@ -213,7 +133,7 @@ def shared_schedule_templates(program, width: int,
     key = (width, lvl_lat)
     store = per_program.get(key)
     if store is None:
-        store = per_program[key] = TemplateStore()
+        store = per_program[key] = {}
     return store
 
 
@@ -250,10 +170,7 @@ class DataflowBackend:
         # Block-batched scheduling state.
         "_templates", "_tail", "_tail_cycle", "_max_issue", "_lvl_lat",
         "_dl1_access", "_l2_access", "_sched", "_sched_send",
-        # Chained-template state: the template replayed for the previous
-        # segment (the transition-table source), whether chaining is on,
-        # and the segment / chain-hit counters.
-        "_chain_tpl", "chains_enabled", "seg_count", "chain_hits",
+        "seg_count",
     )
 
     def __init__(self, machine: MachineParams, mem: MemoryHierarchy) -> None:
@@ -279,17 +196,9 @@ class DataflowBackend:
         self._iu_entries = 0
         # Schedule templates, keyed on (segment identity, relative entry
         # state); see the module docstring.
-        self._templates: TemplateStore = TemplateStore()
-        #: The template the previous segment resolved to, when its exit
-        #: state is still the live entry state — the source whose
-        #: transition table the next segment probes.  None whenever the
-        #: chain is broken (per-slot fallback, canonical dispatch).
-        self._chain_tpl = None
-        self.chains_enabled = chains_enabled_default()
-        #: Segments dispatched / segments resolved by a transition
-        #: follow (no key build, no hash, no template-dict probe).
+        self._templates: dict = {}
+        #: Segments dispatched through the segment scheduler.
         self.seg_count = 0
-        self.chain_hits = 0
         #: Exact issue occupancy at cycles > ``_tail_cycle`` as sorted
         #: (cycle - dispatch, count) pairs, or None when unknown.
         self._tail: Optional[tuple] = ()
@@ -415,9 +324,6 @@ class DataflowBackend:
         cross-checks the two over full simulations.
         """
         self._sync()
-        # The per-instruction path leaves no template exit state behind:
-        # the chain (like the occupancy tail below) is interrupted.
-        self._chain_tpl = None
         cls, latency, d1, d2, mem_base, mem_stride, mem_span = meta
         completions = self._completions
         index = self._count
@@ -487,15 +393,13 @@ class DataflowBackend:
         interleaving with the canonical per-instruction path stays
         coherent.
 
-        Per segment the resolve order is: **transition follow** (the
-        chained-template fast path — when the previous segment resolved
-        to a template, its transition table maps ``(successor segment,
-        dispatch gap)`` straight to the successor template: no key
-        packing, no hash, no template-dict probe), then the **keyed
-        path** (which installs the missing edge on success), then the
-        **per-slot loop** (which breaks the chain).  All paths
-        implement exactly the scheduling rules of :meth:`dispatch`; the
-        parity test drives full simulations down every route.
+        Per segment the resolve order is: the **keyed path** (pack the
+        relative entry state into a key and probe the template dict),
+        then **recording** a new template on a key miss, then the
+        **per-slot loop** when the entry state falls outside the
+        template preconditions.  All paths implement exactly the
+        scheduling rules of :meth:`dispatch`; the parity test drives
+        full simulations down every route.
         """
         width = self.width
         lvl0, lvl1, lvl2 = self._lvl_lat
@@ -508,7 +412,6 @@ class DataflowBackend:
         templates = self._templates
         counters_get = counters.get
         templates_get = templates.get
-        chains_on = self.chains_enabled
         # Module-level constants and helpers as frame locals: these are
         # read once or more per segment.
         iu_mask = _IU_MASK
@@ -517,12 +420,6 @@ class DataflowBackend:
         k_radix = _TPL_K_RADIX
         tail_dmax = _TPL_MAX_TAIL_DELTA
         cache_limit = _TPL_CACHE_LIMIT
-        g_max = _CHAIN_G_MAX
-        g_bucket = _CHAIN_G_BUCKET
-        skey_max = _CHAIN_SKEY_MAX
-        edge_limit = _CHAIN_EDGE_LIMIT
-        deep_limit = _CHAIN_DEEP_LIMIT
-        lvl_limit = _CHAIN_LVL_LIMIT
         make_plan = segment_plan
 
         result = None
@@ -543,266 +440,120 @@ class DataflowBackend:
             tail_cycle = self._tail_cycle
             loads = self.load_accesses
             stores = self.store_accesses
-            cur_tpl = self._chain_tpl
             segs = self.seg_count
-            hits = self.chain_hits
-            gen = templates.generation
             tail_k = _pack_tail(tail)
 
             while args is not None:
                 lb, start, count, D = args
                 segs += 1
-                prev_tpl = cur_tpl
-                cur_tpl = None
-                skey = start * 32 + count
                 tpl = None
                 key = None
-                levels = 0
-                lvl_map = None
-                edge_new = None
-                edge_miss = False
-                ek = 0
 
-                # -- transition follow (chained templates) -------------
-                # ``prev_tpl``'s exit state (written back as tail /
-                # tail_cycle / completion-ring entries) is the live
-                # entry state, so the successor key is a pure function
-                # of (prev_tpl, successor segment, dispatch gap, the
-                # "deep" completion deltas of dependences reaching past
-                # the previous segment) — the edge resolves the deltas
-                # through its per-profile map and the stateful D-cache
-                # probe levels through the profile's per-level map.
-                # Gaps at or past ``prev_tpl``'s precomputed ``g_big``
-                # leave an identical entry state and share one bucket
-                # edge.
-                dmap_install = None
-                if prev_tpl is not None and chains_on:
-                    g = D - tail_cycle
-                    if g >= prev_tpl[9]:
-                        g = g_bucket
-                    elif not 0 <= g <= g_max:
-                        # Un-bucketed gaps own [0, g_max]; the bucket
-                        # sentinel value itself is reserved, so a raw
-                        # gap of exactly _CHAIN_G_BUCKET below g_big
-                        # must NOT alias the bucket edge.
-                        g = -1
-                    if g >= 0 and skey < skey_max:
-                        if floor <= D + 1 and entries + count <= iu_limit:
-                            ek = (lb.addr * 4096 + skey) * 512 + g
-                            rec = prev_tpl[8].get(ek)
-                            if rec is None:
-                                edge_miss = True
-                            elif rec.__class__ is tuple:
-                                # Fast edge (no memory plan, no deep
-                                # reach): the value IS the successor
-                                # template — one probe, one generation
-                                # check, straight to replay.
-                                if rec[7] == gen:
-                                    tpl = rec
-                                    hits += 1
-                                    tail_cycle = D
+                # -- keyed path: shift tail, pack key, probe -----------
+                # ``tail_k`` is the prefix-coded int encoding of the
+                # tail (length, then (delta, n) pairs) used in template
+                # keys; None when the tail is unknown or unencodable.
+                if tail_cycle != D:
+                    if tail:
+                        shift = D - tail_cycle
+                        tail = tuple([
+                            (dc - shift, n) for dc, n in tail
+                            if dc > shift
+                        ])
+                        tail_k = _pack_tail(tail)
+                    elif tail is None:
+                        if max_issue <= D:
+                            # Nothing is booked past the dispatch
+                            # frontier: occupancy is exactly empty.
+                            tail = ()
+                            tail_k = 0
+                        elif max_issue - D <= tail_dmax:
+                            # Shallow backlog: reconstruct the exact
+                            # occupancy at the few reachable booked
+                            # cycles — re-arms the template path right
+                            # after a slow-path blip.
+                            t = []
+                            for c in range(D + 1, max_issue + 1):
+                                s = c & iu_mask
+                                if iu_stamps[s] == c:
+                                    n = iu_vals[s]
+                                elif iu_spill:
+                                    n = iu_spill.get(c, 0)
                                 else:
-                                    edge_miss = True
-                            else:
-                                (deep_offs, mem_plan, lvl_span, tail2,
-                                 tail_k2, dmap) = rec
-                                dv = 0
-                                okc = True
-                                if deep_offs:
-                                    base = D + 1
-                                    for o in deep_offs:
-                                        v = completions[(cnt + o) & 127] \
-                                            - base
-                                        if v <= 0:
-                                            dv = dv * k_radix
-                                        elif v <= max_delta:
-                                            dv = dv * k_radix + v
-                                        else:
-                                            okc = False
-                                            break
-                                if okc:
-                                    hit2 = dmap.get(dv)
-                                    if hit2 is None:
-                                        edge_miss = True
-                                        dmap_install = dmap
-                                    else:
-                                        K0, rec_map = hit2
-                                        # Memory probes: the stateful
-                                        # work every path does, in
-                                        # program order.
-                                        if mem_plan:
-                                            for (slot_key, is_load, base_a,
-                                                 stride, span) in mem_plan:
-                                                k = counters_get(slot_key, 0)
-                                                counters[slot_key] = k + 1
-                                                a = base_a \
-                                                    + (k * stride) % span
-                                                if dl1(a):
-                                                    lvl = 1
-                                                elif l2(a):
-                                                    lvl = 2
-                                                else:
-                                                    lvl = 3
-                                                if is_load:
-                                                    levels = levels * 4 + lvl
-                                                    loads += 1
-                                                else:
-                                                    stores += 1
-                                        tpl = rec_map.get(levels)
-                                        if tpl is not None \
-                                                and tpl[7] == gen:
-                                            # Chain hit: successor
-                                            # reached with no key build,
-                                            # no hash, no template-dict
-                                            # probe.
-                                            hits += 1
-                                            tail_cycle = D
-                                        else:
-                                            # Profile known, level
-                                            # vector new (or successor
-                                            # evicted): the full key is
-                                            # pure in the profile — no
-                                            # offsets walk, no tail
-                                            # shift.
-                                            tpl = None
-                                            key = (lb.addr, skey,
-                                                   K0 * lvl_span + levels,
-                                                   tail_k2)
-                                            tail = tail2
-                                            tail_k = tail_k2
-                                            tail_cycle = D
-                                            lvl_map = rec_map
-                                            tpl = templates_get(key)
-
-                if tpl is None and key is None:
-                    # -- keyed path: shift tail, pack key, probe -------
-                    # ``tail_k`` is the prefix-coded int encoding of the
-                    # tail (length, then (delta, n) pairs) used in
-                    # template keys; None when the tail is unknown or
-                    # unencodable.
-                    if tail_cycle != D:
-                        if tail:
-                            shift = D - tail_cycle
-                            tail = tuple([
-                                (dc - shift, n) for dc, n in tail
-                                if dc > shift
-                            ])
+                                    n = 0
+                                if n:
+                                    t.append((c - D, n))
+                            tail = tuple(t)
                             tail_k = _pack_tail(tail)
-                        elif tail is None:
-                            if max_issue <= D:
-                                # Nothing is booked past the dispatch
-                                # frontier: occupancy is exactly empty.
-                                tail = ()
-                                tail_k = 0
-                            elif max_issue - D <= tail_dmax:
-                                # Shallow backlog: reconstruct the exact
-                                # occupancy at the few reachable booked
-                                # cycles — re-arms the template path
-                                # right after a slow-path blip.
-                                t = []
-                                for c in range(D + 1, max_issue + 1):
-                                    s = c & iu_mask
-                                    if iu_stamps[s] == c:
-                                        n = iu_vals[s]
-                                    elif iu_spill:
-                                        n = iu_spill.get(c, 0)
-                                    else:
-                                        n = 0
-                                    if n:
-                                        t.append((c - D, n))
-                                tail = tuple(t)
-                                tail_k = _pack_tail(tail)
-                            else:
-                                tail_k = None
                         else:
-                            tail_k = 0  # empty tail shifts to empty
-                        tail_cycle = D
+                            tail_k = None
+                    else:
+                        tail_k = 0  # empty tail shifts to empty
+                    tail_cycle = D
 
-                    # -- template preconditions ------------------------
-                    if tail_k is not None:
-                        dlc = last - D
-                        if dlc <= 2:
-                            K = 0
-                        elif dlc <= max_delta:
-                            # Packed (last-commit delta, commits-in-cycle).
-                            K = dlc * 64 + cic
-                        else:
-                            K = -1
-                        if (
-                            K >= 0
-                            and floor <= D + 1
-                            and entries + count <= iu_limit
-                        ):
-                            # Segments are at most ``width`` (<= 8)
-                            # slots, so (start, count) packs into one
-                            # int.
-                            plan = lb._seg_plans.get(skey)
-                            if plan is None:
-                                plan = make_plan(lb, start, count)
-                            offsets, mem_plan, lvl_span = plan
-                            # An edge (or a new deep profile on an
-                            # existing edge) can be installed on the
-                            # previous template; the deep completion
-                            # deltas fold into the profile key as the
-                            # offsets walk passes them.
-                            collecting = False
-                            dv_new = 0
-                            if edge_miss and prev_tpl[7] == gen:
-                                if dmap_install is not None:
-                                    collecting = (len(dmap_install)
-                                                  < deep_limit)
+                # -- template preconditions ----------------------------
+                if tail_k is not None:
+                    dlc = last - D
+                    if dlc <= 2:
+                        K = 0
+                    elif dlc <= max_delta:
+                        # Packed (last-commit delta, commits-in-cycle).
+                        K = dlc * 64 + cic
+                    else:
+                        K = -1
+                    if (
+                        K >= 0
+                        and floor <= D + 1
+                        and entries + count <= iu_limit
+                    ):
+                        # Segments are at most ``width`` (<= 8) slots,
+                        # so (start, count) packs into one int.
+                        skey = start * 32 + count
+                        plan = lb._seg_plans.get(skey)
+                        if plan is None:
+                            plan = make_plan(lb, start, count)
+                        offsets, mem_plan, lvl_span = plan
+                        ok = True
+                        if offsets:
+                            base = D + 1
+                            for o in offsets:
+                                v = completions[(cnt + o) & 127] - base
+                                if v <= 0:
+                                    K = K * k_radix
+                                elif v <= max_delta:
+                                    K = K * k_radix + v
                                 else:
-                                    collecting = (len(prev_tpl[8])
-                                                  < edge_limit)
-                                if collecting:
-                                    pred_neg = -len(prev_tpl[0])
-                            ok = True
-                            if offsets:
-                                base = D + 1
-                                for o in offsets:
-                                    v = completions[(cnt + o) & 127] - base
-                                    if v <= 0:
-                                        K = K * k_radix
-                                        if collecting and o < pred_neg:
-                                            dv_new = dv_new * k_radix
-                                    elif v <= max_delta:
-                                        K = K * k_radix + v
-                                        if collecting and o < pred_neg:
-                                            dv_new = dv_new * k_radix + v
+                                    ok = False
+                                    break
+                        if ok:
+                            # Memory probes: the stateful work both
+                            # paths must do, probed in program order.
+                            levels = 0
+                            if mem_plan:
+                                for (slot_key, is_load, base_a, stride,
+                                     span) in mem_plan:
+                                    k = counters_get(slot_key, 0)
+                                    counters[slot_key] = k + 1
+                                    a = base_a + (k * stride) % span
+                                    if dl1(a):
+                                        lvl = 1
+                                    elif l2(a):
+                                        lvl = 2
                                     else:
-                                        ok = False
-                                        break
-                            if ok:
-                                # Memory probes: the stateful work both
-                                # paths must do, probed in program order.
-                                levels = 0
-                                if mem_plan:
-                                    for (slot_key, is_load, base_a, stride,
-                                         span) in mem_plan:
-                                        k = counters_get(slot_key, 0)
-                                        counters[slot_key] = k + 1
-                                        a = base_a + (k * stride) % span
-                                        if dl1(a):
-                                            lvl = 1
-                                        elif l2(a):
-                                            lvl = 2
-                                        else:
-                                            lvl = 3
-                                        if is_load:
-                                            levels = levels * 4 + lvl
-                                            loads += 1
-                                        else:
-                                            stores += 1
-                                key = (lb.addr, skey,
-                                       K * lvl_span + levels, tail_k)
-                                if collecting:
-                                    edge_new = (dv_new, K, tail, tail_k)
-                                tpl = templates_get(key)
+                                        lvl = 3
+                                    if is_load:
+                                        levels = levels * 4 + lvl
+                                        loads += 1
+                                    else:
+                                        stores += 1
+                            key = (lb.addr, skey,
+                                   K * lvl_span + levels, tail_k)
+                            tpl = templates_get(key)
 
                 if tpl is not None:
                     # -- replay a memoized schedule template -----------
                     (completes, exit_lc, exit_cic, exit_tail, exit_tail_k,
-                     bookings, max_issue_d, _tgen, _tchain, _gbig) = tpl
+                     bookings, max_issue_d) = tpl
                     for cd in completes:
                         completions[cnt & 127] = D + cd
                         cnt += 1
@@ -827,8 +578,10 @@ class DataflowBackend:
                     tail_k = exit_tail_k
                     last = D + exit_lc
                     cic = exit_cic
-                    result_pair = (D + completes[-1], last)
-                elif key is not None:
+                    args = yield (D + completes[-1], last)
+                    continue
+
+                if key is not None:
                     # -- record a new template -------------------------
                     # Run the canonical per-slot rules once (load
                     # latencies injected from the probe levels above),
@@ -916,25 +669,8 @@ class DataflowBackend:
                     tail = exit_tail
                     tail_k = _pack_tail(exit_tail)
                     if len(templates) > cache_limit:
-                        # Eviction: the generation bump exactly
-                        # invalidates every chained edge pointing at
-                        # the dropped templates.
-                        templates.clear()
-                        gen = templates.generation
-                    # Far-gap threshold: a dispatch gap >= g_big leaves
-                    # this template's exit state fully drained (empty
-                    # shifted tail, commit delta <= 2, every shallow
-                    # completion past its clamp), so all such gaps are
-                    # chain-equivalent and share one bucket edge.
-                    g_big = last - D - 2
-                    if exit_tail and exit_tail[-1][0] > g_big:
-                        g_big = exit_tail[-1][0]
-                    cm = max(rec_completes) - D - 1
-                    if cm > g_big:
-                        g_big = cm
-                    if g_big < 0:
-                        g_big = 0
-                    tpl = (
+                        templates.clear()  # runaway backstop
+                    templates[key] = (
                         tuple([c - D for c in rec_completes]),
                         last - D,
                         cic,
@@ -944,39 +680,8 @@ class DataflowBackend:
                             (c - D, n) for c, n in bk.items()
                         )),
                         seg_max - D,
-                        gen,
-                        {},
-                        g_big,
                     )
-                    templates[key] = tpl
-                    result_pair = (complete, last)
-
-                if tpl is not None:
-                    # The resolved template becomes the chain source for
-                    # the next segment; resolve the pending installs.
-                    cur_tpl = tpl
-                    if lvl_map is not None:
-                        if len(lvl_map) < lvl_limit:
-                            lvl_map[levels] = tpl
-                    elif edge_new is not None:
-                        dv_n, K0n, t2, tk2 = edge_new
-                        if dmap_install is not None:
-                            dmap_install[dv_n] = (K0n, {levels: tpl})
-                        else:
-                            deep_offs = tuple([
-                                o for o in offsets if o < pred_neg
-                            ])
-                            if deep_offs or mem_plan:
-                                # General edge: a (list-typed) record
-                                # resolving deep profiles and then load
-                                # levels to the successor.
-                                prev_tpl[8][ek] = [
-                                    deep_offs, mem_plan, lvl_span, t2,
-                                    tk2, {dv_n: (K0n, {levels: tpl})},
-                                ]
-                            else:
-                                prev_tpl[8][ek] = tpl
-                    args = yield result_pair
+                    args = yield (complete, last)
                     continue
 
                 # -- per-slot loop (canonical rules, local state) ------
@@ -1081,9 +786,7 @@ class DataflowBackend:
             self._tail_cycle = tail_cycle
             self.load_accesses = loads
             self.store_accesses = stores
-            self._chain_tpl = cur_tpl
             self.seg_count = segs
-            self.chain_hits = hits
             result = None
 
     # ------------------------------------------------------------------

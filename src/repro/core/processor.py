@@ -178,11 +178,10 @@ class Processor:
 
         now = 0
         scheduled = 0
-        # Chain-hit accounting baseline (the backend counters are
+        # Segment accounting baseline (the backend counter is
         # cumulative; the scheduler is parked here, so the attribute
         # view is current).
         seg_base = backend.seg_count
-        chain_base = backend.chain_hits
         warm_state: Optional[Tuple[int, int, SimulationResult, int, int]] = None
         diverged = False
         # (resolve_cycle, correct_addr, ckpt, counts_as_mispredict, dyn)
@@ -452,17 +451,11 @@ class Processor:
                         getattr(result, name) - getattr(warm_result, name))
         result.engine_stats = engine.stats_dict()
         result.memory_stats = self.mem.stats_summary()
-        # Chain diagnostics (reading last_commit_cycle above parked the
-        # scheduler, so the counters are published).  These describe
+        # Run diagnostics (reading last_commit_cycle above parked the
+        # scheduler, so the counter is published).  These describe
         # *how* the run executed — they ride in ``extras`` so they never
         # perturb result equality or stored artifacts.
-        segs = backend.seg_count - seg_base
-        chained = backend.chain_hits - chain_base
-        result.extras = {
-            "segments": segs,
-            "chain_hits": chained,
-            "chain_hit_rate": (chained / segs) if segs else 0.0,
-        }
+        result.extras = {"segments": backend.seg_count - seg_base}
         obs.observe_cell("interp", result,
                          time.perf_counter() - wall0,
                          time.process_time() - cpu0)

@@ -38,13 +38,12 @@ class SimulationResult:
     idle_cycles: int = 0
     engine_stats: Dict[str, int] = field(default_factory=dict)
     memory_stats: Dict[str, float] = field(default_factory=dict)
-    #: Run diagnostics that depend on *how* the simulation executed,
-    #: not on what it simulated — e.g. schedule-template chain hit
-    #: rates, which vary with shared-cache warmth across processors and
-    #: engine modes.  Excluded from equality (``compare=False``) and
-    #: stripped before a result is persisted to the artifact store:
-    #: simulation outputs stay bit-identical across engine modes, and
-    #: fingerprints/artifacts stay mode- and warmth-neutral.
+    #: Run diagnostics that describe *how* the simulation executed,
+    #: not what it measured — e.g. the number of segments the back-end
+    #: scheduler dispatched, warmup included.  Excluded from equality
+    #: (``compare=False``) and stripped before a result is persisted to
+    #: the artifact store, so fingerprints and artifacts carry
+    #: simulation outputs only.
     extras: Dict[str, float] = field(default_factory=dict, compare=False)
 
     # ------------------------------------------------------------------

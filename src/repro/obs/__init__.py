@@ -271,12 +271,6 @@ ACCEL_KERNEL_COMPILES = _R.counter(
 ACCEL_FALLBACKS = _R.counter(
     "repro_accel_fallbacks_total",
     "Runs that fell back from accel to the interpreted engine.")
-CHAIN_SEGMENTS = _R.counter(
-    "repro_accel_chain_segments_total",
-    "Schedule segments simulated (chain-eligible units).")
-CHAIN_HITS = _R.counter(
-    "repro_accel_chain_hits_total",
-    "Segments served from the chain schedule cache.")
 
 # core run loop
 CORE_CELLS = _R.counter(
@@ -325,14 +319,6 @@ def observe_cell(
     if cycles:
         CORE_CYCLES.inc(cycles)
     CORE_CELL_SECONDS.observe(wall)
-    extras = getattr(result, "extras", None)
-    if extras:
-        segments = extras.get("segments", 0)
-        hits = extras.get("chain_hits", 0)
-        if segments:
-            CHAIN_SEGMENTS.inc(segments)
-        if hits:
-            CHAIN_HITS.inc(hits)
     if _SINKS:
         record_event(
             "cell",

@@ -96,10 +96,10 @@ def load_trace(data: bytes, program: Program, seed: int) -> TraceRecord:
 
 def dump_result(result: SimulationResult) -> bytes:
     if result.extras:
-        # ``extras`` carries run diagnostics (chain hit rates) that vary
-        # with shared-cache warmth and engine mode.  Simulation outputs
-        # are bit-identical across modes; dropping the diagnostics keeps
-        # the encoded artifact — and its content address — neutral too.
+        # ``extras`` carries run diagnostics (scheduler segment counts)
+        # that describe how a run executed, not what it measured;
+        # dropping them keeps the encoded artifact — and its content
+        # address — a function of the simulation outputs alone.
         import dataclasses
 
         result = dataclasses.replace(result, extras={})

@@ -44,17 +44,13 @@ def test_kernel_sources_dump(gzip_tiny, arch):
     """The debug dump returns the exact compilable source texts."""
     processor = _processor(gzip_tiny, arch=arch)
     sources = kernel_sources(processor)
-    assert set(sources) == {"run", "cycle", "chains"}
+    assert set(sources) == {"run", "cycle"}
     compile(sources["run"], "<run>", "exec")
     compile(sources["cycle"], "<cycle>", "exec")
     assert "def make_run" in sources["run"]
     assert "def make_kernels" in sources["cycle"]
     # Config constants are folded as literals, not looked up.
     assert "$" not in sources["run"]
-    # The chain dump is the transition-follow block as spliced into the
-    # run kernel (same text, same folded constants).
-    assert sources["chains"].strip() in sources["run"]
-    assert "$" not in sources["chains"]
 
 
 def test_dump_cli_prints_source(gzip_tiny, capsys):
@@ -64,17 +60,6 @@ def test_dump_cli_prints_source(gzip_tiny, capsys):
     out = capsys.readouterr().out
     assert "cycle kernel: stream width=8" in out
     assert "def make_kernels" in out
-
-
-def test_dump_cli_chains_flag(gzip_tiny, capsys):
-    from repro.accel.__main__ import main
-
-    assert main(["ev8", "8", "--chains"]) == 0
-    out = capsys.readouterr().out
-    assert "chain follow: ev8 width=8" in out
-    # The transition follow itself, with constants folded.
-    assert "rec_map.get(levels)" in out
-    assert "$" not in out.split("----\n", 1)[1]
 
 
 def test_clear_compile_cache(gzip_tiny):

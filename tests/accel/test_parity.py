@@ -5,15 +5,19 @@ The accelerator may only change *speed*.  These tests pin full
 stats — between the exec-compiled kernels and the interpreted paths for
 every engine and width, through ``run_matrix`` (serial and pooled), and
 through the artifact store (fingerprints must not depend on the mode,
-so a store warmed by one mode must serve the other).
+so a store warmed by one mode must serve the other), over randomized
+machine shapes, and under forced template-store eviction.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from helpers import result_digest
 
+from repro.common.params import CacheParams, default_machine
+from repro.core import backend as backend_mod
 from repro.experiments.configs import ARCHITECTURES, build_processor
 from repro.experiments.runner import RunSpec, reset_program_cache, run_matrix
 from repro.isa.workloads import prepare_program, ref_trace_seed
@@ -23,14 +27,20 @@ N_INSTR = 6000
 WARMUP = 1500
 
 
-def _run(program, arch, width, mode, n=N_INSTR, warmup=WARMUP):
-    processor = build_processor(
+def _build(program, arch, width, mode, machine=None):
+    return build_processor(
         arch, program, width,
         benchmark="gzip", optimized=True,
         trace_seed=ref_trace_seed("gzip"),
-        engine_mode=mode,
+        machine=machine, engine_mode=mode,
     )
-    return processor.run(n, warmup=warmup)
+
+
+def _run(program, arch, width, mode, n=N_INSTR, warmup=WARMUP,
+         machine=None):
+    return _build(program, arch, width, mode, machine=machine).run(
+        n, warmup=warmup
+    )
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +82,109 @@ def test_backend_state_parity(gzip_small, arch):
     assert states[0] == states[1]
 
 
+def _random_machine(rng, width):
+    """A legal random variation of the Table 2 machine.
+
+    Varies what the segment scheduler is sensitive to: dispatch gaps
+    (core depths), commit pressure (ROB size), and D-side latencies and
+    miss mix (cache sizes and latencies), which drive the probe levels
+    and the completion deltas in template keys.
+    """
+    base = default_machine(width)
+    core = dataclasses.replace(
+        base.core,
+        dispatch_depth=rng.choice((4, 8, 12)),
+        decode_depth=rng.choice((2, 3, 5)),
+        rob_size=rng.choice((8, 16, 24)) * width,
+        ftq_entries=rng.choice((2, 4, 8)),
+    )
+    memory = dataclasses.replace(
+        base.memory,
+        dl1=CacheParams(
+            size_bytes=rng.choice((16, 64)) * 1024, assoc=2, line_bytes=64,
+        ),
+        l2_latency=rng.choice((9, 15, 21)),
+        memory_latency=rng.choice((60, 100, 140)),
+    )
+    return dataclasses.replace(base, core=core, memory=memory)
+
+
+@pytest.mark.parametrize("width", [2, 4, 8])
+@pytest.mark.parametrize("seed", [11, 23])
+def test_randomized_machine_parity(gzip_small, width, seed):
+    rng = random.Random(1000 * width + seed)
+    machine = _random_machine(rng, width)
+    arch = rng.choice(ARCHITECTURES)
+    digests = {
+        mode: result_digest(_run(gzip_small, arch, width, mode, n=5000,
+                                 warmup=1000, machine=machine))
+        for mode in ("accel", "interp")
+    }
+    assert digests["accel"] == digests["interp"]
+
+
+@pytest.mark.parametrize("mode", ["accel", "interp"])
+def test_template_path_carries_segments(gzip_small, mode):
+    """The parity tests must not pass vacuously on the per-slot loop.
+
+    Once one run has recorded its templates in the shared store, an
+    identical second run (in either mode) resolves every templated
+    segment by the keyed probe and records nothing new.
+    """
+    store = _build(gzip_small, "ev8", 8, "accel").backend._templates
+    _run(gzip_small, "ev8", 8, "accel", n=20_000, warmup=0)
+    recorded = len(store)
+    assert recorded >= 100
+    _run(gzip_small, "ev8", 8, mode, n=20_000, warmup=0)
+    assert len(store) == recorded
+
+
+def test_results_identical_under_eviction_churn(gzip_small, monkeypatch):
+    reference = result_digest(
+        _run(gzip_small, "stream", 8, "accel", n=8000, warmup=1000)
+    )
+    # A tiny cache limit forces the shared store to clear every few
+    # recordings, so templates are dropped and re-recorded mid-run.
+    from repro.accel import clear_compile_cache, core_gen
+
+    monkeypatch.setattr(backend_mod, "_TPL_CACHE_LIMIT", 8)
+    monkeypatch.setattr(core_gen, "_TPL_CACHE_LIMIT", 8)
+    clear_compile_cache()
+    try:
+        for mode in ("accel", "interp"):
+            churned = _run(gzip_small, "stream", 8, mode, n=8000,
+                           warmup=1000)
+            assert result_digest(churned) == reference, mode
+    finally:
+        clear_compile_cache()
+
+
+class TestExtras:
+    def test_extras_report_segments(self, gzip_small):
+        x = _run(gzip_small, "ftb", 8, "accel", n=4000, warmup=1000).extras
+        assert set(x) == {"segments"}
+        assert x["segments"] > 0
+
+    def test_extras_never_break_equality(self, gzip_small):
+        a = _run(gzip_small, "ftb", 8, "accel", n=3000, warmup=1000)
+        b = _run(gzip_small, "ftb", 8, "interp", n=3000, warmup=1000)
+        assert a == b  # dataclass equality excludes extras
+        assert a.extras == b.extras  # both modes count the same segments
+
+    def test_extras_stripped_from_stored_artifacts(self, gzip_small):
+        from repro.store import serialize
+
+        result = _run(gzip_small, "ftb", 8, "accel", n=3000, warmup=1000)
+        assert result.extras
+        decoded = serialize.load_result(serialize.dump_result(result))
+        assert decoded.extras == {}
+        assert result_digest(decoded) == result_digest(result)
+
+
 def test_nondefault_machine_parity(gzip_small):
     """Ablation-style machines (odd line widths, deeper FTQs) compile
     their own kernels; parity must hold there too."""
     from dataclasses import replace
-
-    from repro.common.params import CacheParams, default_machine
 
     base = default_machine(4)
     memory = replace(

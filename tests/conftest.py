@@ -50,10 +50,6 @@ def _isolated_artifact_store(monkeypatch):
     # of the invoking shell; tests that pin a state set ``REPRO_OBS``
     # themselves.
     monkeypatch.delenv("REPRO_OBS", raising=False)
-    # Same reasoning for the chained-template switch: the suite runs
-    # with chains at their default (on); tests that pin a state set
-    # ``REPRO_CHAINS`` themselves.
-    monkeypatch.delenv("REPRO_CHAINS", raising=False)
     # And for fault injection: a leftover $REPRO_FAULTS plan must never
     # leak into (or out of) a test.  ``refresh`` re-reads the cleared
     # env and uninstalls the store write hook.

@@ -12,10 +12,10 @@ from repro.isa.cfg import ControlFlowGraph, IlpProfile
 def result_digest(result) -> dict:
     """``asdict`` of a SimulationResult minus its ``extras``.
 
-    ``extras`` carries run diagnostics (chain hit rates) that depend on
-    shared-cache warmth and engine mode — it is ``compare=False`` on the
-    dataclass for the same reason — so bit-identity assertions compare
-    everything except it.
+    ``extras`` carries run diagnostics (scheduler segment counts) that
+    describe how a run executed rather than what it measured — it is
+    ``compare=False`` on the dataclass for the same reason — so
+    bit-identity assertions compare everything except it.
     """
     d = dataclasses.asdict(result)
     d.pop("extras", None)
