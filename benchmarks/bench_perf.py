@@ -212,9 +212,9 @@ def _measure_one_engine(program, arch: str, instructions: int,
 
 #: The one engine-measurement program image, linked lazily and shared
 #: by the warm pass and every engine measurement (full and quick, both
-#: modes).  Sharing one image matters beyond link time: the schedule-
-#: template store is keyed weakly by Program identity, so only
-#: measurements over the *same* image ride the same warm templates.
+#: modes).  Sharing one image matters beyond link time: the trace
+#: records and lazily synthesized block metadata live on the image, so
+#: only measurements over the *same* image ride the same warm caches.
 _ENGINE_PROGRAM = None
 
 
@@ -240,13 +240,12 @@ def measure_engine_ips(instructions: int, reps: int = 2,
 def warm_shared_caches(instructions: int) -> None:
     """Run every engine once so shared pure caches reach steady state.
 
-    Schedule templates, DOLC hash memos and trace records are shared
-    across processors (they memoize pure functions), so whichever
-    measurement runs *first* would otherwise pay their construction
-    while later ones ride warm — skewing any accel-vs-interp
-    comparison.  One explicit warm pass puts every subsequent
-    measurement on the same fully-warm footing, which is also the
-    steady state a real sweep runs in.
+    DOLC hash memos and trace records are shared across processors
+    (they memoize pure functions), so whichever measurement runs
+    *first* would otherwise pay their construction while later ones
+    ride warm — skewing any accel-vs-interp comparison.  One explicit
+    warm pass puts every subsequent measurement on the same fully-warm
+    footing, which is also the steady state a real sweep runs in.
     """
     program = _engine_program()
     for arch in ARCHITECTURES:

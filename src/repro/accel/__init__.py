@@ -10,10 +10,9 @@ into closure kernels with all config constants folded.  No external
 toolchain: everything is stdlib ``compile()``/``exec()``.
 
 Results are **bit-identical** to the interpreted paths in all modes —
-the kernels are transliterations, the schedule-template store is shared
-unchanged, and ``tests/accel/`` pins full-result parity per engine and
-width — so artifact-store fingerprints do not depend on the engine mode
-and warm caches stay valid either way.
+the kernels are transliterations, and ``tests/accel/`` pins full-result
+parity per engine and width — so artifact-store fingerprints do not
+depend on the engine mode and warm caches stay valid either way.
 
 Selection: ``engine_mode`` is ``"accel"``, ``"interp"`` or ``"auto"``
 (the default).  ``auto`` consults :data:`ACCEL_ENV` (``$REPRO_ACCEL``,

@@ -6,28 +6,26 @@ with three structural changes, none of which can alter results:
 * the back-end's **segment scheduler is inlined** into the cycle loop —
   the per-segment generator ``send`` round-trip, its argument tuple and
   the park/hoist protocol disappear, and all scheduling state (issue
-  occupancy, completion ring cursor, commit chain, occupancy tail)
-  lives in the one frame's locals for the whole run;
+  occupancy, completion ring cursor, commit chain) lives in the one
+  frame's locals for the whole run;
 * every **config constant is folded** into the source as a literal —
   pipe width, dispatch depth, ROB size, the three D-cache latency
-  levels, ring masks, template preconditions — so the branches they
-  gate compile to immediate comparisons;
+  levels, ring masks — so the branches they gate compile to immediate
+  comparisons;
 * **result counters and the trace cursor are locals**: the per-block
   ``result.<counter> += 1`` attribute round-trips and the per-block
   walker ``__next__`` call become local int bumps and a list index,
   published back to their objects once at the end of the run.
 
-Two further bit-exact micro-optimizations ride along: the occupancy
-tail *shift* (a pure function of the packed tail and the cycle delta)
-is memoized, and the warmup snapshot copies the local counter tuple
-instead of the result dataclass.  The schedule-template dict and its
-entry format are **shared unchanged** with the interpreted scheduler,
-so mixing modes on one backend stays coherent and warm templates carry
-across.
+One further bit-exact micro-optimization rides along: the warmup
+snapshot copies the local counter tuple instead of the result
+dataclass.  The kernel publishes the same backend state the
+interpreted scheduler parks, so mixing modes on one backend stays
+coherent.
 
 Parity is pinned by ``tests/accel/`` (all four engines x widths 2/4/8,
-cold and warm stores) and transitively by the canonical-dispatch parity
-suite in ``tests/core/test_backend.py``.
+cold and warm artifact stores) and transitively by the
+canonical-dispatch parity suite in ``tests/core/test_backend.py``.
 """
 
 from __future__ import annotations
@@ -36,18 +34,8 @@ from collections import deque
 from typing import Callable, Optional
 
 from repro.common.types import BranchKind, InstrClass
-from repro.core.backend import (
-    _IU_LIMIT,
-    _IU_MASK,
-    _TPL_CACHE_LIMIT,
-    _TPL_K_RADIX,
-    _TPL_MAX_DELTA,
-    _TPL_MAX_TAIL,
-    _TPL_MAX_TAIL_DELTA,
-    _pack_tail,
-)
+from repro.core.backend import _IU_LIMIT, _IU_MASK
 from repro.core.results import SimulationResult
-from repro.isa.program import segment_plan
 
 from repro.accel.codegen import CompiledKernel, compile_kernel
 
@@ -133,22 +121,13 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
     completions = backend._completions
     iu_vals = backend._iu_vals
     iu_stamps = backend._iu_stamps
-    templates = backend._templates
     counters = backend._load_counters
     counters_get = counters.get
-    templates_get = templates.get
     dl1_cache = mem.dl1
     l2_cache = mem.l2
     dl1_sets = dl1_cache._sets
     l2_sets = l2_cache._sets
     iu_compact = backend._iu_compact
-    make_plan = segment_plan
-    pack_tail = _pack_tail
-    # The tail-shift memo is pure integer arithmetic on the injective
-    # packed-tail encoding (widths <= 16 are part of the encoding), so
-    # one process-wide store serves every kernel and stays warm.
-    shift_memo = SHIFT_MEMO
-    shift_memo_get = shift_memo.get
     KIND_NONE = BranchKind.NONE
     KIND_COND = BranchKind.COND
     KIND_RET = BranchKind.RET
@@ -209,12 +188,8 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         cnt = backend._count
         last = backend._last_commit
         cic = backend._commits_in_cycle
-        max_issue = backend._max_issue
-        tail = backend._tail
-        tail_cycle = backend._tail_cycle
         loads = backend.load_accesses
         stores = backend.store_accesses
-        tail_k = pack_tail(tail)
         dl1_acc = dl1_cache.accesses
         dl1_miss = dl1_cache.misses
         dl1_evict = dl1_cache.evictions
@@ -310,331 +285,89 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                             take = remaining
 
                         # ==== inlined segment scheduler ======================
-                        # dispatch_segment(dyn.lb, cur_off, take, D) with the
-                        # generator protocol removed; see the module docstring.
-                        D = dispatch_cycle
+                        # dispatch_segment(dyn.lb, cur_off, take,
+                        # dispatch_cycle) with the generator protocol
+                        # removed; see the module docstring.
                         segs += 1
-                        tpl = None
-                        key = None
-
-                        # -- keyed path: shift tail, pack key, probe ---------
-                        if tail_cycle != D:
-                            if tail:
-                                shift = D - tail_cycle
-                                if tail_k:
-                                    # Encodable tails bound every delta,
-                                    # so a shift past that bound empties
-                                    # the tail and smaller shifts hit the
-                                    # pure-function memo keyed on the
-                                    # packed encoding.
-                                    if shift > $TAIL_DMAX:
-                                        tail = ()
-                                        tail_k = 0
-                                    else:
-                                        mk = tail_k * 512 + shift
-                                        hit = shift_memo_get(mk)
-                                        if hit is not None:
-                                            tail, tail_k = hit
-                                        else:
-                                            tail = tuple([
-                                                (dc - shift, n)
-                                                for dc, n in tail
-                                                if dc > shift
-                                            ])
-                                            tail_k = pack_tail(tail)
-                                            if len(shift_memo) > 32768:
-                                                shift_memo.clear()
-                                            shift_memo[mk] = (tail, tail_k)
-                                else:
-                                    tail = tuple([
-                                        (dc - shift, n)
-                                        for dc, n in tail if dc > shift
-                                    ])
-                                    tail_k = pack_tail(tail)
-                            elif tail is None:
-                                if max_issue <= D:
-                                    tail = ()
-                                    tail_k = 0
-                                elif max_issue - D <= $TAIL_DMAX:
-                                    t = []
-                                    for c in range(D + 1, max_issue + 1):
-                                        s = c & $IU_MASK
-                                        if iu_stamps[s] == c:
-                                            n = iu_vals[s]
-                                        elif iu_spill:
-                                            n = iu_spill.get(c, 0)
-                                        else:
-                                            n = 0
-                                        if n:
-                                            t.append((c - D, n))
-                                    tail = tuple(t)
-                                    tail_k = pack_tail(tail)
-                                else:
-                                    tail_k = None
-                            else:
-                                tail_k = 0
-                            tail_cycle = D
-
-                        # -- template preconditions --------------------------
-                        if tail_k is not None:
-                            dlc = last - D
-                            if dlc <= 2:
-                                K = 0
-                            elif dlc <= $TPL_MAX_DELTA:
-                                K = dlc * 64 + cic
-                            else:
-                                K = -1
-                            if (
-                                K >= 0
-                                and floor <= D + 1
-                                and entries + take <= $IU_LIMIT
-                            ):
-                                skey = cur_off * 32 + take
-                                lb = dyn.lb
-                                plan = lb._seg_plans.get(skey)
-                                if plan is None:
-                                    plan = make_plan(lb, cur_off, take)
-                                offsets, mem_plan, lvl_span = plan
-                                ok = True
-                                if offsets:
-                                    base = D + 1
-                                    for o in offsets:
-                                        v = completions[(cnt + o) & 127] \
-                                            - base
-                                        if v <= 0:
-                                            K = K * $K_RADIX
-                                        elif v <= $TPL_MAX_DELTA:
-                                            K = K * $K_RADIX + v
-                                        else:
-                                            ok = False
-                                            break
-                                if ok:
-                                    levels = 0
-                                    if mem_plan:
-                                        for (slot_key, is_load, base_a,
-                                             stride, span) in mem_plan:
-                                            k = counters_get(slot_key, 0)
-                                            counters[slot_key] = k + 1
-                                            a = base_a + (k * stride) % span
-$PROBE_TPL
-                                            if is_load:
-                                                levels = levels * 4 + lvl
-                                                loads += 1
-                                            else:
-                                                stores += 1
-                                    key = (dyn.addr, skey,
-                                           K * lvl_span + levels, tail_k)
-                                    tpl = templates_get(key)
-
-                        if tpl is not None:
-                            # -- replay a memoized schedule template ---------
-                            (completes, exit_lc, exit_cic, exit_tail,
-                             exit_tail_k, bookings, max_issue_d) = tpl
-                            for cd in completes:
-                                completions[cnt & 127] = D + cd
-                                cnt += 1
-                            for dc, n in bookings:
-                                c = D + dc
-                                s = c & $IU_MASK
-                                if iu_stamps[s] == c:
-                                    iu_vals[s] += n
-                                elif iu_spill and c in iu_spill:
-                                    iu_spill[c] += n
-                                elif iu_stamps[s] == -1:
-                                    iu_stamps[s] = c
-                                    iu_vals[s] = n
-                                    entries += 1
-                                else:
-                                    iu_spill[c] = n
-                                    entries += 1
-                            mi = D + max_issue_d
-                            if mi > max_issue:
-                                max_issue = mi
-                            tail = exit_tail
-                            tail_k = exit_tail_k
-                            last = D + exit_lc
-                            cic = exit_cic
-                            complete = D + completes[-1]
-                        elif key is not None:
-                            # -- record a new template -----------------------
-                            lvls = []
-                            lv = levels
-                            while lv:
-                                lvls.append(lv % 4 - 1)
-                                lv //= 4
-                            lvls.reverse()
-                            seg_meta = dyn.meta
-                            bk = {}
-                            rec_completes = []
-                            lvl_i = 0
-                            seg_max = 0
-                            for i in range(cur_off, cur_off + take):
-                                (cls, latency, d1, d2, _mb, _ms,
-                                 _msp) = seg_meta[i]
-                                ready = D + 1
-                                if d1:
-                                    dep = completions[(cnt - d1) & 127]
-                                    if dep > ready:
-                                        ready = dep
-                                if d2:
-                                    dep = completions[(cnt - d2) & 127]
-                                    if dep > ready:
-                                        ready = dep
-                                issue = ready
-                                while True:
-                                    s = issue & $IU_MASK
-                                    if iu_stamps[s] == issue:
-                                        used = iu_vals[s]
-                                    elif iu_spill:
-                                        used = iu_spill.get(issue, 0)
-                                    else:
-                                        used = 0
-                                    if used < $WIDTH:
-                                        break
-                                    issue += 1
+                        seg_meta = dyn.meta
+                        seg_keys = dyn.keys
+                        ready_base = dispatch_cycle + 1
+                        complete = 0
+                        for i in range(cur_off, cur_off + take):
+                            (cls, latency, d1, d2, mem_base, mem_stride,
+                             mem_span) = seg_meta[i]
+                            ready = ready_base
+                            if d1:
+                                dep = completions[(cnt - d1) & 127]
+                                if dep > ready:
+                                    ready = dep
+                            if d2:
+                                dep = completions[(cnt - d2) & 127]
+                                if dep > ready:
+                                    ready = dep
+                            issue = ready if ready > floor else floor
+                            while True:
                                 s = issue & $IU_MASK
                                 if iu_stamps[s] == issue:
-                                    iu_vals[s] += 1
-                                elif iu_spill and issue in iu_spill:
-                                    iu_spill[issue] += 1
+                                    used = iu_vals[s]
+                                elif iu_spill:
+                                    used = iu_spill.get(issue, 0)
                                 else:
-                                    if iu_stamps[s] == -1:
-                                        iu_stamps[s] = issue
-                                        iu_vals[s] = 1
-                                    else:
-                                        iu_spill[issue] = 1
-                                    entries += 1
-                                bk[issue] = bk.get(issue, 0) + 1
-                                if issue > max_issue:
-                                    max_issue = issue
-                                if issue > seg_max:
-                                    seg_max = issue
-                                if cls == $CLS_LOAD:
-                                    latency += ($LVL0, $LVL1,
-                                                $LVL2)[lvls[lvl_i]]
-                                    lvl_i += 1
-                                complete = issue + latency
-                                rec_completes.append(complete)
-                                completions[cnt & 127] = complete
-                                cnt += 1
-                                earliest = complete + 1
-                                commit2 = (earliest
-                                           if earliest > last
-                                           else last)
-                                if commit2 == last:
-                                    if cic >= $WIDTH:
-                                        commit2 += 1
-                                        cic = 1
-                                    else:
-                                        cic += 1
+                                    used = 0
+                                if used < $WIDTH:
+                                    break
+                                issue += 1
+                            s = issue & $IU_MASK
+                            if iu_stamps[s] == issue:
+                                iu_vals[s] += 1
+                            elif iu_spill and issue in iu_spill:
+                                iu_spill[issue] += 1
+                            else:
+                                if iu_stamps[s] == -1:
+                                    iu_stamps[s] = issue
+                                    iu_vals[s] = 1
                                 else:
-                                    cic = 1
-                                last = commit2
-                            merged = dict(tail)
-                            for c, n in bk.items():
-                                dc = c - D
-                                merged[dc] = merged.get(dc, 0) + n
-                            exit_tail = tuple(sorted(merged.items()))
-                            tail = exit_tail
-                            tail_k = pack_tail(exit_tail)
-                            if len(templates) > $TPL_CACHE_LIMIT:
-                                templates.clear()  # runaway backstop
-                            templates[key] = (
-                                tuple([c - D for c in rec_completes]),
-                                last - D,
-                                cic,
-                                exit_tail,
-                                tail_k,
-                                tuple(sorted(
-                                    (c - D, n) for c, n in bk.items()
-                                )),
-                                seg_max - D,
-                            )
-                        else:
-                            # -- per-slot loop (canonical rules) -------------
-                            tail = None
-                            tail_k = None
-                            seg_meta = dyn.meta
-                            seg_keys = dyn.keys
-                            ready_base = D + 1
-                            complete = 0
-                            for i in range(cur_off, cur_off + take):
-                                (cls, latency, d1, d2, mem_base, mem_stride,
-                                 mem_span) = seg_meta[i]
-                                ready = ready_base
-                                if d1:
-                                    dep = completions[(cnt - d1) & 127]
-                                    if dep > ready:
-                                        ready = dep
-                                if d2:
-                                    dep = completions[(cnt - d2) & 127]
-                                    if dep > ready:
-                                        ready = dep
-                                issue = ready if ready > floor else floor
-                                while True:
-                                    s = issue & $IU_MASK
-                                    if iu_stamps[s] == issue:
-                                        used = iu_vals[s]
-                                    elif iu_spill:
-                                        used = iu_spill.get(issue, 0)
-                                    else:
-                                        used = 0
-                                    if used < $WIDTH:
-                                        break
-                                    issue += 1
-                                s = issue & $IU_MASK
-                                if iu_stamps[s] == issue:
-                                    iu_vals[s] += 1
-                                elif iu_spill and issue in iu_spill:
-                                    iu_spill[issue] += 1
-                                else:
-                                    if iu_stamps[s] == -1:
-                                        iu_stamps[s] = issue
-                                        iu_vals[s] = 1
-                                    else:
-                                        iu_spill[issue] = 1
-                                    entries += 1
-                                if entries > $IU_LIMIT:
-                                    backend._iu_entries = entries
-                                    iu_compact(issue)
-                                    entries = backend._iu_entries
-                                    iu_spill = backend._iu_spill
-                                    floor = backend._issue_floor
-                                if issue > max_issue:
-                                    max_issue = issue
+                                    iu_spill[issue] = 1
+                                entries += 1
+                            if entries > $IU_LIMIT:
+                                backend._iu_entries = entries
+                                iu_compact(issue)
+                                entries = backend._iu_entries
+                                iu_spill = backend._iu_spill
+                                floor = backend._issue_floor
 
-                                if cls == $CLS_LOAD or cls == $CLS_STORE:
-                                    slot_key = seg_keys[i]
-                                    k = counters_get(slot_key, 0)
-                                    counters[slot_key] = k + 1
-                                    a = mem_base + (k * mem_stride) % (
-                                        mem_span if mem_span > 0 else 1
-                                    )
+                            if cls == $CLS_LOAD or cls == $CLS_STORE:
+                                slot_key = seg_keys[i]
+                                k = counters_get(slot_key, 0)
+                                counters[slot_key] = k + 1
+                                a = mem_base + (k * mem_stride) % (
+                                    mem_span if mem_span > 0 else 1
+                                )
 $PROBE_SLOT
-                                    if cls == $CLS_LOAD:
-                                        dlat = ($LVL0, $LVL1,
-                                                $LVL2)[lvl - 1]
-                                        latency += dlat
-                                        loads += 1
-                                    else:
-                                        stores += 1
-
-                                complete = issue + latency
-                                completions[cnt & 127] = complete
-                                cnt += 1
-
-                                earliest = complete + 1
-                                commit2 = (earliest if earliest > last
-                                           else last)
-                                if commit2 == last:
-                                    if cic >= $WIDTH:
-                                        commit2 += 1
-                                        cic = 1
-                                    else:
-                                        cic += 1
+                                if cls == $CLS_LOAD:
+                                    dlat = ($LVL0, $LVL1,
+                                            $LVL2)[lvl - 1]
+                                    latency += dlat
+                                    loads += 1
                                 else:
+                                    stores += 1
+
+                            complete = issue + latency
+                            completions[cnt & 127] = complete
+                            cnt += 1
+
+                            earliest = complete + 1
+                            commit2 = (earliest if earliest > last
+                                       else last)
+                            if commit2 == last:
+                                if cic >= $WIDTH:
+                                    commit2 += 1
                                     cic = 1
-                                last = commit2
+                                else:
+                                    cic += 1
+                            else:
+                                cic = 1
+                            last = commit2
                         seg_commit = last
                         # ==== end inlined segment scheduler ==================
 
@@ -761,9 +494,6 @@ $PROBE_SLOT
             backend._count = cnt
             backend._last_commit = last
             backend._commits_in_cycle = cic
-            backend._max_issue = max_issue
-            backend._tail = tail
-            backend._tail_cycle = tail_cycle
             backend.load_accesses = loads
             backend.store_accesses = stores
             backend.seg_count = segs
@@ -810,10 +540,9 @@ $PROBE_SLOT
     return run
 '''
 
-# Splice the cache-probe blocks at their sites (the keyed path's probes,
-# the per-slot fallback) at the surrounding indentation.
-_TEMPLATE = _TEMPLATE.replace("$PROBE_TPL", _indent(_PROBE_BLOCK, 44))
-_TEMPLATE = _TEMPLATE.replace("$PROBE_SLOT", _indent(_PROBE_BLOCK, 36))
+# Splice the cache-probe block into the per-slot loop at the
+# surrounding indentation.
+_TEMPLATE = _TEMPLATE.replace("$PROBE_SLOT", _indent(_PROBE_BLOCK, 32))
 
 
 def _consts(processor) -> dict:
@@ -839,30 +568,15 @@ def _consts(processor) -> dict:
         "NEVER": _NEVER,
         "IU_MASK": _IU_MASK,
         "IU_LIMIT": _IU_LIMIT,
-        "TPL_MAX_DELTA": _TPL_MAX_DELTA,
-        "K_RADIX": _TPL_K_RADIX,
-        "TPL_MAX_TAIL": _TPL_MAX_TAIL,
-        "TAIL_DMAX": _TPL_MAX_TAIL_DELTA,
-        "TPL_CACHE_LIMIT": _TPL_CACHE_LIMIT,
         "CLS_LOAD": int(InstrClass.LOAD),
         "CLS_STORE": int(InstrClass.STORE),
     }
 
 
-#: Process-wide tail-shift memo: (packed_tail * 512 + shift) -> the
-#: shifted (tail, packed_tail).  The radix must exceed the largest
-#: memoized shift (bounded by _TPL_MAX_TAIL_DELTA = 511) for the key to
-#: stay injective.  Pure, so sharing across kernels and configurations
-#: is sound; bounded by the in-kernel clear at 32768.
-SHIFT_MEMO: dict = {}
-
 _NAMESPACE = {
     "deque": deque,
     "BranchKind": BranchKind,
     "SimulationResult": SimulationResult,
-    "segment_plan": segment_plan,
-    "_pack_tail": _pack_tail,
-    "SHIFT_MEMO": SHIFT_MEMO,
 }
 
 

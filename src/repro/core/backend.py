@@ -25,17 +25,11 @@ Block-batched scheduling
 
 The processor dispatches whole straight-line *segments* (a run of slots
 inside one linear block, all sharing a dispatch cycle) through the
-backend's **segment scheduler**.  Because the per-slot metadata is
-static, the schedule of a segment is a pure function of the *relative
-entry state*: the completion times of the (few) older instructions its
-dependences reach, the issue-slot occupancy at cycles the segment can
-still touch, the commit-chain position, and — for loads — which level of
-the data hierarchy each access hit.  The scheduler normalizes that
-state relative to the dispatch cycle, memoizes the resulting *schedule
-template* (per-slot completion deltas plus the exit state), and replays
-it on every recurrence; the D-cache is still probed per memory access
-(those probes are stateful), and any entry state outside the template
-preconditions falls back to a per-slot loop with identical semantics.
+backend's **segment scheduler**.  One ``send`` per segment runs one
+per-slot loop over the segment's slots, applying exactly the rules of
+:meth:`DataflowBackend.dispatch` (dependence readiness, issue-slot
+search and booking, D-cache probe, in-order commit) with the block's
+metadata and slot keys read straight from the :class:`LinearBlock`.
 
 The scheduler is implemented as a *persistent generator* so all of its
 mutable state lives in one frame's locals for the lifetime of a run —
@@ -43,19 +37,18 @@ the Python-level equivalent of keeping the machine state in registers —
 instead of being re-read from the object per call.  The attribute view
 (``_count``, ``_last_commit``, ...) is refreshed by :meth:`_sync`,
 which the canonical :meth:`dispatch` entry point and the public
-inspection properties call automatically.  Either path produces
+inspection properties call automatically.  The scheduler produces
 bit-identical timings to calling :meth:`dispatch` once per instruction
 — ``tests/core/test_backend.py`` pins that parity.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.params import MachineParams
 from repro.common.types import InstrClass
-from repro.isa.program import InstrMeta, LinearBlock, segment_plan
+from repro.isa.program import InstrMeta, LinearBlock
 from repro.memory.hierarchy import MemoryHierarchy
 
 #: Ring size for completion-time lookback; must exceed the largest
@@ -82,80 +75,6 @@ _IU_MASK = _IU_SIZE - 1
 _IU_LIMIT = 4096
 _IU_LAG = 256
 
-#: Template preconditions: relative entry-state components larger than
-#: these fall back to the slow path rather than polluting the template
-#: cache with one-off keys.  They gate only *which* path schedules a
-#: segment — both paths are bit-exact — so they are cache tuning, not
-#: semantics.  The delta bound covers an L2+memory round trip (115
-#: cycles): a draining load-miss backlog used to push the commit-chain
-#: delta past the old 64-cycle bound and strand whole phases on the
-#: per-slot path.
-_TPL_MAX_DELTA = 512
-#: Radix for packing per-offset completion deltas into the key; must
-#: exceed ``_TPL_MAX_DELTA``.
-_TPL_K_RADIX = _TPL_MAX_DELTA + 1
-#: Occupancy-tail bounds: at most this many distinct booked cycles...
-_TPL_MAX_TAIL = 96
-#: ...each at most this far past the dispatch cycle (packing radix 512).
-#: The delta bound covers an L2+memory round trip, and the length/
-#: re-arm window covers the distinct issue cycles such a backlog books:
-#: memory-bound phases (twolf) used to fall off the template path for
-#: whole stall windows.
-_TPL_MAX_TAIL_DELTA = 511
-#: Template-store capacity backstop.  All engines over one (image,
-#: width, latencies) share a store, and the widened tail/delta bounds
-#: let memory-bound workloads (twolf) legitimately populate tens of
-#: thousands of templates per engine — a cap the old 64k limit could
-#: hit mid-matrix, wiping every template for all sharers at once.  The
-#: limit is a runaway backstop, not a working-set bound.
-_TPL_CACHE_LIMIT = 1 << 18
-
-
-#: Shared schedule-template stores, keyed weakly by program image and
-#: then by the backend-relevant machine shape.  A template is a pure
-#: function of (block metadata, segment span, relative entry state,
-#: pipe width, D-cache latency levels) — nothing about the processor or
-#: fetch engine instance — so every backend simulating the same image
-#: under the same (width, latencies) can share one store: the second
-#: (architecture, rep) over an image replays warm templates instead of
-#: re-recording them.  Purity also makes sharing mode-neutral: the
-#: interpreted scheduler and the accel kernels read and write the same
-#: dicts with identical keys and values.
-_TEMPLATE_STORES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def shared_schedule_templates(program, width: int,
-                              lvl_lat: Tuple[int, int, int]) -> dict:
-    """The shared template dict for one (image, width, latencies)."""
-    per_program = _TEMPLATE_STORES.get(program)
-    if per_program is None:
-        per_program = _TEMPLATE_STORES[program] = {}
-    key = (width, lvl_lat)
-    store = per_program.get(key)
-    if store is None:
-        store = per_program[key] = {}
-    return store
-
-
-def _pack_tail(tail: Optional[tuple]) -> Optional[int]:
-    """Prefix-coded int encoding of an occupancy tail, or None.
-
-    The encoding is ``len``, then each ``(delta, n)`` pair in order —
-    injective because the length prefix fixes the parse and each field
-    is strictly bounded (``n`` is per-cycle issue usage, at most the
-    machine width, and widths up to 16 are supported).  Tails that are
-    unknown, too long, or out of those bounds encode as None (the
-    template path skips them).
-    """
-    if tail is None or len(tail) > _TPL_MAX_TAIL:
-        return None
-    packed = len(tail)
-    for dc, n in tail:
-        if dc > _TPL_MAX_TAIL_DELTA or n > 16:
-            return None
-        packed = (packed * 512 + dc) * 17 + n
-    return packed
-
 
 class DataflowBackend:
     """Incremental timing model for the out-of-order core."""
@@ -168,8 +87,7 @@ class DataflowBackend:
         # Issue-occupancy table: stamped modulo ring + overflow dict.
         "_iu_vals", "_iu_stamps", "_iu_spill", "_iu_entries",
         # Block-batched scheduling state.
-        "_templates", "_tail", "_tail_cycle", "_max_issue", "_lvl_lat",
-        "_dl1_access", "_l2_access", "_sched", "_sched_send",
+        "_lvl_lat", "_dl1_access", "_l2_access", "_sched", "_sched_send",
         "seg_count",
     )
 
@@ -194,17 +112,8 @@ class DataflowBackend:
         self._iu_stamps = [-1] * _IU_SIZE
         self._iu_spill: Dict[int, int] = {}
         self._iu_entries = 0
-        # Schedule templates, keyed on (segment identity, relative entry
-        # state); see the module docstring.
-        self._templates: dict = {}
         #: Segments dispatched through the segment scheduler.
         self.seg_count = 0
-        #: Exact issue occupancy at cycles > ``_tail_cycle`` as sorted
-        #: (cycle - dispatch, count) pairs, or None when unknown.
-        self._tail: Optional[tuple] = ()
-        self._tail_cycle = 0
-        #: Highest cycle any instruction has ever issued at.
-        self._max_issue = 0
         hit = mem._dl1_hit
         l2 = mem._l2_lat
         self._lvl_lat = (hit - 1, hit + l2 - 1, hit + l2 + mem._mem_lat - 1)
@@ -345,9 +254,6 @@ class DataflowBackend:
         while self._iu_get(issue) >= width:
             issue += 1
         self._iu_add(issue, 1)
-        if issue > self._max_issue:
-            self._max_issue = issue
-        self._tail = None  # per-instruction path: occupancy tail unknown
         if self._iu_entries > _IU_LIMIT:
             self._iu_compact(issue)
 
@@ -393,13 +299,9 @@ class DataflowBackend:
         interleaving with the canonical per-instruction path stays
         coherent.
 
-        Per segment the resolve order is: the **keyed path** (pack the
-        relative entry state into a key and probe the template dict),
-        then **recording** a new template on a key miss, then the
-        **per-slot loop** when the entry state falls outside the
-        template preconditions.  All paths implement exactly the
-        scheduling rules of :meth:`dispatch`; the parity test drives
-        full simulations down every route.
+        Each segment runs one per-slot loop that applies exactly the
+        scheduling rules of :meth:`dispatch`, issue-table compaction
+        included; the parity tests drive full simulations through both.
         """
         width = self.width
         lvl0, lvl1, lvl2 = self._lvl_lat
@@ -409,18 +311,11 @@ class DataflowBackend:
         completions = self._completions
         iu_vals = self._iu_vals
         iu_stamps = self._iu_stamps
-        templates = self._templates
         counters_get = counters.get
-        templates_get = templates.get
-        # Module-level constants and helpers as frame locals: these are
-        # read once or more per segment.
+        # Module-level constants as frame locals: these are read once or
+        # more per slot.
         iu_mask = _IU_MASK
         iu_limit = _IU_LIMIT
-        max_delta = _TPL_MAX_DELTA
-        k_radix = _TPL_K_RADIX
-        tail_dmax = _TPL_MAX_TAIL_DELTA
-        cache_limit = _TPL_CACHE_LIMIT
-        make_plan = segment_plan
 
         result = None
         while True:
@@ -435,258 +330,13 @@ class DataflowBackend:
             cnt = self._count
             last = self._last_commit
             cic = self._commits_in_cycle
-            max_issue = self._max_issue
-            tail = self._tail
-            tail_cycle = self._tail_cycle
             loads = self.load_accesses
             stores = self.store_accesses
             segs = self.seg_count
-            tail_k = _pack_tail(tail)
 
             while args is not None:
                 lb, start, count, D = args
                 segs += 1
-                tpl = None
-                key = None
-
-                # -- keyed path: shift tail, pack key, probe -----------
-                # ``tail_k`` is the prefix-coded int encoding of the
-                # tail (length, then (delta, n) pairs) used in template
-                # keys; None when the tail is unknown or unencodable.
-                if tail_cycle != D:
-                    if tail:
-                        shift = D - tail_cycle
-                        tail = tuple([
-                            (dc - shift, n) for dc, n in tail
-                            if dc > shift
-                        ])
-                        tail_k = _pack_tail(tail)
-                    elif tail is None:
-                        if max_issue <= D:
-                            # Nothing is booked past the dispatch
-                            # frontier: occupancy is exactly empty.
-                            tail = ()
-                            tail_k = 0
-                        elif max_issue - D <= tail_dmax:
-                            # Shallow backlog: reconstruct the exact
-                            # occupancy at the few reachable booked
-                            # cycles — re-arms the template path right
-                            # after a slow-path blip.
-                            t = []
-                            for c in range(D + 1, max_issue + 1):
-                                s = c & iu_mask
-                                if iu_stamps[s] == c:
-                                    n = iu_vals[s]
-                                elif iu_spill:
-                                    n = iu_spill.get(c, 0)
-                                else:
-                                    n = 0
-                                if n:
-                                    t.append((c - D, n))
-                            tail = tuple(t)
-                            tail_k = _pack_tail(tail)
-                        else:
-                            tail_k = None
-                    else:
-                        tail_k = 0  # empty tail shifts to empty
-                    tail_cycle = D
-
-                # -- template preconditions ----------------------------
-                if tail_k is not None:
-                    dlc = last - D
-                    if dlc <= 2:
-                        K = 0
-                    elif dlc <= max_delta:
-                        # Packed (last-commit delta, commits-in-cycle).
-                        K = dlc * 64 + cic
-                    else:
-                        K = -1
-                    if (
-                        K >= 0
-                        and floor <= D + 1
-                        and entries + count <= iu_limit
-                    ):
-                        # Segments are at most ``width`` (<= 8) slots,
-                        # so (start, count) packs into one int.
-                        skey = start * 32 + count
-                        plan = lb._seg_plans.get(skey)
-                        if plan is None:
-                            plan = make_plan(lb, start, count)
-                        offsets, mem_plan, lvl_span = plan
-                        ok = True
-                        if offsets:
-                            base = D + 1
-                            for o in offsets:
-                                v = completions[(cnt + o) & 127] - base
-                                if v <= 0:
-                                    K = K * k_radix
-                                elif v <= max_delta:
-                                    K = K * k_radix + v
-                                else:
-                                    ok = False
-                                    break
-                        if ok:
-                            # Memory probes: the stateful work both
-                            # paths must do, probed in program order.
-                            levels = 0
-                            if mem_plan:
-                                for (slot_key, is_load, base_a, stride,
-                                     span) in mem_plan:
-                                    k = counters_get(slot_key, 0)
-                                    counters[slot_key] = k + 1
-                                    a = base_a + (k * stride) % span
-                                    if dl1(a):
-                                        lvl = 1
-                                    elif l2(a):
-                                        lvl = 2
-                                    else:
-                                        lvl = 3
-                                    if is_load:
-                                        levels = levels * 4 + lvl
-                                        loads += 1
-                                    else:
-                                        stores += 1
-                            key = (lb.addr, skey,
-                                   K * lvl_span + levels, tail_k)
-                            tpl = templates_get(key)
-
-                if tpl is not None:
-                    # -- replay a memoized schedule template -----------
-                    (completes, exit_lc, exit_cic, exit_tail, exit_tail_k,
-                     bookings, max_issue_d) = tpl
-                    for cd in completes:
-                        completions[cnt & 127] = D + cd
-                        cnt += 1
-                    for dc, n in bookings:
-                        c = D + dc
-                        s = c & iu_mask
-                        if iu_stamps[s] == c:
-                            iu_vals[s] += n
-                        elif iu_spill and c in iu_spill:
-                            iu_spill[c] += n
-                        elif iu_stamps[s] == -1:
-                            iu_stamps[s] = c
-                            iu_vals[s] = n
-                            entries += 1
-                        else:
-                            iu_spill[c] = n
-                            entries += 1
-                    mi = D + max_issue_d
-                    if mi > max_issue:
-                        max_issue = mi
-                    tail = exit_tail
-                    tail_k = exit_tail_k
-                    last = D + exit_lc
-                    cic = exit_cic
-                    args = yield (D + completes[-1], last)
-                    continue
-
-                if key is not None:
-                    # -- record a new template -------------------------
-                    # Run the canonical per-slot rules once (load
-                    # latencies injected from the probe levels above),
-                    # collecting the outputs; entry components outside
-                    # the key are provably schedule-neutral, so the
-                    # recording is valid for every recurrence of the
-                    # key.
-                    lvls = []
-                    lv = levels
-                    while lv:
-                        lvls.append(lv % 4 - 1)
-                        lv //= 4
-                    lvls.reverse()
-                    lvl_lat = (lvl0, lvl1, lvl2)
-                    meta = lb._meta
-                    bk: Dict[int, int] = {}
-                    rec_completes = []
-                    lvl_i = 0
-                    seg_max = 0
-                    for i in range(start, start + count):
-                        (cls, latency, d1, d2, _mb, _ms,
-                         _msp) = meta[i]
-                        ready = D + 1
-                        if d1:
-                            dep = completions[(cnt - d1) & 127]
-                            if dep > ready:
-                                ready = dep
-                        if d2:
-                            dep = completions[(cnt - d2) & 127]
-                            if dep > ready:
-                                ready = dep
-                        issue = ready  # floor <= D+1 <= ready
-                        while True:
-                            s = issue & iu_mask
-                            if iu_stamps[s] == issue:
-                                used = iu_vals[s]
-                            elif iu_spill:
-                                used = iu_spill.get(issue, 0)
-                            else:
-                                used = 0
-                            if used < width:
-                                break
-                            issue += 1
-                        s = issue & iu_mask
-                        if iu_stamps[s] == issue:
-                            iu_vals[s] += 1
-                        elif iu_spill and issue in iu_spill:
-                            iu_spill[issue] += 1
-                        else:
-                            if iu_stamps[s] == -1:
-                                iu_stamps[s] = issue
-                                iu_vals[s] = 1
-                            else:
-                                iu_spill[issue] = 1
-                            entries += 1
-                        bk[issue] = bk.get(issue, 0) + 1
-                        if issue > max_issue:
-                            max_issue = issue
-                        if issue > seg_max:
-                            seg_max = issue
-                        if cls == _LOAD:
-                            latency += lvl_lat[lvls[lvl_i]]
-                            lvl_i += 1
-                        complete = issue + latency
-                        rec_completes.append(complete)
-                        completions[cnt & 127] = complete
-                        cnt += 1
-                        earliest = complete + 1
-                        commit = (earliest if earliest > last
-                                  else last)
-                        if commit == last:
-                            if cic >= width:
-                                commit += 1
-                                cic = 1
-                            else:
-                                cic += 1
-                        else:
-                            cic = 1
-                        last = commit
-                    merged = dict(tail)
-                    for c, n in bk.items():
-                        dc = c - D
-                        merged[dc] = merged.get(dc, 0) + n
-                    exit_tail = tuple(sorted(merged.items()))
-                    tail = exit_tail
-                    tail_k = _pack_tail(exit_tail)
-                    if len(templates) > cache_limit:
-                        templates.clear()  # runaway backstop
-                    templates[key] = (
-                        tuple([c - D for c in rec_completes]),
-                        last - D,
-                        cic,
-                        exit_tail,
-                        tail_k,
-                        tuple(sorted(
-                            (c - D, n) for c, n in bk.items()
-                        )),
-                        seg_max - D,
-                    )
-                    args = yield (complete, last)
-                    continue
-
-                # -- per-slot loop (canonical rules, local state) ------
-                tail = None  # occupancy tail no longer tracked exactly
-                tail_k = None
                 meta = lb._meta
                 keys = lb._slot_keys
                 ready_base = D + 1
@@ -736,8 +386,6 @@ class DataflowBackend:
                         entries = self._iu_entries
                         iu_spill = self._iu_spill
                         floor = self._issue_floor
-                    if issue > max_issue:
-                        max_issue = issue
 
                     if cls == _LOAD or cls == _STORE:
                         slot_key = keys[i]
@@ -781,9 +429,6 @@ class DataflowBackend:
             self._count = cnt
             self._last_commit = last
             self._commits_in_cycle = cic
-            self._max_issue = max_issue
-            self._tail = tail
-            self._tail_cycle = tail_cycle
             self.load_accesses = loads
             self.store_accesses = stores
             self.seg_count = segs

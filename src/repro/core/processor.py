@@ -36,7 +36,7 @@ from typing import Deque, Optional, Tuple
 from repro import obs
 from repro.common.params import MachineParams
 from repro.common.types import INSTRUCTION_BYTES, BranchKind
-from repro.core.backend import DataflowBackend, shared_schedule_templates
+from repro.core.backend import DataflowBackend
 from repro.core.results import SimulationResult
 from repro.fetch.base import FetchEngine
 from repro.isa.trace import DynBlock, TraceWalker
@@ -108,12 +108,6 @@ class Processor:
         self.machine = machine
         self.mem = mem
         self.backend = DataflowBackend(machine, mem)
-        # Schedule templates are pure per (image, width, latencies):
-        # share one store across every processor over this image so
-        # repeated cells replay warm templates instead of re-recording.
-        self.backend._templates = shared_schedule_templates(
-            engine.program, machine.core.width, self.backend._lvl_lat
-        )
         self.cursor = _TraceCursor(walker)
         self.benchmark = benchmark
         self.optimized = optimized

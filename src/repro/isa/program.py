@@ -44,7 +44,6 @@ class LinearBlock:
         "ind_target_addrs",
         "_meta",
         "_slot_keys",
-        "_seg_plans",
     )
 
     def __init__(
@@ -67,9 +66,6 @@ class LinearBlock:
         self.ind_target_addrs: Optional[List[int]] = None
         self._meta: Optional[Tuple[InstrMeta, ...]] = None
         self._slot_keys: Optional[Tuple[Tuple[int, int], ...]] = None
-        #: Cached per-(start, count) dispatch-segment plans; see
-        #: :func:`segment_plan`.
-        self._seg_plans: Dict[int, tuple] = {}
 
     @property
     def fallthrough_addr(self) -> int:
@@ -324,61 +320,6 @@ def link(
             lb.ind_target_addrs = [addr_of_bid[t] for t in block.ind_targets]
 
     return Program(cfg, linear_blocks, addr_of_bid, base_address, seed)
-
-
-# ----------------------------------------------------------------------
-# dispatch-segment plans (block-batched back-end scheduling)
-# ----------------------------------------------------------------------
-
-def segment_plan(lb: LinearBlock, start: int, count: int) -> tuple:
-    """Static decode artifacts for dispatching ``lb[start:start+count]``.
-
-    Returns ``(offsets, mem_plan, lvl_span)`` and caches it on the block:
-
-    * ``offsets`` — the sorted tuple of negative dispatch-ring offsets
-      (relative to the segment's first slot) that the segment's
-      dependence distances reach, i.e. which *older* completion times
-      can influence this segment's schedule;
-    * ``mem_plan`` — one ``(slot_key, is_load, base, stride, span)``
-      tuple per memory slot, in program order, with ``span`` already
-      clamped positive;
-    * ``lvl_span`` — ``4 ** n_loads``, the key-space size of the
-      base-4-packed per-load hit-level vector (1 when the segment has
-      no loads), used to fold the vector into the template key.
-
-    All are pure functions of the block's (cached) per-slot metadata,
-    so they are computed at most once per distinct segment shape; the
-    back-end's schedule-template machinery keys its memoization on them.
-    ``lb._meta`` / ``lb._slot_keys`` must already be materialized (the
-    trace walker does this when it first emits the block).
-    """
-    meta = lb._meta
-    keys = lb._slot_keys
-    assert meta is not None and keys is not None, "block_meta not materialized"
-    offs = set()
-    mem_plan = []
-    n_loads = 0
-    for i in range(count):
-        cls, _lat, d1, d2, base, stride, span = meta[start + i]
-        if d1 and i - d1 < 0:
-            offs.add(i - d1)
-        if d2 and i - d2 < 0:
-            offs.add(i - d2)
-        if cls == _MEM_LOAD or cls == _MEM_STORE:
-            is_load = cls == _MEM_LOAD
-            n_loads += is_load
-            mem_plan.append(
-                (keys[start + i], is_load, base, stride,
-                 span if span > 0 else 1)
-            )
-    plan = (tuple(sorted(offs)), tuple(mem_plan), 4 ** n_loads)
-    # Keyed as the back-end looks it up: count <= machine width <= 8.
-    lb._seg_plans[start * 32 + count] = plan
-    return plan
-
-
-_MEM_LOAD = int(InstrClass.LOAD)
-_MEM_STORE = int(InstrClass.STORE)
 
 
 # ----------------------------------------------------------------------

@@ -122,7 +122,7 @@ class TestDispatchProcessorParity:
     """Pin the batched segment scheduler to the canonical model.
 
     The processor dispatches whole segments through the backend's
-    persistent scheduler (template replay + per-slot fallback);
+    persistent scheduler (one per-slot loop per segment);
     ``_reference_dispatch=True`` routes every instruction through the
     canonical :meth:`DataflowBackend.dispatch` instead.  The two paths
     must produce identical results, so a semantic edit to one
