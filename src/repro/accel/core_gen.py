@@ -4,8 +4,8 @@ The generated kernel is a transliteration of the interpreted hot path
 with three structural changes, none of which can alter results:
 
 * the back-end's **segment scheduler is inlined** into the cycle loop —
-  the per-segment generator ``send`` round-trip, its argument tuple and
-  the park/hoist protocol disappear, and all scheduling state (issue
+  the per-segment :meth:`DataflowBackend.dispatch_segment` call and its
+  state read/write-back disappear, and all scheduling state (issue
   occupancy, completion ring cursor, commit chain) lives in the one
   frame's locals for the whole run;
 * every **config constant is folded** into the source as a literal —
@@ -19,13 +19,14 @@ with three structural changes, none of which can alter results:
 
 One further bit-exact micro-optimization rides along: the warmup
 snapshot copies the local counter tuple instead of the result
-dataclass.  The kernel publishes the same backend state the
-interpreted scheduler parks, so mixing modes on one backend stays
-coherent.
+dataclass.  The kernel reads and publishes the same backend state
+:meth:`~repro.core.backend.DataflowBackend.dispatch_segment` does, so
+mixing modes on one backend stays coherent.
 
-Parity is pinned by ``tests/accel/`` (all four engines x widths 2/4/8,
-cold and warm artifact stores) and transitively by the
-canonical-dispatch parity suite in ``tests/core/test_backend.py``.
+The interpreted ``Processor.run`` and ``dispatch_segment`` are the
+oracle.  Parity is pinned by ``tests/accel/`` (all four engines x
+widths 2/4/8, both layouts, randomized machines and workloads, cold and
+warm artifact stores, and the published backend state).
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
     KIND_RET = BranchKind.RET
 
     def run(max_instructions, warmup=0):
-        backend._sync()
         result = SimulationResult(
             benchmark=processor.benchmark,
             engine=engine.name,
@@ -181,7 +181,7 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         cur_dyn = cursor.dyn
         cur_off = cursor.offset
 
-        # Hoisted scheduler state (the generator's frame locals).
+        # Scheduler state as frame locals for the whole run.
         iu_spill = backend._iu_spill
         entries = backend._iu_entries
         floor = backend._issue_floor
@@ -285,9 +285,9 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                             take = remaining
 
                         # ==== inlined segment scheduler ======================
-                        # dispatch_segment(dyn.lb, cur_off, take,
-                        # dispatch_cycle) with the generator protocol
-                        # removed; see the module docstring.
+                        # backend.dispatch_segment(dyn.meta, dyn.keys,
+                        # cur_off, take, dispatch_cycle); see the module
+                        # docstring.
                         segs += 1
                         seg_meta = dyn.meta
                         seg_keys = dyn.keys

@@ -24,31 +24,24 @@ Block-batched scheduling
 ------------------------
 
 The processor dispatches whole straight-line *segments* (a run of slots
-inside one linear block, all sharing a dispatch cycle) through the
-backend's **segment scheduler**.  One ``send`` per segment runs one
-per-slot loop over the segment's slots, applying exactly the rules of
-:meth:`DataflowBackend.dispatch` (dependence readiness, issue-slot
-search and booking, D-cache probe, in-order commit) with the block's
-metadata and slot keys read straight from the :class:`LinearBlock`.
-
-The scheduler is implemented as a *persistent generator* so all of its
-mutable state lives in one frame's locals for the lifetime of a run —
-the Python-level equivalent of keeping the machine state in registers —
-instead of being re-read from the object per call.  The attribute view
-(``_count``, ``_last_commit``, ...) is refreshed by :meth:`_sync`,
-which the canonical :meth:`dispatch` entry point and the public
-inspection properties call automatically.  The scheduler produces
-bit-identical timings to calling :meth:`dispatch` once per instruction
-— ``tests/core/test_backend.py`` pins that parity.
+inside one linear block, all sharing a dispatch cycle) through
+:meth:`DataflowBackend.dispatch_segment`.  One call per segment reads the
+scheduling state into locals, runs one per-slot loop over the segment's
+slots (dependence readiness, issue-slot search and booking, D-cache
+probe, in-order commit) with the block's metadata and slot keys, and
+writes the state back.  A one-slot segment is the per-instruction model.
+This method is the interpreted oracle; the accel run kernel
+(:mod:`repro.accel.core_gen`) inlines the same loop, and
+``tests/accel/test_parity.py`` pins the two together.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.common.params import MachineParams
 from repro.common.types import InstrClass
-from repro.isa.program import InstrMeta, LinearBlock
+from repro.isa.program import InstrMeta
 from repro.memory.hierarchy import MemoryHierarchy
 
 #: Ring size for completion-time lookback; must exceed the largest
@@ -86,9 +79,7 @@ class DataflowBackend:
         "load_accesses", "store_accesses",
         # Issue-occupancy table: stamped modulo ring + overflow dict.
         "_iu_vals", "_iu_stamps", "_iu_spill", "_iu_entries",
-        # Block-batched scheduling state.
-        "_lvl_lat", "_dl1_access", "_l2_access", "_sched", "_sched_send",
-        "seg_count",
+        "_lvl_lat", "seg_count",
     )
 
     def __init__(self, machine: MachineParams, mem: MemoryHierarchy) -> None:
@@ -112,91 +103,14 @@ class DataflowBackend:
         self._iu_stamps = [-1] * _IU_SIZE
         self._iu_spill: Dict[int, int] = {}
         self._iu_entries = 0
-        #: Segments dispatched through the segment scheduler.
+        #: Segments dispatched through :meth:`dispatch_segment`.
         self.seg_count = 0
+        # Load-to-use latency added per D-side hit level (L1D, L2, memory).
         hit = mem._dl1_hit
         l2 = mem._l2_lat
         self._lvl_lat = (hit - 1, hit + l2 - 1, hit + l2 + mem._mem_lat - 1)
-        self._dl1_access = mem.dl1.access
-        self._l2_access = mem.l2.access
-        self._sched = None
-        self._sched_send = None
 
     # ------------------------------------------------------------------
-    # scheduler lifecycle
-    # ------------------------------------------------------------------
-    def scheduler_send(self):
-        """The bound ``send`` of the persistent segment scheduler.
-
-        The processor calls this once per run and then sends one
-        ``(lb, start, count, dispatch_cycle)`` tuple per dispatched
-        segment, receiving the terminal slot's ``(complete, commit)``.
-        Sending ``None`` parks the scheduler: its frame-local state is
-        published back to the backend's attributes (see :meth:`_sync`).
-        """
-        send = self._sched_send
-        if send is None:
-            self._sched = self._scheduler()
-            next(self._sched)
-            send = self._sched_send = self._sched.send
-        return send
-
-    def _sync(self) -> None:
-        """Publish scheduler-local state back to the attribute view.
-
-        Idempotent and cheap when the scheduler is already parked (or
-        was never started); required before reading or mutating the
-        scheduling state through the object (canonical :meth:`dispatch`,
-        the inspection properties, tests poking at internals).
-        """
-        send = self._sched_send
-        if send is not None:
-            send(None)
-
-    def dispatch_segment(
-        self, lb: LinearBlock, start: int, count: int, dispatch_cycle: int
-    ) -> Tuple[int, int]:
-        """Schedule ``count`` slots of ``lb`` beginning at ``start``.
-
-        All slots share ``dispatch_cycle`` (they were fetched in one
-        bundle).  Returns the (complete, commit) cycles of the *last*
-        slot — the only per-slot timings the processor consumes (branch
-        resolution and block commit are terminal-slot properties).
-        Equivalent to ``count`` calls of :meth:`dispatch`.
-        """
-        send = self._sched_send
-        if send is None:
-            send = self.scheduler_send()
-        return send((lb, start, count, dispatch_cycle))
-
-    # ------------------------------------------------------------------
-    # issue-occupancy table helpers (the scheduler inlines these)
-    # ------------------------------------------------------------------
-    def _iu_get(self, cycle: int) -> int:
-        if self._iu_stamps[cycle & _IU_MASK] == cycle:
-            return self._iu_vals[cycle & _IU_MASK]
-        if self._iu_spill:
-            return self._iu_spill.get(cycle, 0)
-        return 0
-
-    def _iu_add(self, cycle: int, n: int) -> None:
-        """Add ``n`` uses at ``cycle``; maintains the distinct-cycle count."""
-        slot = cycle & _IU_MASK
-        stamps = self._iu_stamps
-        if stamps[slot] == cycle:
-            self._iu_vals[slot] += n
-            return
-        spill = self._iu_spill
-        if spill and cycle in spill:
-            spill[cycle] += n
-            return
-        if stamps[slot] == -1:
-            stamps[slot] = cycle
-            self._iu_vals[slot] = n
-        else:
-            spill[cycle] = n
-        self._iu_entries += 1
-
     def _iu_compact(self, issue: int) -> None:
         """Drop occupancy entries older than ``issue - _IU_LAG``.
 
@@ -222,247 +136,154 @@ class DataflowBackend:
             self._issue_floor = floor
 
     # ------------------------------------------------------------------
-    def dispatch(
-        self, meta: InstrMeta, slot_key: Tuple[int, int], dispatch_cycle: int
+    def dispatch_segment(
+        self,
+        meta: Sequence[InstrMeta],
+        keys: Sequence[Tuple[int, int]],
+        start: int,
+        count: int,
+        dispatch_cycle: int,
     ) -> Tuple[int, int]:
-        """Schedule one instruction; returns (complete, commit) cycles.
+        """Schedule slots ``start`` .. ``start + count - 1`` of one block.
 
-        This is the canonical dispatch model; the segment scheduler is
-        the batched equivalent the processor uses, and
-        ``tests/core/test_backend.py::TestDispatchProcessorParity``
-        cross-checks the two over full simulations.
-        """
-        self._sync()
-        cls, latency, d1, d2, mem_base, mem_stride, mem_span = meta
-        completions = self._completions
-        index = self._count
-        ready = dispatch_cycle + 1
-        if d1:
-            dep = completions[(index - d1) % _RING]
-            if dep > ready:
-                ready = dep
-        if d2:
-            dep = completions[(index - d2) % _RING]
-            if dep > ready:
-                ready = dep
-
-        # Issue-slot allocation: earliest cycle >= ready with spare
-        # issue bandwidth.
-        width = self.width
-        floor = self._issue_floor
-        issue = ready if ready > floor else floor
-        while self._iu_get(issue) >= width:
-            issue += 1
-        self._iu_add(issue, 1)
-        if self._iu_entries > _IU_LIMIT:
-            self._iu_compact(issue)
-
-        if cls == _LOAD:
-            latency += self._memory_latency(slot_key, mem_base, mem_stride,
-                                            mem_span, is_store=False)
-            self.load_accesses += 1
-        elif cls == _STORE:
-            # Stores retire through the store buffer; the D-cache access
-            # happens for its side effects but does not extend latency.
-            self._memory_latency(slot_key, mem_base, mem_stride, mem_span,
-                                 is_store=True)
-            self.store_accesses += 1
-
-        complete = issue + latency
-        completions[index % _RING] = complete
-        self._count = index + 1
-
-        # Commit-slot allocation: in-order, at most ``width`` per cycle.
-        earliest = complete + 1
-        last = self._last_commit
-        commit = earliest if earliest > last else last
-        if commit == last:
-            if self._commits_in_cycle >= width:
-                commit += 1
-                self._commits_in_cycle = 1
-            else:
-                self._commits_in_cycle += 1
-        else:
-            self._commits_in_cycle = 1
-        self._last_commit = commit
-        return complete, commit
-
-    # ------------------------------------------------------------------
-    def _scheduler(self):
-        """Persistent batched segment scheduler (see module docstring).
-
-        Protocol: ``send((lb, start, count, D))`` schedules one segment
-        and yields its terminal ``(complete, commit)``; ``send(None)``
-        parks the scheduler, publishing all frame-local state back to
-        the backend attributes, and yields an acknowledgement.  On the
-        next real send the state is re-hoisted from the attributes, so
-        interleaving with the canonical per-instruction path stays
-        coherent.
-
-        Each segment runs one per-slot loop that applies exactly the
-        scheduling rules of :meth:`dispatch`, issue-table compaction
-        included; the parity tests drive full simulations through both.
+        ``meta`` and ``keys`` are the block's per-slot metadata and slot
+        keys.  All slots share ``dispatch_cycle`` (they were fetched in
+        one bundle).  Returns the (complete, commit) cycles of the
+        *last* slot — the only per-slot timings the processor consumes
+        (branch resolution and block commit are terminal-slot
+        properties).
         """
         width = self.width
         lvl0, lvl1, lvl2 = self._lvl_lat
-        dl1 = self._dl1_access
-        l2 = self._l2_access
+        # The caches and the counter dict, not bound methods: binding
+        # allocates on every call, and most segments probe once or less.
+        mem = self.mem
+        dl1 = mem.dl1
+        l2 = mem.l2
         counters = self._load_counters
         completions = self._completions
         iu_vals = self._iu_vals
         iu_stamps = self._iu_stamps
-        counters_get = counters.get
-        # Module-level constants as frame locals: these are read once or
-        # more per slot.
+        # Module-level constants as locals: read once or more per slot.
         iu_mask = _IU_MASK
         iu_limit = _IU_LIMIT
+        # -- read the mutable scheduling state -------------------------
+        iu_spill = self._iu_spill
+        entries = self._iu_entries
+        floor = self._issue_floor
+        cnt = self._count
+        last = self._last_commit
+        cic = self._commits_in_cycle
+        loads = self.load_accesses
+        stores = self.store_accesses
 
-        result = None
-        while True:
-            args = yield result
-            if args is None:
-                result = None  # parked with nothing hoisted: plain ack
-                continue
-            # -- hoist the mutable scheduling state --------------------
-            iu_spill = self._iu_spill
-            entries = self._iu_entries
-            floor = self._issue_floor
-            cnt = self._count
-            last = self._last_commit
-            cic = self._commits_in_cycle
-            loads = self.load_accesses
-            stores = self.store_accesses
-            segs = self.seg_count
+        ready_base = dispatch_cycle + 1
+        complete = commit = 0
+        for i in range(start, start + count):
+            cls, latency, d1, d2, mem_base, mem_stride, mem_span = meta[i]
+            ready = ready_base
+            if d1:
+                dep = completions[(cnt - d1) & 127]
+                if dep > ready:
+                    ready = dep
+            if d2:
+                dep = completions[(cnt - d2) & 127]
+                if dep > ready:
+                    ready = dep
+            # Issue-slot allocation: earliest cycle >= ready with spare
+            # issue bandwidth.
+            issue = ready if ready > floor else floor
+            while True:
+                s = issue & iu_mask
+                if iu_stamps[s] == issue:
+                    used = iu_vals[s]
+                elif iu_spill:
+                    used = iu_spill.get(issue, 0)
+                else:
+                    used = 0
+                if used < width:
+                    break
+                issue += 1
+            s = issue & iu_mask
+            if iu_stamps[s] == issue:
+                iu_vals[s] += 1
+            elif iu_spill and issue in iu_spill:
+                iu_spill[issue] += 1
+            else:
+                if iu_stamps[s] == -1:
+                    iu_stamps[s] = issue
+                    iu_vals[s] = 1
+                else:
+                    iu_spill[issue] = 1
+                entries += 1
+            if entries > iu_limit:
+                # The dict model checked its size after *every* insert,
+                # so an over-full table keeps compacting (and advancing
+                # the floor) until it shrinks.
+                self._iu_entries = entries
+                self._iu_compact(issue)
+                entries = self._iu_entries
+                iu_spill = self._iu_spill
+                floor = self._issue_floor
 
-            while args is not None:
-                lb, start, count, D = args
-                segs += 1
-                meta = lb._meta
-                keys = lb._slot_keys
-                ready_base = D + 1
-                complete = commit = 0
-                for i in range(start, start + count):
-                    (cls, latency, d1, d2, mem_base, mem_stride,
-                     mem_span) = meta[i]
-                    ready = ready_base
-                    if d1:
-                        dep = completions[(cnt - d1) & 127]
-                        if dep > ready:
-                            ready = dep
-                    if d2:
-                        dep = completions[(cnt - d2) & 127]
-                        if dep > ready:
-                            ready = dep
-                    issue = ready if ready > floor else floor
-                    while True:
-                        s = issue & iu_mask
-                        if iu_stamps[s] == issue:
-                            used = iu_vals[s]
-                        elif iu_spill:
-                            used = iu_spill.get(issue, 0)
-                        else:
-                            used = 0
-                        if used < width:
-                            break
-                        issue += 1
-                    s = issue & iu_mask
-                    if iu_stamps[s] == issue:
-                        iu_vals[s] += 1
-                    elif iu_spill and issue in iu_spill:
-                        iu_spill[issue] += 1
-                    else:
-                        if iu_stamps[s] == -1:
-                            iu_stamps[s] = issue
-                            iu_vals[s] = 1
-                        else:
-                            iu_spill[issue] = 1
-                        entries += 1
-                    if entries > iu_limit:
-                        # The dict model checked its size after *every*
-                        # insert, so an over-full table keeps compacting
-                        # (and advancing the floor) until it shrinks.
-                        self._iu_entries = entries
-                        self._iu_compact(issue)
-                        entries = self._iu_entries
-                        iu_spill = self._iu_spill
-                        floor = self._issue_floor
+            if cls == _LOAD or cls == _STORE:
+                # Synthesize this access's address and probe the
+                # D-cache.  Stores retire through the store buffer: the
+                # access happens for its side effects but does not
+                # extend latency.
+                slot_key = keys[i]
+                k = counters.get(slot_key, 0)
+                counters[slot_key] = k + 1
+                a = mem_base + (k * mem_stride) % (
+                    mem_span if mem_span > 0 else 1
+                )
+                if dl1.access(a):
+                    dlat = lvl0
+                elif l2.access(a):
+                    dlat = lvl1
+                else:
+                    dlat = lvl2
+                if cls == _LOAD:
+                    latency += dlat
+                    loads += 1
+                else:
+                    stores += 1
 
-                    if cls == _LOAD or cls == _STORE:
-                        slot_key = keys[i]
-                        k = counters_get(slot_key, 0)
-                        counters[slot_key] = k + 1
-                        a = mem_base + (k * mem_stride) % (
-                            mem_span if mem_span > 0 else 1
-                        )
-                        if dl1(a):
-                            dlat = lvl0
-                        elif l2(a):
-                            dlat = lvl1
-                        else:
-                            dlat = lvl2
-                        if cls == _LOAD:
-                            latency += dlat
-                            loads += 1
-                        else:
-                            stores += 1
+            complete = issue + latency
+            completions[cnt & 127] = complete
+            cnt += 1
 
-                    complete = issue + latency
-                    completions[cnt & 127] = complete
-                    cnt += 1
+            # Commit-slot allocation: in-order, at most ``width`` per
+            # cycle.
+            earliest = complete + 1
+            commit = earliest if earliest > last else last
+            if commit == last:
+                if cic >= width:
+                    commit += 1
+                    cic = 1
+                else:
+                    cic += 1
+            else:
+                cic = 1
+            last = commit
 
-                    earliest = complete + 1
-                    commit = earliest if earliest > last else last
-                    if commit == last:
-                        if cic >= width:
-                            commit += 1
-                            cic = 1
-                        else:
-                            cic += 1
-                    else:
-                        cic = 1
-                    last = commit
-                args = yield (complete, commit)
-
-            # -- park: publish the frame-local state -------------------
-            self._iu_entries = entries
-            self._issue_floor = floor
-            self._count = cnt
-            self._last_commit = last
-            self._commits_in_cycle = cic
-            self.load_accesses = loads
-            self.store_accesses = stores
-            self.seg_count = segs
-            result = None
-
-    # ------------------------------------------------------------------
-    def _memory_latency(
-        self,
-        slot_key: Tuple[int, int],
-        base: int,
-        stride: int,
-        span: int,
-        is_store: bool,
-    ) -> int:
-        """Synthesize this access's address and probe the D-cache."""
-        counters = self._load_counters
-        k = counters.get(slot_key, 0)
-        counters[slot_key] = k + 1
-        addr = base + (k * stride) % (span if span > 0 else 1)
-        # Inlined L1D-hit fast path of MemoryHierarchy.data_access.
-        mem = self.mem
-        if mem.dl1.access(addr):
-            return mem._dl1_hit - 1
-        if mem.l2.access(addr):
-            return mem._dl1_hit + mem._l2_lat - 1
-        return mem._dl1_hit + mem._l2_lat + mem._mem_lat - 1
+        # -- write the state back --------------------------------------
+        # (the issue floor and the spill dict only change inside
+        # _iu_compact, which publishes them itself)
+        self._iu_entries = entries
+        self._count = cnt
+        self._last_commit = last
+        self._commits_in_cycle = cic
+        self.load_accesses = loads
+        self.store_accesses = stores
+        self.seg_count += 1
+        return complete, commit
 
     # ------------------------------------------------------------------
     @property
     def instructions(self) -> int:
-        self._sync()
         return self._count
 
     @property
     def last_commit_cycle(self) -> int:
-        self._sync()
         return self._last_commit

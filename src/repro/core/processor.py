@@ -125,32 +125,20 @@ class Processor:
         )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        max_instructions: int,
-        warmup: int = 0,
-        _reference_dispatch: bool = False,
-    ) -> SimulationResult:
+    def run(self, max_instructions: int, warmup: int = 0) -> SimulationResult:
         """Simulate until ``max_instructions`` have been scheduled.
 
         With ``warmup`` > 0, the first ``warmup`` instructions train the
         predictors and caches but are excluded from the reported cycle
         and event counts — the small-trace equivalent of the paper
         fast-forwarding to a representative segment before measuring.
-
-        ``_reference_dispatch`` routes every instruction through the
-        canonical :meth:`DataflowBackend.dispatch` — one call per slot —
-        instead of the batched :meth:`DataflowBackend.dispatch_segment`.
-        It exists for the parity test that pins the two implementations
-        together; results must be identical either way (it also forces
-        the interpreted path, bypassing any bound accel kernel).
         """
         # Observability happens only here, at the cell boundary — one
         # timestamp pair around the whole run, never inside the cycle
         # loop (the bench gate pins the hook's cost under 2%).
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        if self._accel_run is not None and not _reference_dispatch:
+        if self._accel_run is not None:
             result = self._accel_run(max_instructions, warmup)
             obs.observe_cell("accel", result,
                              time.perf_counter() - wall0,
@@ -173,8 +161,7 @@ class Processor:
         now = 0
         scheduled = 0
         # Segment accounting baseline (the backend counter is
-        # cumulative; the scheduler is parked here, so the attribute
-        # view is current).
+        # cumulative).
         seg_base = backend.seg_count
         warm_state: Optional[Tuple[int, int, SimulationResult, int, int]] = None
         diverged = False
@@ -196,11 +183,7 @@ class Processor:
         # inside the loop.
         engine_cycle = engine.cycle
         note_commit = engine.note_commit
-        # The scheduler is a persistent generator: one send per segment,
-        # with the backend state held in its frame locals for the whole
-        # run (parked/republished via backend._sync when needed).
-        dispatch_ref = backend.dispatch if _reference_dispatch else None
-        dispatch_seg = None if _reference_dispatch else backend.scheduler_send()
+        dispatch_seg = backend.dispatch_segment
         commit_pop = commit_queue.popleft
         commit_push = commit_queue.append
         inflight_pop = inflight.popleft
@@ -308,18 +291,9 @@ class Processor:
                     take = size - cur_off
                     if take > remaining:
                         take = remaining
-                    if dispatch_ref is None:
-                        complete, commit = dispatch_seg(
-                            (dyn.lb, cur_off, take, dispatch_cycle)
-                        )
-                    else:
-                        # Parity-test path: the canonical per-slot model.
-                        meta = dyn.meta
-                        keys = dyn.keys
-                        for i in range(cur_off, cur_off + take):
-                            complete, commit = dispatch_ref(
-                                meta[i], keys[i], dispatch_cycle
-                            )
+                    complete, commit = dispatch_seg(
+                        dyn.meta, dyn.keys, cur_off, take, dispatch_cycle
+                    )
                     scheduled += take
                     correct_in_bundle += take
                     remaining -= take
@@ -445,10 +419,9 @@ class Processor:
                         getattr(result, name) - getattr(warm_result, name))
         result.engine_stats = engine.stats_dict()
         result.memory_stats = self.mem.stats_summary()
-        # Run diagnostics (reading last_commit_cycle above parked the
-        # scheduler, so the counter is published).  These describe
-        # *how* the run executed — they ride in ``extras`` so they never
-        # perturb result equality or stored artifacts.
+        # Run diagnostics.  These describe *how* the run executed — they
+        # ride in ``extras`` so they never perturb result equality or
+        # stored artifacts.
         result.extras = {"segments": backend.seg_count - seg_base}
         obs.observe_cell("interp", result,
                          time.perf_counter() - wall0,

@@ -56,11 +56,12 @@ class SimulationResult:
 
     @property
     def fetch_ipc(self) -> float:
-        """Instructions the front-end delivered per active fetch cycle.
+        """Correct-path instructions fetched per fetch cycle.
 
-        The paper's Table 3 "Fetch IPC": the actual fetch width achieved
-        when the engine produced instructions, including wrong-path
-        bundles (the front-end does not know better at that point).
+        The paper's Table 3 "Fetch IPC": the fetch width achieved on the
+        correct path, over the cycles that fetched at least one
+        correct-path instruction.  Wrong-path instructions count in
+        neither term.
         """
         if self.fetch_cycles == 0:
             return 0.0
@@ -81,7 +82,8 @@ class SimulationResult:
 
     @property
     def wrong_path_fraction(self) -> float:
-        total = self.fetched_instructions
+        """Share of all fetched instructions that were wrong-path."""
+        total = self.fetched_instructions + self.wrong_path_instructions
         if total == 0:
             return 0.0
         return self.wrong_path_instructions / total

@@ -114,20 +114,6 @@ class TestModeSelection:
         with pytest.raises(ValueError):
             accel.resolve_engine_mode("warp-speed")
 
-    def test_reference_dispatch_bypasses_kernel(self, gzip_tiny):
-        """The canonical-dispatch parity hook must stay interpreted."""
-        processor, _ = _run(gzip_tiny, mode="accel", n=1000)
-        p2 = build_processor(
-            "stream", gzip_tiny, 8, benchmark="gzip", optimized=True,
-            trace_seed=ref_trace_seed("gzip"), engine_mode="accel",
-        )
-        ref = p2.run(1000, _reference_dispatch=True)
-        p3 = build_processor(
-            "stream", gzip_tiny, 8, benchmark="gzip", optimized=True,
-            trace_seed=ref_trace_seed("gzip"), engine_mode="interp",
-        )
-        assert result_digest(ref) == result_digest(p3.run(1000))
-
 
 class TestUnknownEngineClass:
     def test_subclass_gets_interpreted_cycle(self, gzip_tiny):

@@ -6,7 +6,7 @@ stats — between the exec-compiled kernels and the interpreted paths for
 every engine and width, through ``run_matrix`` (serial and pooled), and
 through the artifact store (fingerprints must not depend on the mode,
 so a store warmed by one mode must serve the other), over randomized
-machine shapes, and through issue-table compaction.
+machine shapes and workloads, and through issue-table compaction.
 """
 
 import dataclasses
@@ -19,7 +19,12 @@ from helpers import result_digest
 from repro.common.params import CacheParams, default_machine
 from repro.experiments.configs import ARCHITECTURES, build_processor
 from repro.experiments.runner import RunSpec, reset_program_cache, run_matrix
-from repro.isa.workloads import prepare_program, ref_trace_seed
+from repro.isa.layout import natural_order
+from repro.isa.program import link
+from repro.isa.workloads import (
+    SPEC_BENCHMARKS, _WorkloadBuilder, benchmark_spec, prepare_program,
+    ref_trace_seed,
+)
 from repro.store.store import ArtifactStore
 
 N_INSTR = 6000
@@ -122,6 +127,57 @@ def test_randomized_machine_parity(gzip_small, width, seed):
     assert digests["accel"] == digests["interp"]
 
 
+def _random_program(rng):
+    """Link a random variation of a registered workload spec.
+
+    Varies the generator seed, the construct mix and the block-size
+    distribution: the shapes of the segments the scheduler sees and of
+    the control flow the engines predict.
+    """
+    spec = dataclasses.replace(
+        benchmark_spec(rng.choice(SPEC_BENCHMARKS)),
+        seed=rng.randrange(1 << 16),
+        block_size_mean=rng.uniform(3.0, 9.0),
+        block_size_sd=rng.uniform(1.0, 4.0),
+        w_straight=rng.uniform(0.5, 3.0),
+        w_loop=rng.uniform(0.5, 3.0),
+        w_hammock=rng.uniform(0.5, 3.0),
+        w_ifthen=rng.uniform(0.5, 3.0),
+        w_switch=rng.uniform(0.0, 1.5),
+        w_call=rng.uniform(0.2, 2.0),
+    )
+    cfg = _WorkloadBuilder(spec).build()
+    return link(cfg, natural_order(cfg), seed=spec.seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_randomized_workload_differential(seed):
+    """Random workloads agree across modes and keep the run identities.
+
+    Per run: every correct-path instruction fetched is scheduled, the
+    wrong-path share of fetch is a fraction, and the scheduled stream
+    is exactly the trace walked up to the cursor.
+    """
+    rng = random.Random(seed)
+    program = _random_program(rng)
+    arch = ARCHITECTURES[seed % len(ARCHITECTURES)]  # every engine runs
+    width = rng.choice((2, 4, 8))
+    trace_seed = rng.randrange(1 << 16)
+    runs = {}
+    for mode in ("accel", "interp"):
+        processor = build_processor(arch, program, width,
+                                    trace_seed=trace_seed, engine_mode=mode)
+        result = processor.run(5000, warmup=1000)
+        cursor = processor.cursor
+        assert result.fetched_instructions == result.instructions, mode
+        assert 0 <= result.wrong_path_fraction <= 1, mode
+        unscheduled = cursor.dyn.size - cursor.offset
+        assert (cursor._walker.instructions_walked - unscheduled
+                == processor.backend.instructions), mode
+        runs[mode] = (result_digest(result), result.extras["segments"])
+    assert runs["accel"] == runs["interp"]
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_compaction_parity(gzip_small, arch):
     """Both modes agree through issue-table compaction.
@@ -135,7 +191,6 @@ def test_compaction_parity(gzip_small, arch):
         processor = _build(gzip_small, arch, 2, mode)
         digest = result_digest(processor.run(8000, warmup=1000))
         backend = processor.backend
-        backend._sync()
         assert backend._issue_floor > 0, mode
         states[mode] = (digest, backend._issue_floor, backend._iu_entries)
     assert states["accel"] == states["interp"]

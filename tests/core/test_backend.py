@@ -1,6 +1,5 @@
 """Tests for the dataflow back-end model."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.params import default_machine
@@ -22,24 +21,29 @@ def load(d1=0, base=0x10000, stride=8, span=1 << 12):
     return (int(InstrClass.LOAD), 1, d1, 0, base, stride, span)
 
 
+def dispatch(be, meta, slot_key, dispatch_cycle):
+    """Schedule one instruction: a one-slot segment."""
+    return be.dispatch_segment((meta,), (slot_key,), 0, 1, dispatch_cycle)
+
+
 class TestScheduling:
     def test_independent_instructions_pack_width(self):
         be = backend(width=4)
-        completes = [be.dispatch(alu(), (0, i), 0)[0] for i in range(8)]
+        completes = [dispatch(be, alu(), (0, i), 0)[0] for i in range(8)]
         # 4 issue slots per cycle: two waves.
         assert completes.count(min(completes)) == 4
 
     def test_dependence_serializes(self):
         be = backend()
-        c1, _ = be.dispatch(alu(), (0, 0), 0)
-        c2, _ = be.dispatch(alu(d1=1), (0, 1), 0)
+        c1, _ = dispatch(be, alu(), (0, 0), 0)
+        c2, _ = dispatch(be, alu(d1=1), (0, 1), 0)
         assert c2 >= c1 + 1
 
     def test_zero_dep_is_independent(self):
         be = backend()
-        be.dispatch(alu(), (0, 0), 0)
-        c2, _ = be.dispatch(alu(), (0, 1), 0)
-        c1, _ = be.dispatch(alu(), (0, 2), 0)
+        dispatch(be, alu(), (0, 0), 0)
+        c2, _ = dispatch(be, alu(), (0, 1), 0)
+        c1, _ = dispatch(be, alu(), (0, 2), 0)
         assert abs(c1 - c2) <= 1
 
     def test_commits_in_order(self):
@@ -47,47 +51,47 @@ class TestScheduling:
         commits = []
         for i in range(50):
             meta = alu(d1=(1 if i % 7 == 0 else 0))
-            commits.append(be.dispatch(meta, (0, i), i // 8)[1])
+            commits.append(dispatch(be, meta, (0, i), i // 8)[1])
         assert commits == sorted(commits)
 
     def test_commit_width_bounded(self):
         be = backend(width=2)
-        commits = [be.dispatch(alu(), (0, i), 0)[1] for i in range(20)]
+        commits = [dispatch(be, alu(), (0, i), 0)[1] for i in range(20)]
         from collections import Counter
         per_cycle = Counter(commits)
         assert max(per_cycle.values()) <= 2
 
     def test_dispatch_cycle_lower_bound(self):
         be = backend()
-        complete, _ = be.dispatch(alu(), (0, 0), 100)
+        complete, _ = dispatch(be, alu(), (0, 0), 100)
         assert complete >= 101
 
 
 class TestMemoryInstructions:
     def test_load_miss_extends_latency(self):
         be = backend()
-        c_hit_path, _ = be.dispatch(alu(), (0, 0), 0)
+        c_hit_path, _ = dispatch(be, alu(), (0, 0), 0)
         # Cold load: misses L1D and L2 -> long completion.
-        c_load, _ = be.dispatch(load(), (1, 0), 0)
+        c_load, _ = dispatch(be, load(), (1, 0), 0)
         assert c_load > c_hit_path + 50
 
     def test_load_locality_warms_up(self):
         be = backend()
-        first, _ = be.dispatch(load(), (2, 0), 0)
-        second, _ = be.dispatch(load(), (2, 0), 200)
+        first, _ = dispatch(be, load(), (2, 0), 0)
+        second, _ = dispatch(be, load(), (2, 0), 200)
         # Same slot, stride 8 within one line: second access hits.
         assert second - 200 < first - 0
 
     def test_stores_do_not_stall_completion(self):
         be = backend()
         store_meta = (int(InstrClass.STORE), 1, 0, 0, 0x90000, 64, 1 << 14)
-        complete, _ = be.dispatch(store_meta, (3, 0), 0)
+        complete, _ = dispatch(be, store_meta, (3, 0), 0)
         assert complete <= 3  # store-buffer semantics
 
     def test_load_counter_advances(self):
         be = backend()
-        be.dispatch(load(stride=64), (4, 0), 0)
-        be.dispatch(load(stride=64), (4, 0), 0)
+        dispatch(be, load(stride=64), (4, 0), 0)
+        dispatch(be, load(stride=64), (4, 0), 0)
         assert be._load_counters[(4, 0)] == 2
 
 
@@ -95,14 +99,14 @@ class TestWindowModel:
     def test_instruction_count(self):
         be = backend()
         for i in range(10):
-            be.dispatch(alu(), (0, i), 0)
+            dispatch(be, alu(), (0, i), 0)
         assert be.instructions == 10
 
     def test_last_commit_monotone(self):
         be = backend()
         last = 0
         for i in range(100):
-            _, commit = be.dispatch(alu(d1=i % 3), (0, i), i // 8)
+            _, commit = dispatch(be, alu(d1=i % 3), (0, i), i // 8)
             assert commit >= last
             last = commit
 
@@ -113,56 +117,6 @@ class TestWindowModel:
         be = backend(width=4)
         n = 0
         for i, (d1, d2) in enumerate(deps):
-            be.dispatch(alu(d1=d1, d2=d2), (0, i), i // 4)
+            dispatch(be, alu(d1=d1, d2=d2), (0, i), i // 4)
             n += 1
         assert n / max(be.last_commit_cycle, 1) <= 4.0 + 1e-9
-
-
-class TestDispatchProcessorParity:
-    """Pin the batched segment scheduler to the canonical model.
-
-    The processor dispatches whole segments through the backend's
-    persistent scheduler (one per-slot loop per segment);
-    ``_reference_dispatch=True`` routes every instruction through the
-    canonical :meth:`DataflowBackend.dispatch` instead.  The two paths
-    must produce identical results, so a semantic edit to one
-    implementation without the other fails here.
-    """
-
-    def _run(self, arch, reference, width=8):
-        from helpers import result_digest
-
-        from repro.common.params import default_machine
-        from repro.core.processor import Processor
-        from repro.experiments.configs import build_engine
-        from repro.isa.trace import TraceWalker
-        from repro.isa.workloads import prepare_program, ref_trace_seed
-        from repro.memory.hierarchy import MemoryHierarchy
-
-        program = prepare_program("gzip", optimized=False, scale=0.3)
-        machine = default_machine(width)
-        mem = MemoryHierarchy(machine.memory)
-        engine = build_engine(arch, program, machine, mem)
-        walker = TraceWalker(program, seed=ref_trace_seed("gzip"))
-        processor = Processor(engine, walker, machine, mem)
-        result = processor.run(8000, warmup=2000,
-                               _reference_dispatch=reference)
-        return result_digest(result), processor.backend
-
-    @pytest.mark.parametrize("arch", ["ev8", "ftb", "stream", "trace"])
-    def test_batched_matches_reference(self, arch):
-        fast, fast_backend = self._run(arch, reference=False)
-        ref, ref_backend = self._run(arch, reference=True)
-        assert fast == ref
-        assert fast_backend.instructions == ref_backend.instructions
-        assert fast_backend.last_commit_cycle == ref_backend.last_commit_cycle
-        assert fast_backend.load_accesses == ref_backend.load_accesses
-        assert fast_backend.store_accesses == ref_backend.store_accesses
-
-    @pytest.mark.parametrize("arch", ["ev8", "stream"])
-    def test_narrow_width_matches_reference(self, arch):
-        """Width 2 is back-end-bound: the per-slot fallback carries most
-        segments there, and must still match the canonical model."""
-        fast, _ = self._run(arch, reference=False, width=2)
-        ref, _ = self._run(arch, reference=True, width=2)
-        assert fast == ref

@@ -40,7 +40,7 @@ class TestDerivedMetrics:
     def test_wrong_path_fraction(self):
         r = make(fetched_instructions=1000, wrong_path_instructions=100,
                  fetch_cycles=10)
-        assert r.wrong_path_fraction == pytest.approx(0.1)
+        assert r.wrong_path_fraction == pytest.approx(100 / 1100)
 
     def test_summary_mentions_key_fields(self):
         text = make().summary()

@@ -15,6 +15,7 @@ import warnings
 
 import pytest
 
+from repro import obs
 from repro.exec import FaultPolicy, FaultSpec, SweepError, faults
 from repro.exec.faults import FAULTS_ENV, active_plan, encode_plan
 from repro.experiments.runner import run_matrix
@@ -47,10 +48,14 @@ def test_worker_sigkill_bit_identical(baseline):
 
 @pytest.mark.faults(timeout=300)
 def test_hang_deadline_bit_identical(baseline):
-    policy = FaultPolicy(timeout=20.0, retries=2, backoff=0.0)
+    # The healthy cells finish in a fraction of the 2 s deadline; the
+    # hung one is killed exactly once, not waited out.
+    policy = FaultPolicy(timeout=2.0, retries=2, backoff=0.0)
+    timeouts = obs.EXEC_TIMEOUTS.value()
     with active_plan(FaultSpec("hang", match="ev8", times=1, seconds=120)):
         got = run_matrix(**KW, jobs=2, fault_policy=policy)
     assert got.results == baseline.results
+    assert obs.EXEC_TIMEOUTS.value() - timeouts == 1
 
 
 @pytest.mark.faults(timeout=300)
