@@ -277,10 +277,8 @@ def measure_worker_setup(jobs: int, reps: int = 3) -> float:
     """
     from repro.exec import ForkServerPool, Job
 
-    from repro.experiments.runner import _worker_init
-
     def spin():
-        with ForkServerPool(jobs, initializer=_worker_init) as pool:
+        with ForkServerPool(jobs) as pool:
             pool.run(_pool_noop, [Job(i) for i in range(jobs)])
 
     return _best_of(reps, spin)

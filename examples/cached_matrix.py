@@ -3,10 +3,10 @@
 
 Runs a small Figure-8-style matrix (two benchmarks x two layouts x two
 widths x all four fetch engines) twice against an on-disk artifact
-store.  The cold run simulates every cell and populates the store with
-linked program images, dynamic trace records and per-cell results; the
-warm run resolves every cell's fingerprint in the store and returns a
-bit-identical matrix without simulating anything.
+store.  The cold run links each program image once, simulates every
+cell and stores the per-cell results; the warm run resolves every
+cell's fingerprint in the store and returns a bit-identical matrix
+without simulating anything.
 
 The store lives in ``.repro-store/`` next to the repo (git-ignored) by
 default; pass a directory argument to put it elsewhere.  Layout, GC
@@ -52,6 +52,8 @@ def main() -> None:
         cold.results[spec] == warm.results[spec] for spec in cold.results
     )
     print(f"warm matrix bit-identical to cold: {identical}")
+    if not identical:
+        sys.exit(1)
 
     stats = ArtifactStore(store).stats()
     print("store contents:")

@@ -36,8 +36,8 @@ Failure handling, end to end:
   degrades — warn-once, obs-evented — to a local pool from
   ``fallback_factory`` and finishes the remaining cells locally, still
   bit-identically.  ``run_matrix`` passes the serial-or-fork choice it
-  makes without a fleet, so the fallback stores images, traces and
-  results exactly like a plain local run.
+  makes without a fleet, so the fallback stores results exactly like
+  a plain local run.
 
 The pool implements the standard :meth:`Pool.run` contract —
 ``completed`` fires in the caller's thread the moment each cell

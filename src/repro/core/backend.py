@@ -53,10 +53,14 @@ _RING = 128
 _LOAD = int(InstrClass.LOAD)
 _STORE = int(InstrClass.STORE)
 
-#: Issue-occupancy ring size (slots, power of two).  The ring covers the
-#: window of cycles a dispatch can still probe; cycles that would alias a
-#: still-live entry spill into a dict (rare — it takes a dependence chain
-#: booking issue slots ``_IU_SIZE`` cycles ahead).
+#: Issue-occupancy ring size (slots, power of two).  Cycle c lives at
+#: slot ``c & _IU_MASK``; a cycle whose slot still holds another cycle's
+#: stamp spills into a dict.  Spills are common, and the stamp they
+#: collide with is dead: over a 32-cell Fig 8-shaped sweep (gzip and gcc,
+#: both layouts, widths 2 and 8, 90k instructions), none of 91,571 spill
+#: inserts found a stamp at or above ``ready_base - _IU_LAG``, so no later
+#: probe or compaction recount reaches it.  Only compaction clears a dead
+#: stamp; until then it holds its slot and counts toward ``_IU_LIMIT``.
 _IU_SIZE = 8192
 _IU_MASK = _IU_SIZE - 1
 

@@ -333,11 +333,9 @@ class SerialPool(Pool):
 # ----------------------------------------------------------------------
 # forked worker pool
 # ----------------------------------------------------------------------
-def _pool_worker_main(conn, initializer, initargs) -> None:
+def _pool_worker_main(conn) -> None:
     """Worker loop: receive ``(key, fn, args, attempt)``, send back
     ``("ok", key, result)`` or ``("err", key, summary, traceback)``."""
-    if initializer is not None:
-        initializer(*initargs)
     while True:
         try:
             message = conn.recv()
@@ -397,8 +395,6 @@ class _Worker:
 class ForkServerPool(Pool):
     """Crash-isolating process pool with per-job dispatch visibility.
 
-    ``initializer(*initargs)`` runs once in every worker (including
-    rebuilt ones) — ``run_matrix`` uses it to attach the artifact store.
     Start workers *after* priming any fork-inherited caches; rebuilt
     workers fork from the same parent image, so they inherit the same
     pre-linked state the original workers did.
@@ -407,8 +403,6 @@ class ForkServerPool(Pool):
     def __init__(
         self,
         max_workers: int,
-        initializer: Optional[Callable] = None,
-        initargs: Tuple = (),
         policy: Optional[FaultPolicy] = None,
         context: Optional[Any] = None,
     ) -> None:
@@ -416,8 +410,6 @@ class ForkServerPool(Pool):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
-        self._initializer = initializer
-        self._initargs = initargs
         self._ctx = context or multiprocessing.get_context()
         self._workers: List[_Worker] = []
         self._idle: List[_Worker] = []
@@ -441,7 +433,7 @@ class ForkServerPool(Pool):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child_conn, self._initializer, self._initargs),
+            args=(child_conn,),
             daemon=True,
         )
         proc.start()

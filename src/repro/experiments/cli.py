@@ -24,8 +24,8 @@ Examples::
 ``--store DIR`` (default: the ``REPRO_STORE`` environment variable)
 points every matrix-driven command at a persistent artifact store:
 cells whose fingerprints resolve are served from disk, only misses are
-simulated, and fresh programs / traces / results are written back — so
-re-rendering a figure against a warm store takes seconds, not minutes.
+simulated, and fresh results are written back — so re-rendering a
+figure against a warm store takes seconds, not minutes.
 The ``cache`` subcommand inspects (``stats``), integrity-checks
 (``verify`` — re-hashes every object) and prunes (``gc`` — drops
 orphans, optionally enforces a size cap) that store.
@@ -326,8 +326,7 @@ def _cache_command(args) -> int:
     if args.action == "stats":
         stats = store.stats()
         print(f"store {stats['root']}")
-        for kind in ("program", "trace", "result"):
-            row = stats["kinds"].get(kind, {"entries": 0, "bytes": 0})
+        for kind, row in sorted(stats["kinds"].items()):
             print(f"  {kind:8s} {row['entries']:6d} entries  "
                   f"{row['bytes']:>12,d} bytes")
         print(f"  objects  {stats['objects']:6d} files    "
@@ -398,6 +397,7 @@ def _remote_stats(peers) -> None:
         RemoteStoreError,
         StorePeerUnusable,
     )
+    from repro.store.remote.sync import SYNC_KINDS
 
     print("remote peers:")
     for address in parse_peers(peers):
@@ -411,7 +411,7 @@ def _remote_stats(peers) -> None:
             print(f"  {address:21s} unreachable ({exc})")
             continue
         counts = []
-        for kind in ("program", "trace", "result"):
+        for kind in SYNC_KINDS:
             try:
                 counts.append(f"{kind} {len(client.has(kind, None))}")
             except RemoteStoreError:
@@ -439,11 +439,9 @@ def _remote_stats(peers) -> None:
 def _remote_verify(store, peers, sample: int) -> bool:
     """``cache verify --peers``: cross-check shared fingerprint oids.
 
-    Samples up to ``sample`` shared fingerprints per kind per peer and
-    compares oids.  Trace records are prefix-extensible (the same
-    fingerprint legitimately maps to different oids as traces grow),
-    so only ``program`` and ``result`` — immutable by construction —
-    are cross-checked.
+    Samples up to ``sample`` shared fingerprints of every kind in the
+    local index, per peer, and compares oids: an artifact is immutable
+    by construction, so one fingerprint must name one object.
     """
     from repro.store.remote import parse_peers
     from repro.store.remote.client import (
@@ -464,10 +462,7 @@ def _remote_verify(store, peers, sample: int) -> bool:
         except (StorePeerUnusable, RemoteStoreError) as exc:
             print(f"peer {address}: skipped ({exc})")
             continue
-        for kind in ("program", "result"):
-            ours = local.get(kind, {})
-            if not ours:
-                continue
+        for kind, ours in sorted(local.items()):
             try:
                 theirs = client.has(kind, None)
             except RemoteStoreError as exc:
@@ -483,8 +478,6 @@ def _remote_verify(store, peers, sample: int) -> bool:
             print(f"peer {address}: {kind}: {len(shared)} shared "
                   f"fingerprints checked, "
                   f"{len(mismatched)} mismatched")
-        print(f"peer {address}: trace records skipped "
-              f"(prefix-extensible)")
     return ok
 
 

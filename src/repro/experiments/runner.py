@@ -36,7 +36,8 @@ raises :class:`~repro.exec.policy.SweepError` naming the failed cells
 ``store=`` extends the amortization *across processes and runs*: cells
 whose result fingerprint resolves in the on-disk artifact store (see
 :mod:`repro.store`) are served from it, only misses are simulated, and
-fresh results / images / traces are written back.  A warm run returns a
+fresh results are written back, by this process alone.  Images and
+their trace records are never stored.  A warm run returns a
 :class:`RunMatrixResult` bit-identical to a cold one — the store is a
 shortcut, never an approximation.
 """
@@ -168,15 +169,13 @@ class ProgramCache:
     ``(benchmark, optimized, scale)`` triple, so spec-bearing callers
     can never alias two distinct programs that share a benchmark name.
 
-    When constructed with an :class:`~repro.store.cache.ArtifactCache`,
-    a miss consults the on-disk store before linking from scratch (and
-    populates it), which is how spawn-platform pool workers and warm
-    CLI re-runs skip program generation entirely.
+    Images and their memoized trace records live only in the process
+    that linked them (and the workers it forks): the artifact store
+    holds results, never images.
     """
 
-    def __init__(self, artifacts: Optional[ArtifactCache] = None) -> None:
+    def __init__(self) -> None:
         self._cache: Dict[str, Program] = {}
-        self.artifacts = artifacts
 
     def get(
         self,
@@ -184,38 +183,19 @@ class ProgramCache:
         optimized: bool,
         scale: float,
         key: Optional[str] = None,
-        artifacts: Optional[ArtifactCache] = None,
     ) -> Program:
-        """The image for a workload, via the store when one is bound.
+        """The image for a workload, linked on first use.
 
         ``key`` is the workload's program fingerprint when the caller
-        already computed it.  ``artifacts`` overrides the cache's own
-        store binding for this lookup — the parent ``run_matrix`` uses
-        a per-call store without attaching it to the shared
-        module-level cache.  With a store, a *hit* still backfills: an
-        already-linked image may pick up a stored trace, and the store
-        may still need the image (it was linked before this run had a
-        store).
+        already computed it.
         """
         if key is None:
             key = program_fingerprint(benchmark, optimized, scale)
-        if artifacts is None:
-            artifacts = self.artifacts
         program = self._cache.get(key)
         if program is None:
-            if artifacts is not None:
-                program = artifacts.program(
-                    benchmark, optimized, scale, program_fp=key
-                )
-            else:
-                program = prepare_program(
-                    benchmark, optimized=optimized, scale=scale
-                )
-            self._cache[key] = program
-        elif artifacts is not None:
-            artifacts.load_trace(program, key, ref_trace_seed(benchmark))
-            artifacts.ensure_program(program, key, benchmark, optimized,
-                                     scale)
+            program = self._cache[key] = prepare_program(
+                benchmark, optimized=optimized, scale=scale
+            )
         return program
 
 
@@ -318,83 +298,41 @@ def reset_program_cache() -> None:
     """Drop the module-level image cache (fresh-process semantics).
 
     For harnesses that need a genuinely cold measurement inside a warm
-    process — the next :func:`run_matrix` relinks (or store-loads)
-    every image instead of reusing in-memory ones.
+    process — the next :func:`run_matrix` relinks every image instead
+    of reusing in-memory ones.
     """
     global _WORKER_CACHE
     _WORKER_CACHE = None
 
 
-def _worker_init(store_root: Optional[str] = None) -> None:
-    cache = _default_cache()
-    if store_root is not None and cache.artifacts is None:
-        # Attach the store in the *worker* only: under fork this mutates
-        # the child's copy of the inherited cache, so the parent's
-        # module-level cache stays store-free for later storeless runs.
-        cache.artifacts = ArtifactCache(ArtifactStore(store_root))
+def run_cell_job(
+    spec: RunSpec,
+    instructions: int,
+    warmup: int,
+    scale: float,
+    program_key: Optional[str] = None,
+    engine_mode: Optional[str] = None,
+) -> SimulationResult:
+    """Run one cell :class:`~repro.exec.pool.Job`, whatever pool runs it.
 
-
-class _CellRunner:
-    """Runs one (arch, benchmark, width, layout) cell, whatever pool runs it.
-
-    Made with the run's store, a runner loads images and traces through
-    it and keeps each image it used, so :meth:`save_traces` persists the
-    grown traces once, after the pool returns; that covers every cell
-    run in the calling process (the serial pool, a fork pool degraded to
-    serial, a cluster's local fallback).  Pickled for a forked worker it
-    arrives without the store.  A runner without one uses the store that
-    :func:`_worker_init` attached to this process's image cache, if any,
-    and saves grown traces after every cell, since a worker never sees
-    the sweep end.
+    The image comes from this process's module-level cache: inherited
+    from the parent in a forked worker, linked here otherwise.  The job
+    never touches the artifact store; the process that owns the pool
+    stores every result as it settles.
     """
-
-    def __init__(self, artifacts: Optional[ArtifactCache] = None) -> None:
-        self.artifacts = artifacts
-        self.used: Dict[str, Program] = {}
-
-    def __reduce__(self) -> Tuple[type, Tuple]:
-        # Pickled for a forked worker: the parent's store stays here.
-        return (_CellRunner, ())
-
-    def __call__(
-        self,
-        spec: RunSpec,
-        instructions: int,
-        warmup: int,
-        scale: float,
-        program_key: Optional[str] = None,
-        engine_mode: Optional[str] = None,
-    ) -> SimulationResult:
-        cache = _default_cache()
-        key = program_key or program_fingerprint(
-            spec.benchmark, spec.optimized, scale
-        )
-        program = cache.get(spec.benchmark, spec.optimized, scale, key=key,
-                            artifacts=self.artifacts)
-        result = _run_cell(program, spec.benchmark, spec.optimized,
-                           spec.width, spec.arch, instructions, warmup,
-                           engine_mode=engine_mode)
-        if self.artifacts is not None:
-            self.used[key] = program
-        elif cache.artifacts is not None:
-            # Racing writers on one key are safe — writes are atomic
-            # and any saved prefix extends deterministically.
-            cache.artifacts.save_traces(program, key)
-        return result
-
-    def save_traces(self) -> None:
-        """Persist the traces that grew on the images this runner used."""
-        for key, program in self.used.items():
-            self.artifacts.save_traces(program, key)
+    program = _default_cache().get(spec.benchmark, spec.optimized, scale,
+                                   key=program_key)
+    return _run_cell(program, spec.benchmark, spec.optimized, spec.width,
+                     spec.arch, instructions, warmup,
+                     engine_mode=engine_mode)
 
 
-def prelink_images(jobs: Sequence[Job],
-                   artifacts: Optional[ArtifactCache]) -> None:
-    """Link or store-load, once each, the images that cell jobs need.
+def prelink_images(jobs: Sequence[Job]) -> None:
+    """Link, once each, the images that cell jobs need.
 
     The images land in the module-level cache of this process, so call
     it before a fork pool starts: forked workers (including ones rebuilt
-    after a crash) inherit the warm images and their stored traces and
+    after a crash) inherit the warm images and their trace records and
     never link.  A failed link only warns; the cells then link in the
     workers, where a failure goes through the pool's retries.
     """
@@ -406,8 +344,7 @@ def prelink_images(jobs: Sequence[Job],
             continue
         seen.add(key)
         try:
-            cache.get(spec.benchmark, spec.optimized, scale, key=key,
-                      artifacts=artifacts)
+            cache.get(spec.benchmark, spec.optimized, scale, key=key)
         except Exception as exc:
             warnings.warn(
                 f"repro.experiments: pre-linking "
@@ -562,10 +499,11 @@ def run_matrix(
     .ArtifactStore`, or :class:`~repro.store.cache.ArtifactCache`)
     enables the **incremental** path: each cell's result fingerprint is
     looked up first, only misses are simulated (serially or across the
-    pool), and fresh results, images and traces are written back.  The
-    returned matrix is bit-identical to a storeless run, cached cells
-    included, and ``progress`` still fires once per cell in the
-    deterministic order.
+    pool), and fresh results are written back as they settle.  Linked
+    images and trace records stay in this process, as on a storeless
+    run.  The returned matrix is bit-identical to a storeless run,
+    cached cells included, and ``progress`` still fires once per cell
+    in the deterministic order.
 
     ``fault_policy`` tunes per-cell fault handling (attempt timeout,
     retries with deterministic backoff, worker-rebuild budget — see
@@ -599,8 +537,8 @@ def run_matrix(
     replicate to them write-behind.  Peers are a shortcut exactly
     like the store itself: dead, lying or version-skewed peers cost
     at most recomputes (warn-once, circuit-broken), never a changed
-    result.  Workers keep plain local stores; all federated traffic
-    happens in this process.
+    result.  Workers never open a store; all store traffic, federated
+    or local, happens in this process.
     """
     if warmup is None:
         warmup = instructions // 3
@@ -714,18 +652,14 @@ def run_matrix(
         if jobs <= 1 or len(misses) <= 1:
             return SerialPool(policy=policy)
         if multiprocessing.get_start_method() == "fork":
-            prelink_images(cell_jobs, artifacts)
+            prelink_images(cell_jobs)
         return ForkServerPool(
             max(1, min(jobs, len(misses), os.cpu_count() or 1)),
-            initializer=_worker_init,
-            initargs=(artifacts.store.root if artifacts is not None
-                      else None,),
             policy=policy,
         )
 
     pool = local_pool() if cluster is None else \
         _fleet_pool(cluster, policy, local_pool)
-    cells = _CellRunner(artifacts)
 
     def on_completed(job: Job, result: SimulationResult) -> None:
         # Fires the moment each cell settles, so everything finished is
@@ -746,13 +680,9 @@ def run_matrix(
         advance()
 
     try:
-        pool.run(cells, cell_jobs, completed=on_completed)
+        pool.run(run_cell_job, cell_jobs, completed=on_completed)
     finally:
         if pool is not cluster:
             pool.close()
-        # Persist grown traces even when a long run fails or is
-        # interrupted mid-matrix (per-cell results above are already
-        # durable).
-        cells.save_traces()
         finish_recording()
     return out

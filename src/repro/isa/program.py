@@ -195,17 +195,18 @@ class Program:
         return meta, keys
 
     # ------------------------------------------------------------------
-    # serialization (artifact store)
+    # serialization (perfbench's program codec only; the store holds
+    # results alone)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle state for the on-disk artifact store.
+        """Pickle state, for :func:`repro.store.serialize.dump_program`.
 
         The scan cache and the memoized trace records are dropped: scans
-        rebuild on demand, and traces are stored as separate artifacts
-        keyed by walk seed (they would otherwise drag walk-context RNG
-        state into the image object).  The deterministic per-block
-        decode artifacts (``_meta`` / ``_slot_keys`` / segment plans)
-        live on the blocks and ride along, so a loaded image is warm.
+        rebuild on demand, and trace records have their own codec (they
+        would otherwise drag walk-context RNG state into the image
+        object).  The deterministic per-block decode artifacts
+        (``_meta`` / ``_slot_keys`` / segment plans) live on the blocks
+        and ride along, so a loaded image is warm.
         """
         state = self.__dict__.copy()
         state["_scan_cache"] = {}

@@ -153,10 +153,12 @@ class TraceRecord:
         self._current = lb
 
     # ------------------------------------------------------------------
-    # serialization (artifact store)
+    # serialization (perfbench's trace codec only; the store holds
+    # results alone)
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """Program-independent replay state for the on-disk store.
+        """Program-independent replay state, for
+        :func:`repro.store.serialize.dump_trace`.
 
         Captures the materialized step stream as (addr, taken, next)
         triples plus the complete walk state — RNG, outcome register,
@@ -181,12 +183,14 @@ class TraceRecord:
     def from_state(
         cls, program: Program, seed: int, state: dict
     ) -> "TraceRecord":
-        """Rebind exported state to a (freshly linked or loaded) program.
+        """Rebind exported state to a (freshly linked or loaded) program,
+        for :func:`repro.store.serialize.load_trace`.
 
         Replays the step stream through the interning emitter, so the
         rebuilt record is indistinguishable from one that walked the
         behaviours itself.  Raises on any inconsistency (wrong seed, a
-        step addressing no block) — callers treat that as a cache miss.
+        step addressing no block); ``load_trace`` reports that as an
+        ``ArtifactDecodeError``.
         """
         if state.get("seed") != seed:
             raise ValueError(

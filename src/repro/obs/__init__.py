@@ -159,9 +159,6 @@ STORE_MISSES = _R.counter(
     "repro_store_misses_total",
     "Artifact probes that missed (includes hash-verification demotions).",
     ("kind",))
-STORE_HEALS = _R.counter(
-    "repro_store_heals_total",
-    "Corrupt artifacts healed by rewriting a fresh copy.")
 STORE_WRITE_FAILURES = _R.counter(
     "repro_store_write_failures_total",
     "Store writes that failed (store degraded to recompute).")

@@ -22,11 +22,7 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict, Optional, Tuple
 
-from repro.common.net import (
-    TRANSIENT_CONNECT_ERRNOS,
-    connect_with_retries,
-    parse_hostport,
-)
+from repro.common.net import connect_with_retries, parse_hostport
 from repro.exec.policy import FaultPolicy
 from repro.serve import protocol
 
@@ -45,10 +41,6 @@ __all__ = [
 #: that accepted the connection and then hung — a cluster dispatch
 #: must always come back with *something* so the pool can redispatch.
 DEFAULT_MATRIX_TIMEOUT = 600.0
-
-#: Back-compat alias; the canonical set lives in ``repro.common.net``
-#: now that the remote-store client shares the same retry policy.
-_TRANSIENT_CONNECT_ERRNOS = TRANSIENT_CONNECT_ERRNOS
 
 
 class ServeError(Exception):

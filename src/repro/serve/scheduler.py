@@ -56,14 +56,13 @@ from repro.exec.policy import FaultPolicy, SweepError, backoff_delay
 from repro.exec.pool import ForkServerPool, Job, Pool, SerialPool
 from repro.experiments.runner import (
     RunSpec,
-    _CellRunner,
     _default_cache,
     _result_meta,
-    _worker_init,
     cell_fingerprints,
     matrix_specs,
     prelink_images,
     program_fingerprints,
+    run_cell_job,
 )
 from repro.serve.protocol import (
     CELL_DEADLINE,
@@ -439,10 +438,7 @@ class ExperimentScheduler:
                                   self._pool_strikes)
             if delay > 0:
                 time.sleep(delay)
-        self._pool = ForkServerPool(
-            self.max_workers, initializer=_worker_init,
-            initargs=(self.store_root,), policy=self.policy,
-        )
+        self._pool = ForkServerPool(self.max_workers, policy=self.policy)
         self._pool_rebuilds += 1
         self._pool_kind = "fork"
         return self._pool
@@ -479,10 +475,10 @@ class ExperimentScheduler:
         by_key = {(task.spec, task.fp): task for task in runnable}
         jobs = [Job((task.spec, task.fp), task.args,
                     fallback_args=task.fallback) for task in runnable]
-        # Freshly forked workers inherit the warm images; resident or
-        # spawned ones at least find them in the store.  The cache is
-        # module-level, so a rebuilt pool never pays linking again.
-        prelink_images(jobs, self._artifacts)
+        # Freshly forked workers inherit the warm images; resident ones
+        # link each new image at most once.  The cache is module-level,
+        # so a rebuilt pool never pays linking again.
+        prelink_images(jobs)
 
         def on_completed(job: Job, result: Any) -> None:
             task = by_key[job.key]
@@ -501,7 +497,7 @@ class ExperimentScheduler:
 
         try:
             pool = self._ensure_pool()
-            pool.run(_CellRunner(), jobs, completed=on_completed)
+            pool.run(run_cell_job, jobs, completed=on_completed)
         except SweepError as exc:
             # The pool machinery worked; these cells exhausted their
             # per-cell fault budget (retries + engine fallback).

@@ -1,12 +1,23 @@
-"""Domain-level artifact cache: programs, traces, results.
+"""Domain-level artifact cache: per-cell simulation results.
 
-:class:`ArtifactCache` is the layer ``run_matrix`` and the CLI talk to.
-It knows how the three artifact classes are fingerprinted and
-serialized, counts hits and misses per kind, and enforces the safety
-rule of the whole subsystem: **a store can only ever be a shortcut**.
-Every load path falls back to recomputation on any decode or
-verification failure, so a corrupt or stale store costs time, never
-changes a result.
+:class:`ArtifactCache` is the layer ``run_matrix``, the serve daemon
+and the CLI talk to.  It stores one artifact class, the per-cell
+:class:`~repro.core.results.SimulationResult`: Fig 8/9 and Table 3 all
+read one result matrix, so a ``fig9`` or ``table3`` after a ``fig8`` is
+all store hits.  Linked program images and their trace records are
+never stored; they live in the in-process image cache of
+:mod:`repro.experiments.runner`, which shares each image across every
+fetch engine and width of a run.
+
+The cache counts hits and misses and enforces the safety rule of the
+whole subsystem: **a store can only ever be a shortcut**.  A result
+that fails to load or verify is a miss and is recomputed, so a corrupt
+or stale store costs time, never changes a result.
+
+``prepare_program``, ``program_fingerprint`` and ``trace_fingerprint``
+are imported here but unused: the benchmark in ``perfbench/`` wraps
+them under this module's name, and fails on a missing one.  They go
+when its wrappers do.
 """
 
 from __future__ import annotations
@@ -16,70 +27,44 @@ from typing import Callable, Dict, Optional, Union
 
 from repro import obs
 from repro.core.results import SimulationResult
-from repro.isa.program import Program
-from repro.isa.workloads import (
-    DEFAULT_BASE_ADDRESS,
-    prepare_program,
-    ref_trace_seed,
-)
+from repro.isa.workloads import prepare_program  # noqa: F401
 from repro.store import serialize
-from repro.store.fingerprint import program_fingerprint, trace_fingerprint
+from repro.store.fingerprint import program_fingerprint  # noqa: F401
+from repro.store.fingerprint import trace_fingerprint  # noqa: F401
 from repro.store.serialize import ArtifactDecodeError
 from repro.store.store import ArtifactStore
 
 
 class ArtifactCache:
-    """Load-or-compute access to the store's three artifact kinds."""
+    """Load-or-recompute access to the store's per-cell results."""
 
     def __init__(self, store: Union[ArtifactStore, str]) -> None:
         if not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self.store = store
         #: Per-kind hit/miss counters (this process's accesses only).
-        self.hits: Dict[str, int] = {"program": 0, "trace": 0, "result": 0}
-        self.misses: Dict[str, int] = {"program": 0, "trace": 0, "result": 0}
-        #: Trace fingerprint -> the object id whose load failed here;
-        #: :meth:`save_traces` rewrites these (unless the key's object
-        #: *changed*, i.e. another process already healed it) so a
-        #: corrupt or undecodable trace heals on the recompute path
-        #: instead of being skipped forever on its (stale) ``n_blocks``
-        #: index metadata.
-        self._trace_load_failures: Dict[str, Optional[str]] = {}
-        #: Program fingerprints already confirmed present (or whose
-        #: write failed): :meth:`ensure_program` runs on every image
-        #: cache hit, and re-serializing a whole image per matrix cell
-        #: just to re-discover the store's state would dwarf the hit.
-        self._programs_ensured: set = set()
+        self.hits: Dict[str, int] = {"result": 0}
+        self.misses: Dict[str, int] = {"result": 0}
         self._write_failure_warned = False
-
-    def _hit(self, kind: str) -> None:
-        self.hits[kind] += 1
-        obs.STORE_HITS.inc(kind=kind)
-
-    def _miss(self, kind: str) -> None:
-        self.misses[kind] += 1
-        obs.STORE_MISSES.inc(kind=kind)
 
     def _put(
         self,
-        kind: str,
         fp: str,
         encode: Callable[[], bytes],
         meta: Optional[dict],
-    ) -> bool:
-        """Encode and store one artifact, degrading on failure.
+    ) -> None:
+        """Encode and store one result, degrading on failure.
 
         The subsystem's contract is that a store can only ever cost
         time: neither an unwritable store (full disk, read-only
-        volume) nor an unencodable artifact (an unpicklable attribute
+        volume) nor an unencodable result (an unpicklable attribute
         a future change introduces, a non-JSON meta value) may abort a
         run whose simulations already succeeded.  ``encode`` runs
         inside the guard for exactly that reason; failures are
         reported once and swallowed.
         """
         try:
-            self.store.put(kind, fp, encode(), meta=meta)
-            return True
+            self.store.put("result", fp, encode(), meta=meta)
         except Exception as exc:
             # Deliberately broad: pickling surfaces arbitrary exception
             # types (AttributeError for local objects, TypeError,
@@ -88,191 +73,16 @@ class ArtifactCache:
             # keeps genuine bugs visible.
             obs.STORE_WRITE_FAILURES.inc()
             obs.record_event(
-                "store_write_failure", kind=kind, fp=fp, error=str(exc),
+                "store_write_failure", kind="result", fp=fp, error=str(exc),
             )
             if not self._write_failure_warned:
                 self._write_failure_warned = True
                 print(
                     f"warning: artifact store {self.store.root} could not "
-                    f"store a {kind} artifact ({exc}); results are "
-                    f"unaffected but will not be cached", file=sys.stderr,
+                    f"store a result ({exc}); results are unaffected but "
+                    f"will not be cached", file=sys.stderr,
                 )
-            return False
 
-    # ------------------------------------------------------------------
-    # programs
-    # ------------------------------------------------------------------
-    def program(
-        self,
-        benchmark: str,
-        optimized: bool,
-        scale: float = 1.0,
-        base_address: int = DEFAULT_BASE_ADDRESS,
-        program_fp: Optional[str] = None,
-    ) -> Program:
-        """Load one linked image from the store, or build and store it.
-
-        Either way the image's ``ref``-trace record is preloaded from
-        the store when available, so a warm program replays its trace
-        instead of re-walking the behaviours.
-        """
-        if program_fp is None:
-            program_fp = program_fingerprint(
-                benchmark, optimized, scale, base_address
-            )
-        program: Optional[Program] = None
-        data = self.store.get("program", program_fp)
-        if data is not None:
-            try:
-                program = serialize.load_program(data)
-            except ArtifactDecodeError:
-                program = None
-        if program is not None:
-            self._hit("program")
-            self._programs_ensured.add(program_fp)
-        else:
-            self._miss("program")
-            program = prepare_program(
-                benchmark, optimized=optimized, scale=scale,
-                base_address=base_address,
-            )
-            self._put(
-                "program", program_fp,
-                lambda: serialize.dump_program(program),
-                meta={
-                    "benchmark": benchmark,
-                    "optimized": optimized,
-                    "scale": scale,
-                },
-            )
-            self._programs_ensured.add(program_fp)
-        self.load_trace(program, program_fp, ref_trace_seed(benchmark))
-        return program
-
-    def ensure_program(
-        self,
-        program: Program,
-        program_fp: str,
-        benchmark: str,
-        optimized: bool,
-        scale: float,
-    ) -> bool:
-        """Backfill the store with an already-linked image, if absent.
-
-        Covers the path where an in-process cache served the image (so
-        :meth:`program` never ran): without this, a store populated by
-        a warm process would hold results but no images, and the next
-        process would relink from scratch.
-        """
-        if program_fp in self._programs_ensured:
-            return False
-        if self.store.get_entry("program", program_fp) is not None:
-            self._programs_ensured.add(program_fp)
-            return False
-        written = self._put(
-            "program", program_fp,
-            lambda: serialize.dump_program(program),
-            meta={
-                "benchmark": benchmark,
-                "optimized": optimized,
-                "scale": scale,
-            },
-        )
-        # Recorded even on failure: _put warned once, and retrying the
-        # full image serialization per cell buys nothing.
-        self._programs_ensured.add(program_fp)
-        return written
-
-    # ------------------------------------------------------------------
-    # traces
-    # ------------------------------------------------------------------
-    def load_trace(self, program: Program, program_fp: str, seed: int) -> bool:
-        """Install the stored trace record for (program, seed), if any.
-
-        No-op when the program already memoizes a record for that seed
-        (an in-memory record is at least as long as anything stored by
-        this process).  Returns True when a stored record was installed.
-        """
-        if seed in program._trace_records:
-            return False
-        trace_fp = trace_fingerprint(program_fp, seed)
-        entry = self.store.get_entry("trace", trace_fp)
-        data = (
-            self.store._read_object(entry["object"])
-            if entry is not None else None
-        )
-        if data is not None:
-            try:
-                record = serialize.load_trace(data, program, seed)
-            except ArtifactDecodeError:
-                record = None
-            if record is not None:
-                program._trace_records[seed] = record
-                self._hit("trace")
-                return True
-            # Hash-valid bytes that do not decode: remember *which*
-            # object failed so save_traces rewrites exactly it.
-            self._trace_load_failures[trace_fp] = entry["object"]
-        elif entry is not None:
-            # An entry exists but its object is gone or rotten.  Only
-            # an entry-backed failure marks the key — a plain
-            # nothing-stored-yet miss must keep the n_blocks guard in
-            # :meth:`save_traces` armed, or a racing short-trace worker
-            # could overwrite a longer record another worker just saved.
-            self._trace_load_failures[trace_fp] = entry["object"]
-        self._miss("trace")
-        return False
-
-    def save_traces(self, program: Program, program_fp: str) -> int:
-        """Persist every trace record of ``program`` that grew beyond
-        what the store already holds; returns how many were written.
-
-        Racing writers are harmless: writes are atomic and the walk is
-        deterministic, so whichever (prefix-consistent) record wins, a
-        later loader replays it and extends from its saved walk state.
-        """
-        written = 0
-        for seed, record in program._trace_records.items():
-            n_blocks = len(record.blocks)
-            if n_blocks == 0:
-                continue
-            trace_fp = trace_fingerprint(program_fp, seed)
-            entry = self.store.get_entry("trace", trace_fp)
-            if entry is not None:
-                flagged = trace_fp in self._trace_load_failures
-                if flagged and \
-                        entry["object"] != \
-                        self._trace_load_failures[trace_fp] and \
-                        self.store._read_object(entry["object"]) is not None:
-                    # The key points at a *different*, intact object
-                    # than the one that failed here: another process
-                    # healed it since our failed load.  Fall back to
-                    # the n_blocks guard so a short record cannot
-                    # clobber their longer one.  (Same object id means
-                    # the bad bytes are still in place — hash-valid but
-                    # undecodable counts — so the rewrite proceeds.)
-                    del self._trace_load_failures[trace_fp]
-                    flagged = False
-                if not flagged:
-                    stored = entry.get("meta", {}).get("n_blocks", 0)
-                    if isinstance(stored, int) and stored >= n_blocks:
-                        continue
-            healing = trace_fp in self._trace_load_failures
-            if self._put(
-                "trace", trace_fp,
-                lambda record=record: serialize.dump_trace(record),
-                meta={"seed": seed, "n_blocks": n_blocks},
-            ):
-                if healing:
-                    obs.STORE_HEALS.inc()
-                    obs.record_event("store_heal", kind="trace", fp=trace_fp)
-                self._trace_load_failures.pop(trace_fp, None)
-                written += 1
-        return written
-
-    # ------------------------------------------------------------------
-    # results
-    # ------------------------------------------------------------------
     def result(self, result_fp: str) -> Optional[SimulationResult]:
         """The cached result for a cell fingerprint, or None."""
         data = self.store.get("result", result_fp)
@@ -282,9 +92,11 @@ class ArtifactCache:
             except ArtifactDecodeError:
                 result = None
             if result is not None:
-                self._hit("result")
+                self.hits["result"] += 1
+                obs.STORE_HITS.inc(kind="result")
                 return result
-        self._miss("result")
+        self.misses["result"] += 1
+        obs.STORE_MISSES.inc(kind="result")
         return None
 
     def put_result(
@@ -293,10 +105,7 @@ class ArtifactCache:
         result: SimulationResult,
         meta: Optional[dict] = None,
     ) -> None:
-        self._put(
-            "result", result_fp, lambda: serialize.dump_result(result),
-            meta=meta,
-        )
+        self._put(result_fp, lambda: serialize.dump_result(result), meta)
 
     def put_result_bytes(
         self,
@@ -320,7 +129,7 @@ class ArtifactCache:
             result = serialize.load_result(data)
         except ArtifactDecodeError:
             return None
-        self._put("result", result_fp, lambda: data, meta=meta)
+        self._put(result_fp, lambda: data, meta)
         return result
 
 

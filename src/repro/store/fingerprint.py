@@ -127,7 +127,10 @@ def program_fingerprint(
 
 
 def trace_fingerprint(program_fp: str, seed: int) -> str:
-    """Fingerprint of one dynamic trace: (program image, walk seed)."""
+    """Fingerprint of one dynamic trace: (program image, walk seed).
+
+    No stored artifact uses it; kept because perfbench wraps it by name.
+    """
     return fingerprint("trace", {"program": program_fp, "seed": seed})
 
 

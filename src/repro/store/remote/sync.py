@@ -28,9 +28,10 @@ from repro.store.store import ArtifactStore
 
 __all__ = ["SYNC_KINDS", "sync_with_peers"]
 
-#: The artifact kinds the cache populates (sync also covers any extra
-#: kinds found in the local index).
-SYNC_KINDS = ("program", "trace", "result")
+#: The artifact kind the cache populates.  Sync also covers any other
+#: kind found in the local index, such as entries an older checkout
+#: wrote.
+SYNC_KINDS = ("result",)
 
 
 def _local_index(store: ArtifactStore) -> Dict[str, Dict[str, str]]:

@@ -1,20 +1,19 @@
-"""(De)serialization of the three artifact classes.
+"""(De)serialization of store artifacts.
 
 Every object file is a small ASCII header (store format + artifact
 kind, so a corrupt or foreign file is rejected before any decoding)
-followed by a zlib-compressed pickle of the artifact's value state:
+followed by a zlib-compressed pickle of the artifact's value state.
+The store holds one kind:
 
-* **program** — the :class:`~repro.isa.program.Program` itself; its
-  transient caches (scan cache, memoized trace records) are dropped by
-  ``Program.__getstate__`` while the deterministic per-block decode
-  artifacts ride along, so a loaded image is immediately warm.
-* **trace** — the replay state of a :class:`~repro.isa.trace
-  .TraceRecord`: the (addr, taken, next) step stream plus the walk
-  context, *without* the program (traces are keyed to their image and
-  rebound to it at load time, re-interning the DynBlock stream).
 * **result** — the :class:`~repro.core.results.SimulationResult`
   dataclass, counters and stat dicts intact, so a cache hit is
   bit-identical to the simulation that produced it.
+
+The **program** and **trace** codecs are no longer used by the store.
+They stay, with the ``Program.__getstate__`` and
+``TraceRecord.export_state`` / ``from_state`` they call, because the
+benchmark in ``perfbench/`` wraps them by name and fails on a missing
+one.  They go when its wrappers do.
 
 Loaders raise :class:`ArtifactDecodeError` on *any* malformed input;
 callers treat that as a cache miss and recompute — a damaged store can
@@ -68,10 +67,17 @@ def loads(kind: str, data: bytes) -> Any:
 # ----------------------------------------------------------------------
 
 def dump_program(program: Program) -> bytes:
+    """Encode a linked image.  Unused by the store; kept for perfbench.
+
+    ``Program.__getstate__`` drops the transient caches (scan cache,
+    memoized trace records); the deterministic per-block decode
+    artifacts ride along, so a loaded image is immediately warm.
+    """
     return dumps("program", program)
 
 
 def load_program(data: bytes) -> Program:
+    """Decode :func:`dump_program` bytes.  Kept for perfbench."""
     program = loads("program", data)
     if not isinstance(program, Program):
         raise ArtifactDecodeError(
@@ -81,10 +87,15 @@ def load_program(data: bytes) -> Program:
 
 
 def dump_trace(record: TraceRecord) -> bytes:
+    """Encode a trace record's replay state, without its program.
+
+    Unused by the store; kept for perfbench.
+    """
     return dumps("trace", record.export_state())
 
 
 def load_trace(data: bytes, program: Program, seed: int) -> TraceRecord:
+    """Rebind :func:`dump_trace` bytes to ``program``.  Kept for perfbench."""
     state = loads("trace", data)
     try:
         return TraceRecord.from_state(program, seed, state)

@@ -10,8 +10,8 @@ serialize identically reference one object file.  All writes go through
 a temp file in the destination directory followed by ``os.replace``, so
 
 * readers never see a partially written object or index entry, and
-* when several writers race on one key — the parallel ``run_matrix``
-  workers saving the same trace — each write is complete and one wins.
+* when several writers race on one key — two sweeps on one store
+  saving the same result — each write is complete and one wins.
 
 Reads are paranoid: an index entry that fails to parse, references a
 missing object, or references an object whose bytes no longer hash to
@@ -244,8 +244,8 @@ class ArtifactStore:
 
         Validates every field consumers touch — parseable-but-malformed
         entries (a null size, a non-dict meta) must degrade to a miss
-        like any other corruption, not crash ``stats`` or a worker's
-        trace save mid-run.
+        like any other corruption, not crash ``stats`` or a sweep
+        mid-run.
         """
         try:
             with open(self._index_path(kind, fp), "rb") as fh:

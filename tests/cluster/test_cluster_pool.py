@@ -238,7 +238,7 @@ def test_run_matrix_cluster_ingests_wire_bytes_into_store(
     """run_matrix(cluster=...) end to end against in-process 'nodes'
     that really simulate: results bit-identical and the client store
     holds the daemon's exact bytes (all hits on the next run)."""
-    from repro.experiments.runner import _CellRunner
+    from repro.experiments.runner import run_cell_job
     from repro.store.cache import ArtifactCache
 
     class ServingClient(FakeClient):
@@ -246,7 +246,7 @@ def test_run_matrix_cluster_ingests_wire_bytes_into_store(
             self.queries.append(query)
             spec = RunSpec(query.archs[0], query.benchmarks[0],
                            query.widths[0], query.layouts[0])
-            result = _CellRunner()(
+            result = run_cell_job(
                 spec, query.instructions, query.warmup, query.scale,
                 None, query.engine_mode,
             )
@@ -286,7 +286,7 @@ def test_dead_fleet_fallback_stores_what_a_local_run_stores(
         tmp_path, monkeypatch, jobs):
     """With every node unreachable the sweep finishes on the pool a
     local run picks (serial for jobs=1, forked for jobs=2), and leaves
-    the same program, trace and result entries in the store."""
+    the same result entries in the store."""
     from repro.serve.__main__ import free_port
     from repro.store.store import ArtifactStore
 
@@ -305,4 +305,4 @@ def test_dead_fleet_fallback_stores_what_a_local_run_stores(
     assert out.results == base.results
     assert _index(fleet) == _index(local)
     assert {kind: len(fps) for kind, fps in _index(fleet).items()} == \
-        {"program": 1, "trace": 1, "result": 2}
+        {"result": 2}

@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from repro.exec import FaultPolicy, FaultSpec, faults
+from repro.exec import FaultSpec, faults
 from repro.exec.faults import FAULTS_ENV, encode_plan
 from repro.experiments.runner import run_matrix
 from repro.store.store import ArtifactStore
@@ -76,33 +76,8 @@ def test_sigkill_before_index_replace_is_a_clean_miss(tmp_path):
     assert store.get("result", FP) == b"payload"
 
 
-def _baseline():
-    return run_matrix(**KW)
-
-
-@pytest.mark.faults(timeout=300)
-def test_forked_worker_killed_during_trace_write(tmp_path):
-    # The worker dies between a trace's temp write and its replace; the
-    # parent pool re-dispatches the lost cell to a rebuilt worker.  The
-    # token file guarantees the replacement is not killed again.
-    baseline = _baseline()
-    token = str(tmp_path / "claim.token")
-    root = str(tmp_path / "store")
-    with faults.active_plan(
-        FaultSpec("store_kill", match="trace/", token=token)
-    ):
-        got = run_matrix(**KW, jobs=2, store=root,
-                         fault_policy=FaultPolicy(retries=2, backoff=0.0))
-    assert got.results == baseline.results
-    assert os.path.exists(token), "fault never fired: test proved nothing"
-    # The replacement worker healed the torn trace write.
-    store = ArtifactStore(root)
-    kinds = {kind for kind, _fp, _e in store.iter_index()}
-    assert "trace" in kinds and "result" in kinds
-
-
 def test_unwritable_store_warns_once_and_runs_storeless(tmp_path):
-    baseline = _baseline()
+    baseline = run_matrix(**KW)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
     root = str(blocker / "store")  # mkdir fails under a regular file

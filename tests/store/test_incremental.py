@@ -3,8 +3,11 @@
 The store is a shortcut, never an approximation: a warm run must return
 a RunMatrixResult identical to the cold/serial path (all counters, all
 stat dicts), skip simulation for cached cells, and fall back to
-recomputation — never a wrong result — when the store is damaged.
+recomputation — never a wrong result — when the store is damaged.  It
+holds results only: images are linked in the process that needs them.
 """
+
+import os
 
 from helpers import result_digest
 
@@ -13,9 +16,9 @@ import pytest
 import repro.experiments.runner as runner_mod
 from repro.experiments.runner import ProgramCache, run_matrix
 from repro.isa.trace import TraceRecord
-from repro.isa.workloads import prepare_program, ref_trace_seed
+from repro.isa.workloads import ref_trace_seed
 from repro.store import ArtifactCache, ArtifactStore, serialize
-from repro.store.fingerprint import program_fingerprint, trace_fingerprint
+from repro.store.fingerprint import program_fingerprint
 
 BENCHES = ("gzip",)
 KWARGS = dict(widths=(8,), instructions=8_000, warmup=2_000, scale=0.3)
@@ -47,6 +50,21 @@ def counted_run_cell(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(runner_mod, "_run_cell", counting)
+    return calls
+
+
+@pytest.fixture
+def counted_links(monkeypatch):
+    """Counts image links, starting from an empty in-process cache."""
+    calls = []
+    original = runner_mod.prepare_program
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "prepare_program", counting)
+    monkeypatch.setattr(runner_mod, "_WORKER_CACHE", None)
     return calls
 
 
@@ -148,43 +166,6 @@ class TestCorruptionFallback:
         assert matrices_identical(reference_matrix, warm)
         assert len(counted_run_cell) == before + N_CELLS
 
-    def test_corrupt_program_recomputes_correctly(self, tmp_path,
-                                                  monkeypatch):
-        store_root = str(tmp_path / "store")
-        run_matrix(BENCHES, **KWARGS, store=store_root)
-        store = ArtifactStore(store_root)
-        for kind, fp, entry in store.iter_index():
-            if kind == "program":
-                path = store._object_path(entry["object"])
-                with open(path, "r+b") as fh:
-                    fh.seek(30)
-                    fh.write(b"XXXX")
-        # Fresh in-process cache, so the warm run actually reads (and
-        # rejects) the corrupt image; a changed budget forces the
-        # result cache to miss so the image is really needed.
-        monkeypatch.setattr(runner_mod, "_WORKER_CACHE", None)
-        changed = dict(KWARGS, instructions=10_000)
-        ref = run_matrix(BENCHES, **changed)
-        monkeypatch.setattr(runner_mod, "_WORKER_CACHE", None)
-        warm = run_matrix(BENCHES, **changed, store=store_root)
-        assert matrices_identical(ref, warm)
-
-    def test_corrupt_trace_recomputes_correctly(self, tmp_path, monkeypatch):
-        store_root = str(tmp_path / "store")
-        run_matrix(BENCHES, **KWARGS, store=store_root)
-        store = ArtifactStore(store_root)
-        for kind, fp, entry in store.iter_index():
-            if kind == "trace":
-                path = store._object_path(entry["object"])
-                with open(path, "wb") as fh:
-                    fh.write(b"not a trace")
-        monkeypatch.setattr(runner_mod, "_WORKER_CACHE", None)
-        changed = dict(KWARGS, instructions=10_000)
-        ref = run_matrix(BENCHES, **changed)
-        monkeypatch.setattr(runner_mod, "_WORKER_CACHE", None)
-        warm = run_matrix(BENCHES, **changed, store=store_root)
-        assert matrices_identical(ref, warm)
-
 
 class TestTraceArtifacts:
     def test_loaded_trace_extends_bit_identically(self, gzip_programs):
@@ -218,80 +199,6 @@ class TestTraceArtifacts:
         data = serialize.dump_trace(record)
         with pytest.raises(serialize.ArtifactDecodeError):
             serialize.load_trace(data, program, 456)
-
-    def test_corrupt_trace_object_heals_on_resave(self, tmp_path,
-                                                  gzip_programs):
-        """A rotted trace object must be rewritten by the process that
-        paid the re-walk — not skipped forever on its stale n_blocks
-        index metadata."""
-        _, program = gzip_programs
-        seed = ref_trace_seed("gzip")
-        fp = program_fingerprint("gzip", True, 0.4)
-        root = str(tmp_path / "store")
-        writer = ArtifactCache(root)
-        image = serialize.load_program(serialize.dump_program(program))
-        record = TraceRecord(image, seed)
-        record.extend()
-        image._trace_records[seed] = record
-        assert writer.save_traces(image, fp) == 1
-        # Rot the object bytes; the index entry (with n_blocks) survives.
-        entry = writer.store.get_entry("trace", trace_fingerprint(fp, seed))
-        with open(writer.store._object_path(entry["object"]), "wb") as fh:
-            fh.write(b"rot")
-        # A fresh process: load misses, re-walks, and the save heals.
-        reader = ArtifactCache(root)
-        fresh = serialize.load_program(serialize.dump_program(program))
-        assert reader.load_trace(fresh, fp, seed) is False
-        rewalked = TraceRecord(fresh, seed)
-        rewalked.extend()
-        fresh._trace_records[seed] = rewalked
-        assert reader.save_traces(fresh, fp) == 1
-        # The store is intact again for the next process.
-        final = ArtifactCache(root)
-        check = serialize.load_program(serialize.dump_program(program))
-        assert final.load_trace(check, fp, seed) is True
-
-    def test_undecodable_trace_object_heals_on_resave(self, tmp_path,
-                                                      gzip_programs):
-        """Hash-valid bytes that fail to decode must also heal: the
-        heal check compares object ids, not mere readability."""
-        _, program = gzip_programs
-        seed = ref_trace_seed("gzip")
-        fp = program_fingerprint("gzip", True, 0.4)
-        cache = ArtifactCache(str(tmp_path / "store"))
-        # Hash-valid (content-addressed) but undecodable object, with
-        # index meta claiming a long stored trace.
-        cache.store.put("trace", trace_fingerprint(fp, seed),
-                        b"not a trace artifact",
-                        meta={"seed": seed, "n_blocks": 10**9})
-        image = serialize.load_program(serialize.dump_program(program))
-        assert cache.load_trace(image, fp, seed) is False
-        record = TraceRecord(image, seed)
-        record.extend()
-        image._trace_records[seed] = record
-        assert cache.save_traces(image, fp) == 1
-        fresh = ArtifactCache(cache.store.root)
-        check = serialize.load_program(serialize.dump_program(program))
-        assert fresh.load_trace(check, fp, seed) is True
-
-    def test_save_traces_persists_longest(self, tmp_path, gzip_programs):
-        _, program = gzip_programs
-        fresh = serialize.load_program(serialize.dump_program(program))
-        cache = ArtifactCache(str(tmp_path / "store"))
-        fp = program_fingerprint("gzip", True, 0.4)
-        seed = ref_trace_seed("gzip")
-        record = TraceRecord(fresh, seed)
-        fresh._trace_records[seed] = record
-        record.extend()
-        assert cache.save_traces(fresh, fp) == 1
-        # Unchanged record: nothing new to write.
-        assert cache.save_traces(fresh, fp) == 0
-        # Grown record: rewritten.
-        record.extend()
-        assert cache.save_traces(fresh, fp) == 1
-        entry = cache.store.get_entry("trace", trace_fingerprint(fp, seed))
-        assert entry["meta"]["n_blocks"] == len(record.blocks)
-
 
 class TestWriteDegradation:
     def test_unencodable_meta_warns_and_continues(self, tmp_path, capsys):
@@ -335,17 +242,68 @@ class TestProgramCacheKeying:
         b = cache.get("gzip", True, 0.35)
         assert b is not a
 
-    def test_store_backed_cache_loads_from_disk(self, tmp_path):
-        root = str(tmp_path / "store")
-        # Populate from one cache...
-        ArtifactCache(root).program("gzip", True, 0.3)
-        # ...load from another, through a ProgramCache.
-        artifacts = ArtifactCache(root)
-        cache = ProgramCache(artifacts=artifacts)
-        program = cache.get("gzip", True, 0.3)
-        assert artifacts.hits["program"] == 1
-        reference = prepare_program("gzip", optimized=True, scale=0.3)
-        assert [lb.addr for lb in program.linear_blocks] == \
-            [lb.addr for lb in reference.linear_blocks]
-        assert [lb.size for lb in program.linear_blocks] == \
-            [lb.size for lb in reference.linear_blocks]
+
+class TestResultsOnly:
+    """The store holds results only; images live in the linking process."""
+
+    def test_cold_stores_results_warm_links_nothing(
+            self, tmp_path, reference_matrix, counted_run_cell,
+            counted_links, monkeypatch):
+        store = str(tmp_path / "store")
+        cold = run_matrix(BENCHES, **KWARGS, store=store)
+        assert matrices_identical(reference_matrix, cold)
+        kinds = {kind for kind, _fp, _e in ArtifactStore(store).iter_index()}
+        assert kinds == {"result"}
+        assert len(counted_links) == 2  # one per (benchmark, layout) image
+        # A fresh process: every cell is a hit, so nothing is linked.
+        monkeypatch.setattr(runner_mod, "_WORKER_CACHE", None)
+        warm = run_matrix(BENCHES, **KWARGS, store=store)
+        assert matrices_identical(reference_matrix, warm)
+        assert len(counted_links) == 2
+        assert len(counted_run_cell) == N_CELLS
+
+    def test_partially_warm_rerun_relinks_bit_identically(
+            self, tmp_path, counted_run_cell, counted_links, monkeypatch):
+        store = str(tmp_path / "store")
+        run_matrix(BENCHES, **KWARGS, store=store)
+        wider = dict(KWARGS, widths=(4, 8))
+        monkeypatch.setattr(runner_mod, "_WORKER_CACHE", None)
+        reference = run_matrix(BENCHES, **wider)
+        # A fresh process adds width 4: only its cells simulate, and
+        # both images are linked again to run them.
+        monkeypatch.setattr(runner_mod, "_WORKER_CACHE", None)
+        links, cells = len(counted_links), len(counted_run_cell)
+        partial = run_matrix(BENCHES, **wider, store=store)
+        assert matrices_identical(reference, partial)
+        assert len(counted_links) - links == 2
+        assert len(counted_run_cell) - cells == N_CELLS
+
+    def test_forked_workers_never_open_the_store(
+            self, tmp_path, reference_matrix, monkeypatch):
+        """Pool workers start with no store attached: the parent
+        stores every result as it settles, and nothing else."""
+        puts = tmp_path / "puts.log"
+        cells = tmp_path / "cells.log"
+        put = ArtifactStore.put
+        run_cell = runner_mod._run_cell
+
+        def logged_put(self, kind, fp, data, meta=None):
+            with open(puts, "a") as fh:
+                fh.write(f"{os.getpid()} {kind}\n")
+            return put(self, kind, fp, data, meta)
+
+        def logged_run_cell(*args, **kwargs):
+            with open(cells, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return run_cell(*args, **kwargs)
+
+        # Patched before the pool forks, so workers inherit both.
+        monkeypatch.setattr(ArtifactStore, "put", logged_put)
+        monkeypatch.setattr(runner_mod, "_run_cell", logged_run_cell)
+        out = run_matrix(BENCHES, **KWARGS, store=str(tmp_path / "store"),
+                         jobs=2)
+        assert matrices_identical(reference_matrix, out)
+        parent = str(os.getpid())
+        assert parent not in cells.read_text().split()
+        writes = [line.split() for line in puts.read_text().splitlines()]
+        assert writes == [[parent, "result"]] * N_CELLS

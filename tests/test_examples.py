@@ -13,10 +13,13 @@ EXAMPLES = os.path.join(
 )
 
 
-@pytest.mark.parametrize("script", ["quickstart.py", "serve_client.py"])
-def test_example_runs(script):
+@pytest.mark.parametrize(
+    "script", ["quickstart.py", "serve_client.py", "cached_matrix.py"])
+def test_example_runs(script, tmp_path):
+    # cached_matrix.py takes its store directory: keep it out of the repo.
+    args = [str(tmp_path / "store")] if script == "cached_matrix.py" else []
     proc = subprocess.run(
-        [sys.executable, os.path.join(EXAMPLES, script)],
+        [sys.executable, os.path.join(EXAMPLES, script), *args],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
