@@ -38,12 +38,15 @@ def sweep(pool: ClusterPool, label: str, base) -> None:
     t0 = time.perf_counter()
     out = run_matrix(cluster=pool, **MATRIX)
     dt = time.perf_counter() - t0
-    ok = "bit-identical" if out.results == base.results else "DIVERGED!"
+    identical = out.results == base.results
+    ok = "bit-identical" if identical else "DIVERGED!"
     print(f"{label}: {len(out.results)} cells in {dt:5.2f}s ({ok})")
     for worker in pool.worker_stats()["workers"]:
         print(f"  {worker['node']:>21}  {worker['state']:>9}  "
               f"completed {worker['completed']}  "
               f"breaker trips {worker['breaker_trips']}")
+    if not identical:
+        sys.exit(1)
 
 
 def main() -> None:

@@ -39,7 +39,8 @@ def sweep(daemon: _Daemon, label: str, base) -> None:
     t0 = time.perf_counter()
     out = run_matrix(cluster=[daemon.address], **MATRIX)
     dt = time.perf_counter() - t0
-    ok = "bit-identical" if out.results == base.results else "DIVERGED!"
+    identical = out.results == base.results
+    ok = "bit-identical" if identical else "DIVERGED!"
     status = daemon.client.status()
     line = (f"{label}: {len(out.results)} cells in {dt:5.2f}s "
             f"({ok}); simulated {status['cells']['computed']}")
@@ -49,6 +50,8 @@ def sweep(daemon: _Daemon, label: str, base) -> None:
         line += (f", peer {peer['peer']} [{peer['state']}] "
                  f"hits {peer['hits']} errors {peer['errors']}")
     print(line)
+    if not identical:
+        sys.exit(1)
 
 
 def main() -> None:

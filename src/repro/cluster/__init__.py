@@ -15,10 +15,11 @@ The moving parts:
 * :class:`~repro.cluster.pool.ClusterPool` — dispatch, redispatch on
   node death, deadline propagation, and the graceful-degradation
   ladder down to a local pool when the whole fleet is unreachable.
-* ``python -m repro.cluster selftest`` — end-to-end failure scenarios
-  (node SIGKILL mid-sweep, partition-then-heal, all-nodes-down,
-  slow-node redispatch), each asserted bit-identical to a local
-  baseline.
+
+The fault drills in ``tests/cluster/test_cluster_drills.py`` run the
+end-to-end failure scenarios (node SIGKILL mid-sweep,
+partition-then-heal, slow-node redispatch) against real daemons, each
+asserted bit-identical to a local baseline.
 
 Entry points: ``run_matrix(..., cluster="host:port,host:port")`` or
 the experiments CLI's ``--cluster`` flag.

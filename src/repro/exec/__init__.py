@@ -6,8 +6,8 @@ backend, a per-cell :class:`~repro.exec.policy.FaultPolicy` (timeouts,
 bounded retries with deterministic backoff, crash rebuilds, graceful
 degradation), store-journaled sweep checkpoints for interrupt/resume
 (:mod:`repro.exec.journal`), and a deterministic fault-injection
-harness (:mod:`repro.exec.faults`) that the test suite and
-``python -m repro.exec selftest`` use to prove all of it keeps results
+harness (:mod:`repro.exec.faults`) that the test suite's fault drills
+(``pytest -m faults``) use to prove all of it keeps results
 bit-identical.
 
 See benchmarks/README.md ("Resilience") for the user-facing knobs.

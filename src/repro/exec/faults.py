@@ -1,6 +1,6 @@
 """Deterministic fault injection for the sweep-execution subsystem.
 
-The test suite (and ``python -m repro.exec selftest``) needs to prove
+The test suite's fault drills (``pytest -m faults``) need to prove
 that a sweep survives worker SIGKILLs, hangs, transient exceptions and
 store I/O errors *with bit-identical results* — which requires faults
 that strike at chosen cells, a chosen number of times, reproducibly.

@@ -17,8 +17,9 @@ into a resident service:
   is stored and journaled before any client sees it, so a SIGKILLed
   daemon restarts and re-simulates only what is missing.
 
-``python -m repro.serve selftest`` drives those claims end to end
-against a real daemon subprocess under injected faults.
+The fault drills in ``tests/serve/test_daemon.py`` (``pytest -m
+faults``) drive those claims end to end against real daemon
+subprocesses under injected faults.
 """
 
 from repro.serve.client import (

@@ -73,7 +73,13 @@ class _Handler(socketserver.StreamRequestHandler):
                     protocol.ERROR_INTERNAL,
                     f"{type(exc).__name__}: {exc}",
                 )
-            if not self._respond(response):
+            written = self._respond(response)
+            if response.get("op") == "drain":
+                # Only after the reply is written: an idle daemon
+                # drains at once and its process may exit, killing
+                # this (daemon) handler thread mid-write.
+                self.server.begin_drain()
+            if not written:
                 return
 
     def _respond(self, response: Dict[str, Any]) -> bool:
@@ -126,7 +132,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
                     "content_type": obs.PROMETHEUS_CONTENT_TYPE,
                     "text": obs.render_prometheus()}
         if op == "drain":
-            self.begin_drain()
+            # The handler begins the drain once this reply is written.
             return {"ok": True, "op": "drain", "draining": True}
         if op == "matrix":
             started = time.perf_counter()
@@ -170,8 +176,9 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     def begin_drain(self) -> None:
         """Stop admission now; finish queued work; then stop serving.
 
-        Idempotent.  The heavy lifting runs on a helper thread so the
-        requesting connection still gets its acknowledgement.
+        Idempotent.  The heavy lifting runs on a helper thread, so a
+        caller never blocks on queued work.  The ``drain`` op calls
+        this only after its acknowledgement is written.
         """
         if self._drain_started.is_set():
             return

@@ -35,10 +35,11 @@ Version skew is detected, not suffered: every store op carries the
 peer running different code answers ``version_skew`` and is ignored
 after one warning instead of mixing incompatible artifacts.
 
-``python -m repro.store.remote selftest`` drills the failure matrix
-(peer SIGKILL mid-get, garbage payloads, partition-then-heal, skewed
-versions, all-peers-down) and asserts bit-identical results against
-a local-only baseline.
+The fault drills in ``tests/store/test_remote_drills.py`` cover the
+failure matrix (peer SIGKILL mid-get, garbage payloads,
+partition-then-heal, skewed versions, all-peers-down, fleet
+read-through) and assert bit-identical results against a local-only
+baseline.
 """
 
 from __future__ import annotations

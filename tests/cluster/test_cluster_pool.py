@@ -2,8 +2,8 @@
 
 Driven through fake clients (no sockets, no subprocesses): every
 failure path is scripted, so each test pins one piece of the pool's
-contract.  The end-to-end daemon scenarios live in
-``python -m repro.cluster selftest`` (see test_selftest.py).
+contract.  The drills against real daemon subprocesses live in
+``test_cluster_drills.py``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 
 import pytest
+from helpers import free_port
 
 from repro.cluster.health import DEAD, HEALTHY, SUSPECT, HealthPolicy
 from repro.cluster.pool import ClusterPool
@@ -287,7 +288,6 @@ def test_dead_fleet_fallback_stores_what_a_local_run_stores(
     """With every node unreachable the sweep finishes on the pool a
     local run picks (serial for jobs=1, forked for jobs=2), and leaves
     the same result entries in the store."""
-    from repro.serve.__main__ import free_port
     from repro.store.store import ArtifactStore
 
     # The pool run_matrix builds gives up on the dead node at once: this

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import sys
@@ -10,14 +11,16 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from helpers import build_tiny_cfg  # noqa: E402
+from helpers import DRILL_MATRIX, build_tiny_cfg  # noqa: E402
 
 from repro.common.params import default_machine  # noqa: E402
 from repro.exec import faults as _faults  # noqa: E402
+from repro.experiments.runner import run_matrix  # noqa: E402
 from repro.isa.layout import natural_order  # noqa: E402
 from repro.isa.program import link  # noqa: E402
 from repro.isa.workloads import prepare_program  # noqa: E402
 from repro.memory.hierarchy import MemoryHierarchy  # noqa: E402
+from repro.serve.__main__ import _Daemon  # noqa: E402
 
 
 def pytest_configure(config):
@@ -89,6 +92,26 @@ def _faults_watchdog(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def drill_baseline():
+    """``DRILL_MATRIX`` run fault-free in-process: every drill on that
+    matrix must return these results bit for bit."""
+    return run_matrix(**DRILL_MATRIX)
+
+
+@pytest.fixture
+def fleet():
+    """Boot ``python -m repro.serve`` daemon subprocesses for a drill.
+
+    ``fleet(store, *argv, faults=plan, port=0)`` returns a running
+    ``_Daemon``.  Teardown SIGKILLs the process group of every daemon
+    still alive, pool workers included, so a failing drill leaks none.
+    """
+    with contextlib.ExitStack() as daemons:
+        yield lambda *args, **kwargs: daemons.enter_context(
+            _Daemon(*args, **kwargs))
 
 
 @pytest.fixture

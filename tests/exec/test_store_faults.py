@@ -1,5 +1,6 @@
 """Store integrity under injected faults: torn writes degrade to clean
-misses, unwritable stores degrade to storeless runs."""
+misses, unwritable stores degrade to storeless runs, and write errors
+cost caching, never results."""
 
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ import time
 import warnings
 
 import pytest
+from helpers import DRILL_MATRIX
 
-from repro.exec import FaultSpec, faults
-from repro.exec.faults import FAULTS_ENV, encode_plan
+from repro.exec import FaultPolicy, FaultSpec, faults
+from repro.exec.faults import FAULTS_ENV, active_plan, encode_plan
 from repro.experiments.runner import run_matrix
 from repro.store.store import ArtifactStore
 
@@ -96,3 +98,13 @@ def test_unwritable_store_warns_once_and_runs_storeless(tmp_path):
         again = run_matrix(**KW, store=root)
     assert again.results == baseline.results
     assert [w for w in caught if "not writable" in str(w.message)] == []
+
+
+@pytest.mark.faults(timeout=120)
+def test_store_io_errors_cost_caching_not_results(tmp_path, drill_baseline):
+    with active_plan(FaultSpec("store_err", match="result", times=2)):
+        got = run_matrix(**DRILL_MATRIX, store=str(tmp_path),
+                         fault_policy=FaultPolicy(retries=2, backoff=0.0))
+    assert got.results == drill_baseline.results
+    # Both result writes failed: nothing was cached.
+    assert list(ArtifactStore(str(tmp_path)).iter_index()) == []

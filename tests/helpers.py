@@ -3,10 +3,76 @@
 from __future__ import annotations
 
 import dataclasses
+import socket
+import struct
+import threading
 
+from repro.cluster.pool import ClusterPool
 from repro.common.types import BranchKind
+from repro.experiments.runner import run_matrix
 from repro.isa.behavior import Bernoulli, LoopTrip
 from repro.isa.cfg import ControlFlowGraph, IlpProfile
+
+#: The fault drills' matrix: two cells, so a fault plan can target one
+#: of them ("ev8", by job key or wire-frame substring) while the other
+#: ("stream") shows that unaffected work survives.
+DRILL_MATRIX = dict(
+    benchmarks=("gzip",),
+    widths=(8,),
+    archs=("stream", "ev8"),
+    layouts=(True,),
+    instructions=3000,
+    warmup=1000,
+    scale=0.3,
+)
+
+
+def free_port(host: str = "127.0.0.1") -> int:
+    """Reserve an OS-assigned port and release it at once.
+
+    Nothing listens there afterwards, so it is a dead address, and a
+    daemon booted on it has an address known before it boots (a fault
+    plan that partitions one node has to name it).
+    """
+    with socket.socket() as sock:
+        sock.bind((host, 0))
+        return sock.getsockname()[1]
+
+
+def serve_once(payload: bytes, rst: bool = False) -> int:
+    """One-shot server: accept, read the request line, answer
+    ``payload`` verbatim, close (with an RST instead of a FIN when
+    ``rst``).  Returns the port."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    port = server.getsockname()[1]
+
+    def run() -> None:
+        conn, _ = server.accept()
+        try:
+            conn.makefile("rb").readline()
+            if payload:
+                conn.sendall(payload)
+            if rst:
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+        finally:
+            conn.close()
+            server.close()
+
+    threading.Thread(target=run, daemon=True).start()
+    return port
+
+
+def daemon_sweep(daemon):
+    """``DRILL_MATRIX`` through ``run_matrix(cluster=...)`` on one
+    daemon, which must answer every cell itself (no local fallback)."""
+    pool = ClusterPool([daemon.address])
+    out = run_matrix(cluster=pool, **DRILL_MATRIX)
+    assert not pool.degraded_local, \
+        f"daemon at {daemon.address} never answered; the sweep ran locally"
+    return out
 
 
 def result_digest(result) -> dict:

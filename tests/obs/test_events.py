@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import threading
 
 from repro import obs
 from repro.obs.events import FlightRecorder, read_events, tail_events
@@ -116,3 +118,33 @@ def test_sweep_recorder_honors_env(tmp_path, monkeypatch):
         assert rec in obs.attached_recorders()
     finally:
         obs.detach(rec)
+
+
+def test_forked_child_records_while_a_parent_thread_holds_the_lock(tmp_path):
+    """fork() copies a lock another thread holds as held, with no owner
+    in the child to release it; the serve daemon forks pool workers
+    while its handler threads record events."""
+    rec = FlightRecorder(str(tmp_path / "r.events"))
+    held, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with rec._lock:
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert held.wait(30)
+    child = multiprocessing.get_context("fork").Process(
+        target=rec.record, args=(_ev(0),))
+    try:
+        child.start()
+    finally:
+        release.set()
+        holder.join(30)
+    child.join(10)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+    assert [e["n"] for e in read_events(str(tmp_path / "r.events"))] == [0]

@@ -11,11 +11,10 @@ from __future__ import annotations
 import errno
 import io
 import socket
-import struct
-import threading
 import time
 
 import pytest
+from helpers import free_port, serve_once
 
 from repro.exec.faults import FaultSpec, active_plan
 from repro.exec.policy import backoff_delay
@@ -28,46 +27,11 @@ from repro.serve.client import (
 )
 
 
-def _dead_port() -> int:
-    """A port nothing listens on (bind-then-close reserves a dead one)."""
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
-
-
-def _serve_once(payload: bytes, rst: bool = False) -> int:
-    """One-shot server: accept, read the request line, answer
-    ``payload`` verbatim, close (with an RST instead of a FIN when
-    ``rst``).  Returns the port."""
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    port = server.getsockname()[1]
-
-    def run() -> None:
-        conn, _ = server.accept()
-        try:
-            conn.makefile("rb").readline()
-            if payload:
-                conn.sendall(payload)
-            if rst:
-                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                                struct.pack("ii", 1, 0))
-        finally:
-            conn.close()
-            server.close()
-
-    threading.Thread(target=run, daemon=True).start()
-    return port
-
-
 # ----------------------------------------------------------------------
 # connect-phase failures
 # ----------------------------------------------------------------------
 def test_refused_is_unavailable_without_retries():
-    client = ServeClient("127.0.0.1", _dead_port(), connect_retries=0)
+    client = ServeClient("127.0.0.1", free_port(), connect_retries=0)
     with pytest.raises(ServeUnavailable, match="no serve daemon"):
         client.ping()
 
@@ -113,7 +77,7 @@ def test_non_transient_connect_errors_fail_fast(monkeypatch):
 # response-phase failures (real sockets, one-shot servers)
 # ----------------------------------------------------------------------
 def test_hangup_before_response_is_unavailable():
-    port = _serve_once(b"")
+    port = serve_once(b"")
     client = ServeClient("127.0.0.1", port, connect_retries=0)
     with pytest.raises(ServeUnavailable, match="hung up"):
         client.request({"op": "ping"}, timeout=10)
@@ -122,7 +86,7 @@ def test_hangup_before_response_is_unavailable():
 def test_reset_mid_frame_is_unavailable():
     # Half a frame, then an RST: readline blocks on the missing
     # newline until the reset surfaces as a typed error, not a hang.
-    port = _serve_once(b'{"ok": tru', rst=True)
+    port = serve_once(b'{"ok": tru', rst=True)
     client = ServeClient("127.0.0.1", port, connect_retries=0)
     with pytest.raises(ServeUnavailable, match="failed"):
         client.request({"op": "ping"}, timeout=10)
@@ -130,14 +94,14 @@ def test_reset_mid_frame_is_unavailable():
 
 def test_truncated_frame_is_typed_error():
     # Half a frame then a clean FIN: an undecodable line, not a hang.
-    port = _serve_once(b'{"ok": tru')
+    port = serve_once(b'{"ok": tru')
     client = ServeClient("127.0.0.1", port, connect_retries=0)
     with pytest.raises(ServeError, match="bad response"):
         client.request({"op": "ping"}, timeout=10)
 
 
 def test_garbage_frame_is_typed_error():
-    port = _serve_once(b"\xfe\xed not json at all\xff\n")
+    port = serve_once(b"\xfe\xed not json at all\xff\n")
     client = ServeClient("127.0.0.1", port, connect_retries=0)
     with pytest.raises(ServeError, match="bad response"):
         client.request({"op": "ping"}, timeout=10)
@@ -146,7 +110,7 @@ def test_garbage_frame_is_typed_error():
 def test_oversized_frame_is_typed_error(monkeypatch):
     monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 64)
     payload = b'{"ok": true, "pad": "' + b"x" * 200 + b'"}\n'
-    port = _serve_once(payload)
+    port = serve_once(payload)
     client = ServeClient("127.0.0.1", port, connect_retries=0)
     with pytest.raises(ServeError, match="bad response"):
         client.request({"op": "ping"}, timeout=10)
@@ -156,7 +120,7 @@ def test_oversized_frame_is_typed_error(monkeypatch):
 # injected net_* faults drive the same taxonomy
 # ----------------------------------------------------------------------
 def test_net_refuse_fault_maps_to_unavailable():
-    port = _serve_once(b'{"ok": true}\n')
+    port = serve_once(b'{"ok": true}\n')
     client = ServeClient("127.0.0.1", port, connect_retries=0)
     with active_plan(FaultSpec("net_refuse", match=client.address,
                                times=1)):

@@ -12,11 +12,10 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import socket
-import threading
 from types import SimpleNamespace
 
 import pytest
+from helpers import free_port, serve_once
 
 from repro.cluster.health import DEAD, HEALTHY, HealthPolicy
 from repro.exec.faults import FaultSpec, active_plan
@@ -46,14 +45,6 @@ FAST_HEALTH = HealthPolicy(
 )
 
 
-def _dead_port() -> int:
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
-
-
 def _tear_object(store: ArtifactStore, kind: str, fp: str) -> None:
     """Truncate the object file behind an index entry."""
     entry = store.get_entry(kind, fp)
@@ -62,29 +53,6 @@ def _tear_object(store: ArtifactStore, kind: str, fp: str) -> None:
         data = fh.read()
     with open(path, "wb") as fh:
         fh.write(data[: len(data) // 2])
-
-
-def _serve_canned(response: dict) -> int:
-    """One-shot peer: accept, read the request line, answer
-    ``response`` as one frame, close.  Returns the port."""
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    port = server.getsockname()[1]
-
-    def run() -> None:
-        conn, _ = server.accept()
-        try:
-            with conn.makefile("rwb") as stream:
-                stream.readline()
-                stream.write(json.dumps(response).encode() + b"\n")
-                stream.flush()
-        finally:
-            conn.close()
-            server.close()
-
-    threading.Thread(target=run, daemon=True).start()
-    return port
 
 
 @pytest.fixture
@@ -251,7 +219,7 @@ class TestClientServer:
                 client.get("result", FP)
 
     def test_refused_connection_is_transport(self):
-        client = RemoteStoreClient(f"127.0.0.1:{_dead_port()}",
+        client = RemoteStoreClient(f"127.0.0.1:{free_port()}",
                                    connect_retries=0)
         with pytest.raises(RemoteStoreError, match="no store peer"):
             client.get("result", FP)
@@ -272,22 +240,22 @@ class TestClientServer:
         # A peer that serves bytes which do not hash to the claimed
         # oid: the client must refuse them, typed, before they are
         # ever visible.
-        port = _serve_canned({
+        port = serve_once(json.dumps({
             "ok": True, "op": "store_get", "kind": "result", "fp": FP,
             "found": True, "oid": "0" * 64, "size": 4,
             "meta": {}, "data": base64.b64encode(b"evil").decode(),
-        })
+        }).encode() + b"\n")
         client = RemoteStoreClient(f"127.0.0.1:{port}",
                                    connect_retries=0)
         with pytest.raises(StoreIntegrityError, match="hashes to"):
             client.get("result", FP)
 
     def test_undecodable_payload_is_integrity(self):
-        port = _serve_canned({
+        port = serve_once(json.dumps({
             "ok": True, "op": "store_get", "kind": "result", "fp": FP,
             "found": True, "oid": "0" * 64, "size": 4,
             "meta": {}, "data": "!!! not base64 !!!",
-        })
+        }).encode() + b"\n")
         client = RemoteStoreClient(f"127.0.0.1:{port}",
                                    connect_retries=0)
         with pytest.raises(StoreIntegrityError, match="undecodable"):
@@ -385,11 +353,11 @@ class TestTieredStore:
         assert peer.store.get("result", FP) == b"y" * 1000
 
     def test_lying_peer_quarantines_without_health_strike(self, tmp_path):
-        port = _serve_canned({
+        port = serve_once(json.dumps({
             "ok": True, "op": "store_get", "kind": "result", "fp": FP,
             "found": True, "oid": "0" * 64, "size": 4,
             "meta": {}, "data": base64.b64encode(b"evil").decode(),
-        })
+        }).encode() + b"\n")
         tier = self._tier(tmp_path, f"127.0.0.1:{port}")
         assert tier.get("result", FP) is None  # miss, never wrong bytes
         peer = tier.peers[0]
@@ -399,7 +367,7 @@ class TestTieredStore:
 
     def test_dead_peer_trips_breaker_then_local_only(self, tmp_path):
         tier = self._tier(
-            tmp_path, f"127.0.0.1:{_dead_port()}", connect_timeout=0.5)
+            tmp_path, f"127.0.0.1:{free_port()}", connect_timeout=0.5)
         for fp in (FP, FP2, FP3):
             assert tier.get("result", fp) is None
         peer = tier.peers[0]
@@ -472,7 +440,7 @@ class TestSync:
     def test_unreachable_peer_is_skipped_whole(self, local):
         local.put("result", FP, b"a")
         (row,) = sync_with_peers(
-            local, f"127.0.0.1:{_dead_port()}", direction="both")
+            local, f"127.0.0.1:{free_port()}", direction="both")
         assert row["skipped"] is not None
         assert row["pulled"] == 0 and row["pushed"] == 0
 
