@@ -10,8 +10,8 @@ with three structural changes, none of which can alter results:
   frame's locals for the whole run;
 * every **config constant is folded** into the source as a literal —
   pipe width, dispatch depth, ROB size, the three D-cache latency
-  levels, ring masks — so the branches they gate compile to immediate
-  comparisons;
+  levels, the completion-ring mask — so the branches they gate
+  compile to immediate comparisons;
 * **result counters and the trace cursor are locals**: the per-block
   ``result.<counter> += 1`` attribute round-trips and the per-block
   walker ``__next__`` call become local int bumps and a list index,
@@ -35,7 +35,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from repro.common.types import BranchKind, InstrClass
-from repro.core.backend import _IU_LIMIT, _IU_MASK
+from repro.core.backend import _IU_LIMIT
 from repro.core.results import SimulationResult
 
 from repro.accel.codegen import CompiledKernel, compile_kernel
@@ -120,8 +120,6 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
     stats_dict = engine.stats_dict
     mem_stats = mem.stats_summary
     completions = backend._completions
-    iu_vals = backend._iu_vals
-    iu_stamps = backend._iu_stamps
     counters = backend._load_counters
     counters_get = counters.get
     dl1_cache = mem.dl1
@@ -182,8 +180,7 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         cur_off = cursor.offset
 
         # Scheduler state as frame locals for the whole run.
-        iu_spill = backend._iu_spill
-        entries = backend._iu_entries
+        iu = backend._iu
         floor = backend._issue_floor
         cnt = backend._count
         last = backend._last_commit
@@ -306,34 +303,14 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                                 if dep > ready:
                                     ready = dep
                             issue = ready if ready > floor else floor
-                            while True:
-                                s = issue & $IU_MASK
-                                if iu_stamps[s] == issue:
-                                    used = iu_vals[s]
-                                elif iu_spill:
-                                    used = iu_spill.get(issue, 0)
-                                else:
-                                    used = 0
-                                if used < $WIDTH:
-                                    break
+                            used = iu.get(issue, 0)
+                            while used >= $WIDTH:
                                 issue += 1
-                            s = issue & $IU_MASK
-                            if iu_stamps[s] == issue:
-                                iu_vals[s] += 1
-                            elif iu_spill and issue in iu_spill:
-                                iu_spill[issue] += 1
-                            else:
-                                if iu_stamps[s] == -1:
-                                    iu_stamps[s] = issue
-                                    iu_vals[s] = 1
-                                else:
-                                    iu_spill[issue] = 1
-                                entries += 1
-                            if entries > $IU_LIMIT:
-                                backend._iu_entries = entries
+                                used = iu.get(issue, 0)
+                            iu[issue] = used + 1
+                            if len(iu) > $IU_LIMIT:
                                 iu_compact(issue)
-                                entries = backend._iu_entries
-                                iu_spill = backend._iu_spill
+                                iu = backend._iu
                                 floor = backend._issue_floor
 
                             if cls == $CLS_LOAD or cls == $CLS_STORE:
@@ -488,8 +465,6 @@ $PROBE_SLOT
             walker.blocks_walked = walked_blocks
             walker.instructions_walked = walked_instr
 
-            backend._iu_spill = iu_spill
-            backend._iu_entries = entries
             backend._issue_floor = floor
             backend._count = cnt
             backend._last_commit = last
@@ -566,7 +541,6 @@ def _consts(processor) -> dict:
         "LVL1": lvl1,
         "LVL2": lvl2,
         "NEVER": _NEVER,
-        "IU_MASK": _IU_MASK,
         "IU_LIMIT": _IU_LIMIT,
         "CLS_LOAD": int(InstrClass.LOAD),
         "CLS_STORE": int(InstrClass.STORE),

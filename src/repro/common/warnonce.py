@@ -16,14 +16,15 @@ in :class:`repro.exec.pool.Pool`) passes its own set.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from typing import Optional, Set
+
+from repro.common.forksafe import fork_safe_lock
 
 __all__ = ["reset_warn_once", "warn_once", "warned"]
 
 _GLOBAL_SEEN: Set[str] = set()
-_LOCK = threading.Lock()
+_LOCK = fork_safe_lock()
 
 
 def warn_once(

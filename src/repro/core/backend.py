@@ -53,17 +53,6 @@ _RING = 128
 _LOAD = int(InstrClass.LOAD)
 _STORE = int(InstrClass.STORE)
 
-#: Issue-occupancy ring size (slots, power of two).  Cycle c lives at
-#: slot ``c & _IU_MASK``; a cycle whose slot still holds another cycle's
-#: stamp spills into a dict.  Spills are common, and the stamp they
-#: collide with is dead: over a 32-cell Fig 8-shaped sweep (gzip and gcc,
-#: both layouts, widths 2 and 8, 90k instructions), none of 91,571 spill
-#: inserts found a stamp at or above ``ready_base - _IU_LAG``, so no later
-#: probe or compaction recount reaches it.  Only compaction clears a dead
-#: stamp; until then it holds its slot and counts toward ``_IU_LIMIT``.
-_IU_SIZE = 8192
-_IU_MASK = _IU_SIZE - 1
-
 #: Occupancy-table compaction: when more than ``_IU_LIMIT`` distinct
 #: issue cycles are tracked, entries older than ``issue - _IU_LAG`` are
 #: dropped and the issue floor advances.  These values are semantics
@@ -80,9 +69,7 @@ class DataflowBackend:
         "machine", "mem", "width", "_completions", "_count",
         "_issue_floor", "_last_commit",
         "_commits_in_cycle", "_load_counters",
-        "load_accesses", "store_accesses",
-        # Issue-occupancy table: stamped modulo ring + overflow dict.
-        "_iu_vals", "_iu_stamps", "_iu_spill", "_iu_entries",
+        "load_accesses", "store_accesses", "_iu",
         "_lvl_lat", "seg_count",
     )
 
@@ -98,15 +85,8 @@ class DataflowBackend:
         self._load_counters: Dict[Tuple[int, int], int] = {}
         self.load_accesses = 0
         self.store_accesses = 0
-        # Issue occupancy: cycle c lives at ring slot c & _IU_MASK when
-        # the stamp matches; -1 stamps are free slots; aliasing cycles
-        # live in the spill dict.  ``_iu_entries`` tracks the number of
-        # distinct cycles exactly like ``len()`` of the dict it replaces,
-        # so compaction triggers at identical moments.
-        self._iu_vals = [0] * _IU_SIZE
-        self._iu_stamps = [-1] * _IU_SIZE
-        self._iu_spill: Dict[int, int] = {}
-        self._iu_entries = 0
+        # Issue occupancy: cycle -> instructions issued in that cycle.
+        self._iu: Dict[int, int] = {}
         #: Segments dispatched through :meth:`dispatch_segment`.
         self.seg_count = 0
         # Load-to-use latency added per D-side hit level (L1D, L2, memory).
@@ -116,26 +96,10 @@ class DataflowBackend:
 
     # ------------------------------------------------------------------
     def _iu_compact(self, issue: int) -> None:
-        """Drop occupancy entries older than ``issue - _IU_LAG``.
-
-        Mirrors the dict model exactly: entries below the raw floor are
-        forgotten, the distinct-cycle count is recounted over the
-        survivors, and the issue floor only ever advances.
-        """
+        """Drop occupancy entries older than ``issue - _IU_LAG``; the
+        issue floor only ever advances."""
         floor = issue - _IU_LAG
-        stamps = self._iu_stamps
-        live = 0
-        for slot in range(_IU_SIZE):
-            stamp = stamps[slot]
-            if stamp >= floor:
-                live += 1
-            elif stamp != -1:
-                stamps[slot] = -1
-        spill = self._iu_spill
-        if spill:
-            spill = {c: n for c, n in spill.items() if c >= floor}
-            self._iu_spill = spill
-        self._iu_entries = live + len(spill)
+        self._iu = {c: n for c, n in self._iu.items() if c >= floor}
         if floor > self._issue_floor:
             self._issue_floor = floor
 
@@ -166,14 +130,10 @@ class DataflowBackend:
         l2 = mem.l2
         counters = self._load_counters
         completions = self._completions
-        iu_vals = self._iu_vals
-        iu_stamps = self._iu_stamps
-        # Module-level constants as locals: read once or more per slot.
-        iu_mask = _IU_MASK
+        # A module-level constant as a local: read once per slot.
         iu_limit = _IU_LIMIT
         # -- read the mutable scheduling state -------------------------
-        iu_spill = self._iu_spill
-        entries = self._iu_entries
+        iu = self._iu
         floor = self._issue_floor
         cnt = self._count
         last = self._last_commit
@@ -197,37 +157,17 @@ class DataflowBackend:
             # Issue-slot allocation: earliest cycle >= ready with spare
             # issue bandwidth.
             issue = ready if ready > floor else floor
-            while True:
-                s = issue & iu_mask
-                if iu_stamps[s] == issue:
-                    used = iu_vals[s]
-                elif iu_spill:
-                    used = iu_spill.get(issue, 0)
-                else:
-                    used = 0
-                if used < width:
-                    break
+            used = iu.get(issue, 0)
+            while used >= width:
                 issue += 1
-            s = issue & iu_mask
-            if iu_stamps[s] == issue:
-                iu_vals[s] += 1
-            elif iu_spill and issue in iu_spill:
-                iu_spill[issue] += 1
-            else:
-                if iu_stamps[s] == -1:
-                    iu_stamps[s] = issue
-                    iu_vals[s] = 1
-                else:
-                    iu_spill[issue] = 1
-                entries += 1
-            if entries > iu_limit:
-                # The dict model checked its size after *every* insert,
-                # so an over-full table keeps compacting (and advancing
-                # the floor) until it shrinks.
-                self._iu_entries = entries
+                used = iu.get(issue, 0)
+            iu[issue] = used + 1
+            if len(iu) > iu_limit:
+                # The size is checked after *every* insert, so an
+                # over-full table keeps compacting (and advancing the
+                # floor) until it shrinks.
                 self._iu_compact(issue)
-                entries = self._iu_entries
-                iu_spill = self._iu_spill
+                iu = self._iu
                 floor = self._issue_floor
 
             if cls == _LOAD or cls == _STORE:
@@ -272,9 +212,8 @@ class DataflowBackend:
             last = commit
 
         # -- write the state back --------------------------------------
-        # (the issue floor and the spill dict only change inside
-        # _iu_compact, which publishes them itself)
-        self._iu_entries = entries
+        # (slots are booked in the table in place; _iu_compact publishes
+        # the table it rebuilds and the issue floor itself)
         self._count = cnt
         self._last_commit = last
         self._commits_in_cycle = cic

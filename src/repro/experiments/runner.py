@@ -85,33 +85,6 @@ class RunMatrixResult:
     instructions: int
     scale: float
     results: Dict[RunSpec, SimulationResult] = field(default_factory=dict)
-    #: Per-axis indexes over ``results`` (value -> specs in insertion
-    #: order), maintained by :meth:`add` and rebuilt lazily when
-    #: ``results`` was populated directly.
-    _axes: Dict[str, Dict[object, List[RunSpec]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _indexed: int = field(default=0, repr=False, compare=False)
-
-    def add(self, spec: RunSpec, result: SimulationResult) -> None:
-        """Insert one result, maintaining the per-axis indexes."""
-        self.results[spec] = result
-        if self._indexed == len(self.results) - 1:
-            self._index_one(spec)
-            self._indexed += 1
-
-    def _index_one(self, spec: RunSpec) -> None:
-        axes = self._axes
-        if not axes:
-            axes.update(arch={}, benchmark={}, width={}, optimized={})
-        for axis in ("arch", "benchmark", "width", "optimized"):
-            axes[axis].setdefault(getattr(spec, axis), []).append(spec)
-
-    def _reindex(self) -> None:
-        self._axes.clear()
-        for spec in self.results:
-            self._index_one(spec)
-        self._indexed = len(self.results)
 
     def get(
         self, arch: str, benchmark: str, width: int, optimized: bool
@@ -125,38 +98,14 @@ class RunMatrixResult:
         width: Optional[int] = None,
         optimized: Optional[bool] = None,
     ) -> List[SimulationResult]:
-        """All results matching the given axes, in insertion order.
-
-        Served from per-axis indexes: the narrowest matching axis list
-        is scanned and filtered on the remaining criteria, so figure and
-        table generation is O(matching cells), not O(all cells) per
-        query.
-        """
-        if self._indexed != len(self.results):
-            self._reindex()
-        criteria = [
-            (axis, value)
-            for axis, value in (
-                ("arch", arch), ("benchmark", benchmark),
-                ("width", width), ("optimized", optimized),
-            )
-            if value is not None
+        """All results matching the given axes, in insertion order."""
+        return [
+            result for spec, result in self.results.items()
+            if (arch is None or spec.arch == arch)
+            and (benchmark is None or spec.benchmark == benchmark)
+            and (width is None or spec.width == width)
+            and (optimized is None or spec.optimized == optimized)
         ]
-        if not criteria:
-            return list(self.results.values())
-        candidate_lists = [
-            self._axes[axis].get(value, []) for axis, value in criteria
-        ]
-        smallest = min(candidate_lists, key=len)
-        results = self.results
-        out = []
-        for spec in smallest:
-            for axis, value in criteria:
-                if getattr(spec, axis) != value:
-                    break
-            else:
-                out.append(results[spec])
-        return out
 
 
 class ProgramCache:
@@ -621,7 +570,7 @@ def run_matrix(
         nonlocal frontier
         while frontier < len(specs) and specs[frontier] in done:
             result = done[specs[frontier]]
-            out.add(specs[frontier], result)
+            out.results[specs[frontier]] = result
             frontier += 1
             if progress is not None:
                 progress(result)

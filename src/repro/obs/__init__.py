@@ -30,9 +30,10 @@ event — only at attach points.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Dict, List, Optional
+
+from repro.common.forksafe import fork_safe_lock
 
 from .events import (
     DEFAULT_CAPACITY,
@@ -87,7 +88,7 @@ def obs_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 _SINKS: List[FlightRecorder] = []
-_SINKS_LOCK = threading.Lock()
+_SINKS_LOCK = fork_safe_lock()
 
 
 def attach(recorder: FlightRecorder) -> FlightRecorder:

@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
-import weakref
 from collections import deque
 from typing import Dict, Iterable, List, Optional
+
+from repro.common.forksafe import fork_safe_lock
 
 __all__ = ["FlightRecorder", "read_events"]
 
@@ -38,22 +38,6 @@ DEFAULT_CAPACITY = 2048
 
 #: Default on-disk ceiling before the creator rewrites from the tail.
 DEFAULT_MAX_BYTES = 4 * 1024 * 1024
-
-#: Every recorder alive in this process, for the fork hook below.
-_RECORDERS: "weakref.WeakSet[FlightRecorder]" = weakref.WeakSet()
-
-
-def _new_locks_after_fork() -> None:
-    # fork() copies a lock that another thread holds at that instant as
-    # held, and no thread in the child will ever release it.  The serve
-    # daemon forks pool workers while its handler threads record events,
-    # so without this a worker's first record() can block forever.
-    for recorder in list(_RECORDERS):
-        recorder._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_new_locks_after_fork)
-
 
 class FlightRecorder:
     """Bounded event sink; optionally persisted as LDJSON.
@@ -73,8 +57,7 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self.max_bytes = int(max_bytes)
         self._ring: deque = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
-        _RECORDERS.add(self)
+        self._lock = fork_safe_lock()
         self._creator_pid = os.getpid()
         self._degraded = False
         self._size = 0

@@ -26,8 +26,9 @@ same type and labels returns the same object, a mismatch raises.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Dict, List, Mapping, Sequence, Tuple
+
+from repro.common.forksafe import fork_safe_lock
 
 __all__ = [
     "Counter",
@@ -86,7 +87,7 @@ class _Metric:
         self.max_series = int(max_series)
         self.dropped_series = 0
         self._series: Dict[Tuple[str, ...], object] = {}
-        self._lock = threading.Lock()
+        self._lock = fork_safe_lock()
 
     # -- label handling -------------------------------------------------
 
@@ -271,7 +272,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
-        self._lock = threading.Lock()
+        self._lock = fork_safe_lock()
 
     def _get_or_create(self, cls, name: str, help: str, labels, **kwargs):
         with self._lock:

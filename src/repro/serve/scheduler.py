@@ -134,6 +134,7 @@ class MatrixTicket:
         fps: Dict[RunSpec, str],
         warm: Dict[RunSpec, Any],
         claims: Dict[RunSpec, Tuple[PendingCell, bool]],
+        journal: Optional[SweepJournal],
     ) -> None:
         self._scheduler = scheduler
         self.query = query
@@ -141,6 +142,7 @@ class MatrixTicket:
         self.fps = fps
         self._warm = warm
         self._claims = claims
+        self._journal = journal
         self._admitted = time.monotonic()
         self._waited = False
 
@@ -172,6 +174,7 @@ class MatrixTicket:
             if cell.wait(self._remaining()):
                 status, value, error = cell.outcome()
                 if status == "ok":
+                    self._scheduler._journal_cell(self._journal, fp)
                     outcomes.append(CellOutcome(
                         spec, fp, CELL_OK, source, result=value
                     ))
@@ -320,7 +323,7 @@ class ExperimentScheduler:
                 "admit", cells=len(specs), warm=len(warm),
                 owned=len(owned), coalesced=coalesced,
             )
-            journal = self._make_journal(specs, fps, warm, owned)
+            journal = self._make_journal(specs, fps, warm)
             for spec in specs:  # deterministic queue order
                 if spec not in claims or not claims[spec][1]:
                     continue  # warm, or coalesced onto another request
@@ -341,24 +344,25 @@ class ExperimentScheduler:
             obs.SERVE_QUEUE_DEPTH.set(self._backlog)
             self._lock.notify_all()
 
-        return MatrixTicket(self, query, specs, fps, warm, claims)
+        return MatrixTicket(self, query, specs, fps, warm, claims, journal)
 
     def _make_journal(
         self,
         specs: List[RunSpec],
         fps: Dict[RunSpec, str],
         warm: Dict[RunSpec, Any],
-        owned: List[RunSpec],
     ) -> Optional[SweepJournal]:
         """One sweep journal per admitted request (store-backed only).
 
         Warm cells are journaled immediately; owned cold cells append as
-        they settle, so a SIGKILLed daemon leaves behind an honest
-        partial journal whose missing lines are exactly the unfinished
-        cells.  Fully-warm requests whose journal is thereby complete
-        need no registration at all.
+        they settle, before their registry cell resolves, so a
+        SIGKILLed daemon leaves behind an honest partial journal whose
+        missing lines are exactly the unfinished cells.  A cell
+        coalesced onto another request's in-flight cell appends when
+        the ticket gets it back ok: every cell a request gets back ok
+        is journaled.
         """
-        if self._artifacts is None or (not owned and not warm):
+        if self._artifacts is None:
             return None
         journal = SweepJournal(
             self._artifacts.store, sweep_fingerprint(fps.values()),
@@ -417,6 +421,13 @@ class ExperimentScheduler:
     def _journal_settled(self, fp: str) -> None:
         with self._journal_lock:
             for journal in self._journals.pop(fp, []):
+                journal.append(fp)
+
+    def _journal_cell(self, journal: Optional[SweepJournal], fp: str) -> None:
+        """Journal one cell a ticket got back ok (a no-op if its owner
+        already did)."""
+        if journal is not None:
+            with self._journal_lock:
                 journal.append(fp)
 
     def _ensure_pool(self) -> Pool:

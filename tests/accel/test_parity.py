@@ -192,7 +192,7 @@ def test_compaction_parity(gzip_small, arch):
         digest = result_digest(processor.run(8000, warmup=1000))
         backend = processor.backend
         assert backend._issue_floor > 0, mode
-        states[mode] = (digest, backend._issue_floor, backend._iu_entries)
+        states[mode] = (digest, backend._issue_floor, backend._iu)
     assert states["accel"] == states["interp"]
 
 

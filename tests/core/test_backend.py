@@ -1,5 +1,8 @@
 """Tests for the dataflow back-end model."""
 
+import hashlib
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from repro.common.params import default_machine
@@ -13,8 +16,8 @@ def backend(width=8):
     return DataflowBackend(machine, MemoryHierarchy(machine.memory))
 
 
-def alu(d1=0, d2=0):
-    return (int(InstrClass.ALU), 1, d1, d2, 0, 0, 0)
+def alu(d1=0, d2=0, latency=1):
+    return (int(InstrClass.ALU), latency, d1, d2, 0, 0, 0)
 
 
 def load(d1=0, base=0x10000, stride=8, span=1 << 12):
@@ -120,3 +123,43 @@ class TestWindowModel:
             dispatch(be, alu(d1=d1, d2=d2), (0, i), i // 4)
             n += 1
         assert n / max(be.last_commit_cycle, 1) <= 4.0 + 1e-9
+
+
+class TestCompaction:
+    """Issue-table compaction through the interpreted oracle.
+
+    Once the table tracks more than ``_IU_LIMIT`` (4,096) cycles, every
+    insert drops the cycles older than ``issue - _IU_LAG`` (256), and
+    the issue floor rises to that bound; it never falls.
+    """
+
+    def test_plain_compaction(self):
+        be = backend(width=2)
+        for i in range(8194):
+            complete, _ = dispatch(be, alu(), (0, i), 0)
+        # 8,192 ops fill cycles 1..4,096; the next opens cycle 4,097,
+        # which compacts the table to cycles 3,841..4,097.
+        assert be._issue_floor == 3841
+        assert complete == 4098
+        assert len(be._iu) == 257
+
+    def test_over_full_table_below_the_lag(self):
+        """A table that overflows before issue reaches ``_IU_LAG``
+        compacts on every insert.  It drops nothing, and the floor
+        stays at 0, until issue passes 256; then the floor follows
+        issue up."""
+        be = backend(width=2)
+        dispatch(be, alu(latency=10_000), (0, 0), 0)
+        for i in range(1, 4096):  # a chain on cycles 10,001..14,095
+            dispatch(be, alu(d1=1), (0, i), 0)
+        timings = []
+        for i in range(600):
+            complete, commit = dispatch(be, alu(), (1, i), 0)
+            timings.append((complete, commit, be._issue_floor))
+            if i == 1:
+                assert len(be._iu) == 4097
+        assert timings[-1] == (302, 14397, 45)
+        digest = hashlib.sha256(json.dumps(timings).encode()).hexdigest()
+        assert digest == (
+            "d17d06e414660db0dde6963034c6071b22c9db7d69f4f7248886e41269e7c0e3"
+        )

@@ -100,7 +100,8 @@ class TestCellLevelSharding:
 
 
 class TestSelectIndexes:
-    """RunMatrixResult.select is served from per-axis indexes."""
+    """RunMatrixResult.select filters ``results`` on the given axes, in
+    insertion order."""
 
     @pytest.fixture(scope="class")
     def matrix(self):
@@ -126,10 +127,9 @@ class TestSelectIndexes:
         assert matrix.select(benchmark="nosuch") == []
 
     def test_select_after_direct_mutation(self, matrix):
-        """Directly populated results still select correctly (the
-        indexes rebuild lazily)."""
+        """Directly populated results select like a run's."""
         from repro.experiments.runner import RunMatrixResult
         clone = RunMatrixResult(instructions=1, scale=1.0)
         for spec, r in matrix.results.items():
-            clone.results[spec] = r  # bypasses add()
+            clone.results[spec] = r
         assert clone.select(arch="ftb") == matrix.select(arch="ftb")

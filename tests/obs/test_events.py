@@ -7,7 +7,11 @@ import multiprocessing
 import os
 import threading
 
+import pytest
+
 from repro import obs
+from repro.common import warnonce
+from repro.common.warnonce import warn_once
 from repro.obs.events import FlightRecorder, read_events, tail_events
 
 
@@ -120,31 +124,48 @@ def test_sweep_recorder_honors_env(tmp_path, monkeypatch):
         obs.detach(rec)
 
 
-def test_forked_child_records_while_a_parent_thread_holds_the_lock(tmp_path):
+@pytest.mark.parametrize(
+    "case", ["recorder", "sinks", "instrument", "registry", "warn_once"])
+def test_forked_child_records_while_a_parent_thread_holds_the_lock(
+        tmp_path, case):
     """fork() copies a lock another thread holds as held, with no owner
     in the child to release it; the serve daemon forks pool workers
-    while its handler threads record events."""
-    rec = FlightRecorder(str(tmp_path / "r.events"))
+    while its handler threads record events, update metrics and warn."""
+    path = str(tmp_path / "r.events")
+    rec = obs.attach(FlightRecorder(path))
+    # Each lock, and a call a forked child makes that takes it.
+    lock, child_call = {
+        "recorder": (rec._lock, lambda: rec.record(_ev(0))),
+        "sinks": (obs._SINKS_LOCK, lambda: obs.record_event("tick", n=0)),
+        "instrument": (obs.CORE_CELLS._lock,
+                       lambda: obs.CORE_CELLS.inc(engine="ev8")),
+        "registry": (obs.registry()._lock, obs.render_prometheus),
+        "warn_once": (warnonce._LOCK,
+                      lambda: warn_once("test.fork", "forked child")),
+    }[case]
     held, release = threading.Event(), threading.Event()
 
     def hold() -> None:
-        with rec._lock:
+        with lock:
             held.set()
             release.wait(30)
 
-    holder = threading.Thread(target=hold)
-    holder.start()
-    assert held.wait(30)
-    child = multiprocessing.get_context("fork").Process(
-        target=rec.record, args=(_ev(0),))
     try:
-        child.start()
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(30)
+        child = multiprocessing.get_context("fork").Process(target=child_call)
+        try:
+            child.start()
+        finally:
+            release.set()
+            holder.join(30)
+        child.join(10)
+        if child.exitcode is None:
+            child.kill()
+            child.join()
     finally:
-        release.set()
-        holder.join(30)
-    child.join(10)
-    if child.exitcode is None:
-        child.kill()
-        child.join()
+        obs.detach(rec)
     assert child.exitcode == 0
-    assert [e["n"] for e in read_events(str(tmp_path / "r.events"))] == [0]
+    if case in ("recorder", "sinks"):
+        assert [e["n"] for e in read_events(path)] == [0]

@@ -11,12 +11,14 @@ import pytest
 from helpers import result_digest
 
 from repro.exec.faults import FaultSpec, active_plan
+from repro.exec.journal import sweep_fingerprint
 from repro.exec.policy import FaultPolicy
 from repro.experiments.runner import run_matrix
 from repro.serve import scheduler as scheduler_mod
 from repro.serve.protocol import CELL_DEADLINE, CELL_FAILED, CELL_OK, \
     MatrixQuery
 from repro.serve.scheduler import Draining, ExperimentScheduler, Overloaded
+from repro.store.store import ArtifactStore, read_journal
 
 ONE_CELL = MatrixQuery(
     benchmarks=("gzip",), widths=(8,), archs=("stream",), layouts=(True,),
@@ -183,6 +185,40 @@ def test_deadline_returns_partials_and_drops_unwanted_cells(tmp_path):
     assert sched.cells_dropped == 1
     assert sched.status()["cells"]["pending"] == 0
     assert sched.status()["queue"]["backlog"] == 0
+
+
+@pytest.mark.faults(timeout=120)
+def test_coalesced_cells_are_journaled(tmp_path):
+    # ev8 hangs 1 s in the first request's batch, so the next two
+    # requests coalesce onto it: the second owns ftb, the third owns
+    # nothing.  Each request's journal must list every cell it got back
+    # ok, coalesced ones included.
+    root = str(tmp_path / "store")
+    sched = ExperimentScheduler(store_root=root, max_workers=2)
+    queries = [TWO_CELLS] + [
+        MatrixQuery(
+            benchmarks=("gzip",), widths=(8,), archs=archs, layouts=(True,),
+            instructions=3000, warmup=1000, scale=0.3,
+        )
+        for archs in (("ev8", "ftb"), ("ev8",))
+    ]
+    try:
+        with active_plan(FaultSpec("hang", match="ev8", times=1,
+                                   seconds=1.0)):
+            tickets = [sched.submit(query) for query in queries]
+            answers = [ticket.wait() for ticket in tickets]
+    finally:
+        assert sched.drain(timeout=120)
+    assert {o.status for outcomes in answers for o in outcomes} == {CELL_OK}
+    ev8_sources = [o.source for outcomes in answers for o in outcomes
+                   if o.spec.arch == "ev8"]
+    assert ev8_sources == ["computed", "coalesced", "coalesced"]
+    store = ArtifactStore(root)
+    for ticket in tickets:
+        fps = set(ticket.fps.values())
+        journal = read_journal(store.journal_path(sweep_fingerprint(fps)))
+        assert journal is not None
+        assert set(journal["done"]) == fps
 
 
 def test_status_surface_shape(scheduler):
