@@ -635,8 +635,8 @@ def measure_store_matrix(store_dir: str, reps: int = 3) -> dict:
         "cold_seconds": round(cold_seconds, 2),
         "warm_seconds": round(warm_seconds, 3),
         "warm_speedup": round(cold_seconds / warm_seconds, 1),
-        "objects": stats["objects"],
-        "object_bytes": stats["object_bytes"],
+        "entries": sum(row["entries"] for row in stats["kinds"].values()),
+        "entry_bytes": sum(row["bytes"] for row in stats["kinds"].values()),
     }
 
 
@@ -788,7 +788,7 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
         print(f"  store cold      {row['cold_seconds']:6.2f}s -> warm "
               f"{row['warm_seconds']:6.3f}s "
               f"({row['warm_speedup']:.0f}x cache-hit speedup, "
-              f"{row['objects']} objects, {row['object_bytes']:,d} bytes)")
+              f"{row['entries']} entries, {row['entry_bytes']:,d} bytes)")
     return report
 
 

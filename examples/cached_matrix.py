@@ -60,8 +60,7 @@ def main() -> None:
     for kind, row in sorted(stats["kinds"].items()):
         print(f"  {kind:8s} {row['entries']:4d} entries "
               f"{row['bytes']:>10,d} bytes")
-    print(f"  ({stats['objects']} objects, {stats['object_bytes']:,d} bytes "
-          f"on disk; prune with 'repro-experiments cache gc')")
+    print("  (one file per entry; prune with 'repro-experiments cache gc')")
 
     # The store keys on every input: a different width sweep below
     # would simulate only the cells not already present.

@@ -50,9 +50,6 @@ class CounterTable:
         self._mask = size - 1
         self._counters: List[int] = [init] * size
 
-    def index_of(self, key: int) -> int:
-        return key & self._mask
-
     def predict(self, index: int) -> bool:
         return self._counters[index & self._mask] >= 2
 

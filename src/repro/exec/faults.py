@@ -23,7 +23,7 @@ Hook points:
 * the artifact store's write path — kinds ``store_err`` (raise
   ``OSError``) and ``store_kill`` (SIGKILL between the temp-file write
   and its atomic ``os.replace``) fire against targets of the form
-  ``"<kind>/<fingerprint>:<object|index>"``.  These are gated by a
+  ``"<kind>/<fingerprint>"``, one per entry write.  These are gated by a
   per-process call counter (``after``/``times``), or — for exactly-once
   semantics *across* processes (a retried cell must not be killed again
   by the replacement worker) — by a ``token`` file created with

@@ -27,8 +27,9 @@ cells whose fingerprints resolve are served from disk, only misses are
 simulated, and fresh results are written back — so re-rendering a
 figure against a warm store takes seconds, not minutes.
 The ``cache`` subcommand inspects (``stats``), integrity-checks
-(``verify`` — re-hashes every object) and prunes (``gc`` — drops
-orphans, optionally enforces a size cap) that store.
+(``verify`` — re-hashes every entry) and prunes (``gc`` — drops
+corrupt entries and stale temp files and journals, optionally enforces
+a size cap) that store.
 
 ``--profile [ARCH]`` short-circuits the command: instead of the full
 matrix it runs one representative cell (the first requested benchmark,
@@ -183,7 +184,7 @@ def main(argv: List[str] | None = None) -> int:
                               "(default: 16)")
     p_cache.add_argument("--max-bytes", type=int, default=None,
                          help="gc: evict least-recently-written entries "
-                              "until live objects fit this many bytes")
+                              "until their payloads fit this many bytes")
     p_cache.add_argument("--journal-days", type=float, default=None,
                          metavar="N",
                          help="gc: drop sweep journals untouched for N "
@@ -329,9 +330,6 @@ def _cache_command(args) -> int:
         for kind, row in sorted(stats["kinds"].items()):
             print(f"  {kind:8s} {row['entries']:6d} entries  "
                   f"{row['bytes']:>12,d} bytes")
-        print(f"  objects  {stats['objects']:6d} files    "
-              f"{stats['object_bytes']:>12,d} bytes  "
-              f"({stats['orphan_objects']} orphans)")
         if stats.get("journals"):
             complete = stats.get("journals_complete", 0)
             ages = ""
@@ -343,29 +341,22 @@ def _cache_command(args) -> int:
             print(f"  journals {stats['journals']:6d} sweeps   "
                   f"{stats['journal_bytes']:>12,d} bytes{ages}")
         if stats["bad_entries"]:
-            print(f"  WARNING: {stats['bad_entries']} unreadable index "
-                  f"entries (run gc)")
+            print(f"  WARNING: {stats['bad_entries']} corrupt or "
+                  f"unreadable entries (run verify)")
         if peers:
             _remote_stats(peers)
         return 0
     if args.action == "verify":
         report = store.verify()
-        print(f"checked {report['checked']} objects: "
-              f"{len(report['corrupt_objects'])} corrupt, "
-              f"{len(report['unreadable_objects'])} unreadable, "
-              f"{len(report['dangling_entries'])} dangling entries, "
-              f"{len(report['bad_entries'])} unreadable entries")
-        for oid in report["corrupt_objects"]:
-            print(f"  corrupt object {oid} (run gc to reclaim)")
-        for oid in report["unreadable_objects"]:
-            print(f"  unreadable object {oid} (possibly transient; "
+        print(f"checked {report['checked']} entries: "
+              f"{len(report['corrupt'])} corrupt, "
+              f"{len(report['unreadable'])} unreadable")
+        for kind, fp in report["corrupt"]:
+            print(f"  corrupt entry {kind}/{fp} (run gc to reclaim)")
+        for kind, fp in report["unreadable"]:
+            print(f"  unreadable entry {kind}/{fp} (possibly transient; "
                   f"gc leaves it alone)")
-        for kind, fp in report["dangling_entries"]:
-            print(f"  dangling entry {kind}/{fp}")
-        for kind, fp in report["bad_entries"]:
-            print(f"  unreadable entry {kind}/{fp}")
-        ok = not (report["corrupt_objects"] or report["unreadable_objects"]
-                  or report["dangling_entries"] or report["bad_entries"])
+        ok = not (report["corrupt"] or report["unreadable"])
         if peers:
             ok = _remote_verify(store, peers, args.sample) and ok
         if ok:
@@ -379,11 +370,10 @@ def _cache_command(args) -> int:
     report = store.gc(max_bytes=args.max_bytes, dry_run=args.dry_run,
                       journal_max_age=journal_max_age)
     verb = "would delete" if args.dry_run else "deleted"
-    print(f"{verb} {report['deleted_objects']} objects "
-          f"({report['freed_bytes']:,d} bytes), evicted "
-          f"{report['evicted_entries']} index entries, removed "
+    print(f"{verb} {report['evicted_entries']} entries "
+          f"({report['freed_bytes']:,d} bytes evicted), "
           f"{report['tmp_removed']} temp files and "
-          f"{report.get('journals_removed', 0)} sweep journals; "
+          f"{report['journals_removed']} sweep journals; "
           f"{report['live_bytes']:,d} live bytes remain")
     return 0
 
@@ -449,11 +439,9 @@ def _remote_verify(store, peers, sample: int) -> bool:
         RemoteStoreError,
         StorePeerUnusable,
     )
+    from repro.store.remote.sync import _local_index
 
-    local: dict = {}
-    for kind, fp, entry in store.iter_index():
-        if entry is not None:
-            local.setdefault(kind, {})[fp] = entry["object"]
+    local = _local_index(store)
     ok = True
     for address in parse_peers(peers):
         client = RemoteStoreClient(address)

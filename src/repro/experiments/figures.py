@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 
 from repro.common.stats import harmonic_mean
 from repro.experiments.configs import ARCH_LABELS, ARCHITECTURES
-from repro.experiments.reporting import ascii_bars, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import RunMatrixResult
 
 
@@ -101,19 +101,3 @@ def figure9_text(
         rows,
         title=f"Figure 9: per-benchmark IPC, {width}-wide, optimized layout",
     )
-
-
-def figure8_bars(
-    matrix: RunMatrixResult,
-    benchmarks: Sequence[str],
-    width: int,
-    optimized: bool,
-) -> str:
-    data = figure8_data(matrix, benchmarks, widths=(width,))
-    values = {
-        ARCH_LABELS[arch]: data[width][arch][optimized]
-        for arch in ARCHITECTURES
-    }
-    layout = "optimized" if optimized else "base"
-    header = f"IPC, {width}-wide, {layout} layout"
-    return header + "\n" + ascii_bars(values)

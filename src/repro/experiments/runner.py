@@ -44,6 +44,7 @@ shortcut, never an approximation.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import sys
@@ -346,6 +347,8 @@ def _federate_store(
     Returns ``(store, owned_tier)``: the possibly-wrapped store, plus
     the tier this run constructed (and must close) — None when the
     caller already brought a federated store or no wrapping applies.
+    The caller's own objects are never modified, so a cache passed to
+    several runs is federated afresh by each.
     ``peers`` without a store is a warn-once no-op: the federation is
     a cache layer, and there is nothing to layer it on.
     """
@@ -368,9 +371,10 @@ def _federate_store(
     if isinstance(store, ArtifactCache):
         if isinstance(store.store, TieredStore):
             return store, None
-        tier = TieredStore(store.store.root, peer_list)
-        store.store = tier  # keep the cache's hit/miss counters
-        return store, tier
+        # A shallow copy shares the caller's hit/miss counters.
+        federated = copy.copy(store)
+        federated.store = TieredStore(store.store.root, peer_list)
+        return federated, federated.store
     root = store.root if isinstance(store, ArtifactStore) else \
         os.fspath(store)
     tier = TieredStore(root, peer_list)

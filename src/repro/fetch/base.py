@@ -160,17 +160,6 @@ class FetchEngine(ABC):
         """True when ``addr`` is inside the program image (O(1))."""
         return self._image_start <= addr < self._image_end
 
-    def _lookup_block(self, addr: int) -> Optional[Tuple[LinearBlock, int]]:
-        """Static-dictionary lookup; ``None`` when off the program image.
-
-        Wrong-path fetch can run off the end of the code; engines then
-        idle until the mispredicted branch resolves.
-        """
-        try:
-            return self.program.block_containing(addr)
-        except ValueError:
-            return None
-
     def stats_dict(self) -> dict:
         out = self.stats.as_dict()
         out["fetch_cycles"] = out.get("fetch_cycles", 0) + self.fetch_cycles

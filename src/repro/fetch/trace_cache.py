@@ -227,9 +227,6 @@ class TraceCacheFetchEngine(FetchEngine):
         self.selective_storage = selective_storage
         self.partial_matching = partial_matching
         self.predict_addr = program.entry_address
-        # Pre-decode surface: O(1) "is there a conditional branch at this
-        # address?" for the per-instruction checkpoint decision.
-        self._cond_addrs = program.cond_branch_addrs
         self._fill = _FillBuffer()
         self._fill.reset(program.entry_address)
         # Progress through the head request's descriptor.
@@ -450,9 +447,6 @@ class TraceCacheFetchEngine(FetchEngine):
                 append((frag_start, (end - frag_start) // ib, end,
                         None, None))
             self._seg_off = seg_off + count
-
-    def _is_cond(self, addr: int) -> bool:
-        return addr in self._cond_addrs
 
     def _finish_if_done(
         self, request: FetchRequest, descriptor: TraceDescriptor

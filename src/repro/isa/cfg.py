@@ -28,7 +28,7 @@ IND       unused (see              unused
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.common.types import BranchKind
 from repro.isa.behavior import BranchBehavior, IndirectChooser
@@ -153,12 +153,6 @@ class ControlFlowGraph:
     def total_instructions(self) -> int:
         return sum(b.size for b in self.blocks)
 
-    def iter_blocks(self) -> Iterator[BasicBlock]:
-        return iter(self.blocks)
-
-    def conditional_blocks(self) -> List[BasicBlock]:
-        return [b for b in self.blocks if b.kind is BranchKind.COND]
-
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
@@ -220,9 +214,6 @@ class ControlFlowGraph:
                 raise ValueError(
                     f"function {func.name}: entry must be its first block"
                 )
-
-    def out_edges(self, bid: int) -> List[int]:
-        return self.blocks[bid].successors()
 
     def static_branch_census(self) -> Dict[str, int]:
         """Counts of block kinds — used by workload calibration tests."""

@@ -117,14 +117,6 @@ class Program:
         #: Memoized dynamic traces, one per walk seed — see
         #: :class:`repro.isa.trace.TraceRecord`.
         self._trace_records: Dict[int, object] = {}
-        #: Addresses of all conditional branch instructions — an O(1)
-        #: pre-decode surface for fetch engines that need to know "is
-        #: there a conditional here?" on their per-instruction path.
-        self.cond_branch_addrs = frozenset(
-            lb.addr + (lb.size - 1) * INSTRUCTION_BYTES
-            for lb in linear_blocks
-            if lb.kind is BranchKind.COND
-        )
 
     # ------------------------------------------------------------------
     # address queries
@@ -159,12 +151,6 @@ class Program:
         if offset >= lb.size:
             raise ValueError(f"address {addr:#x} in inter-block gap")
         return lb, offset
-
-    def next_block(self, lb: LinearBlock) -> Optional[LinearBlock]:
-        nxt = lb.index + 1
-        if nxt >= len(self.linear_blocks):
-            return None
-        return self.linear_blocks[nxt]
 
     # ------------------------------------------------------------------
     # instruction metadata (back-end model)

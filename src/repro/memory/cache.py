@@ -59,9 +59,6 @@ class Cache:
         self._assoc = params.assoc
 
     # ------------------------------------------------------------------
-    def line_address(self, addr: int) -> int:
-        return addr >> self._offset_bits
-
     def _locate(self, addr: int) -> tuple[List[int], int]:
         line = addr >> self._offset_bits
         return self._sets[line & self._index_mask], line >> self._tag_shift

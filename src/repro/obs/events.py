@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from collections import deque
 from typing import Dict, Iterable, List, Optional
 
@@ -179,16 +178,3 @@ def tail_events(path: str, count: int) -> List[Dict[str, object]]:
     if count <= 0:
         return []
     return events[-count:]
-
-
-def event_timestamp(event: Dict[str, object]) -> float:
-    """Best-effort ``ts`` extraction (0.0 when absent/malformed)."""
-    ts = event.get("ts")
-    if isinstance(ts, (int, float)):
-        return float(ts)
-    return 0.0
-
-
-def now() -> float:
-    """Wall-clock timestamp used for every recorded event."""
-    return time.time()

@@ -115,7 +115,7 @@ class ArtifactCache:
     ) -> Optional[SimulationResult]:
         """Ingest an already-encoded result (the remote-cell path).
 
-        A serve daemon ships results in the store's own object
+        A serve daemon ships results in the store's own payload
         encoding, so a cluster sweep can persist the *wire bytes*
         verbatim — the local store entry is then bit-identical to the
         one the daemon wrote, with no decode/re-encode round trip in

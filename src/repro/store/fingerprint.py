@@ -37,7 +37,7 @@ __all__ = [
     "trace_fingerprint",
 ]
 
-#: Bump when the on-disk object encoding changes incompatibly.
+#: Bump when the payload encoding changes incompatibly.
 FORMAT_VERSION = 1
 
 _CODE_VERSION: Optional[str] = None

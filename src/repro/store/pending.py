@@ -1,10 +1,10 @@
 """In-flight fingerprint registry: dedup *concurrent* cold lookups.
 
-The content-addressed store already dedups *completed* work — two
-writers racing on one fingerprint produce one object.  What it cannot
-see is work that is still running: two concurrent requests for the same
-cold cell would both simulate it, and only discover the duplication
-when the second ``put`` lands on an existing object.  For a process
+The store already dedups *completed* work — two writers racing on one
+fingerprint leave one entry.  What it cannot see is work that is still
+running: two concurrent requests for the same cold cell would both
+simulate it, and only discover the duplication when the second ``put``
+lands on an existing entry.  For a process
 that serves many clients (the ``repro.serve`` daemon), that is the
 difference between N identical requests costing one simulation or N.
 

@@ -12,7 +12,7 @@ Three wire ops (served by the daemon, :mod:`.ops`):
     lists the peer's whole index for a kind (the anti-entropy pass
     builds its diff from this).
 ``store_get``
-    One artifact: object bytes base64-encoded in the store's own
+    One artifact: payload bytes base64-encoded in the store's own
     canonical encoding, plus the oid they must hash to.
 ``store_put``
     One artifact pushed at a peer; the server re-hashes the decoded
@@ -72,7 +72,7 @@ def version_salt() -> str:
     """The handshake salt: store format generation + code version.
 
     Two nodes agree on this string exactly when their artifacts are
-    interchangeable — same index/object format *and* same simulator
+    interchangeable — same payload format *and* same simulator
     code, the pair :func:`repro.store.fingerprint.fingerprint` already
     folds into every fingerprint.
     """

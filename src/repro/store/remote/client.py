@@ -20,7 +20,7 @@ on:
   different store-format/code generation; carries the peer's salt.
 
 Every ``get`` payload is re-hashed client-side before it is trusted —
-the server already verified its local object, but the network between
+the server already verified its local entry, but the network between
 is exactly where bits flip.
 """
 

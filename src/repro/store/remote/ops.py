@@ -10,7 +10,9 @@ Integrity is enforced where the bytes change hands: a ``store_put``
 payload is re-hashed after base64 decoding and refused with a typed
 ``integrity`` error on any mismatch with the claimed oid, and a
 ``store_get`` never serves bytes the local store cannot re-verify
-(a torn local object answers ``found: false`` — a miss, never a lie).
+(a torn local entry answers ``found: false`` — a miss, never a lie).
+A kind or fingerprint the store refuses (anything that is not a plain
+name or a 64-digit hex digest, such as ``../x``) is a ``bad_request``.
 """
 
 from __future__ import annotations
@@ -67,12 +69,15 @@ def handle(store: Any, message: Dict[str, Any]) -> Dict[str, Any]:
     kind = message.get("kind")
     _require(isinstance(kind, str) and bool(kind),
              f"{op}: kind must be a non-empty string")
-    if op == "store_has":
-        return _has(store, kind, message)
-    if op == "store_get":
-        return _get(store, kind, message)
-    if op == "store_put":
-        return _put(store, kind, message)
+    try:
+        if op == "store_has":
+            return _has(store, kind, message)
+        if op == "store_get":
+            return _get(store, kind, message)
+        if op == "store_put":
+            return _put(store, kind, message)
+    except ValueError as exc:  # a kind or fp the store refuses
+        raise ProtocolError(f"{op}: {exc}") from None
     raise ProtocolError(f"unknown store op: {op!r}")
 
 
@@ -84,7 +89,7 @@ def _has(store: Any, kind: str, message: Dict[str, Any]) -> Dict[str, Any]:
         # diffs against this (and a pull needs no fourth op).
         for entry_kind, fp, entry in store.iter_index():
             if entry_kind == kind and entry is not None:
-                oids[fp] = entry["object"]
+                oids[fp] = entry["oid"]
     else:
         _require(isinstance(fps, list)
                  and all(isinstance(fp, str) for fp in fps),
@@ -92,7 +97,7 @@ def _has(store: Any, kind: str, message: Dict[str, Any]) -> Dict[str, Any]:
         for fp in fps:
             entry = store.get_entry(kind, fp)
             if entry is not None:
-                oids[fp] = entry["object"]
+                oids[fp] = entry["oid"]
     return {"ok": True, "op": "store_has", "kind": kind, "oids": oids}
 
 
@@ -100,18 +105,15 @@ def _get(store: Any, kind: str, message: Dict[str, Any]) -> Dict[str, Any]:
     fp = message.get("fp")
     _require(isinstance(fp, str) and bool(fp),
              "store_get: fp must be a non-empty string")
-    miss = {"ok": True, "op": "store_get", "kind": kind, "fp": fp,
-            "found": False}
-    entry = store.get_entry(kind, fp)
-    if entry is None:
-        return miss
-    data = store._read_object(entry["object"])
-    if data is None:
-        return miss  # torn local object: a miss, never a lie
+    found = store.read(kind, fp)
+    if found is None:  # missing or torn: a miss, never a lie
+        return {"ok": True, "op": "store_get", "kind": kind, "fp": fp,
+                "found": False}
+    entry, data = found
     return {
         "ok": True, "op": "store_get", "kind": kind, "fp": fp,
-        "found": True, "oid": entry["object"], "size": len(data),
-        "meta": entry.get("meta") or {},
+        "found": True, "oid": entry["oid"], "size": len(data),
+        "meta": entry["meta"],
         "data": base64.b64encode(data).decode("ascii"),
     }
 

@@ -35,10 +35,11 @@ SYNC_KINDS = ("result",)
 
 
 def _local_index(store: ArtifactStore) -> Dict[str, Dict[str, str]]:
+    """kind -> {fingerprint: oid} over every intact local entry."""
     index: Dict[str, Dict[str, str]] = {}
     for kind, fp, entry in store.iter_index():
         if entry is not None:
-            index.setdefault(kind, {})[fp] = entry["object"]
+            index.setdefault(kind, {})[fp] = entry["oid"]
     return index
 
 
@@ -54,8 +55,9 @@ def sync_with_peers(
     ``direction`` is ``pull`` (fetch what the peer has and we lack),
     ``push`` (the reverse) or ``both``.  Each row reports ``pulled``,
     ``pushed``, ``errors`` (integrity-refused or transport-dropped
-    transfers) and ``skipped`` (version skew / storeless / unreachable
-    peers are skipped whole, with the reason).
+    transfers, and listed keys the local store refuses) and
+    ``skipped`` (version skew / storeless / unreachable peers are
+    skipped whole, with the reason).
     """
     if direction not in ("push", "pull", "both"):
         raise ValueError(f"bad direction {direction!r} "
@@ -115,7 +117,13 @@ def _sync_kind(
             if found is None:
                 continue  # gc'd (or torn) since the listing; fine
             _oid, data, meta = found
-            store.put(kind, fp, data, meta)
+            try:
+                store.put(kind, fp, data, meta)
+            except ValueError as exc:  # the peer listed a bad fp
+                row["errors"] += 1
+                emit(f"{client.address}: pull {kind}/{fp!r} refused "
+                     f"({exc})")
+                continue
             row["pulled"] += 1
     if direction in ("push", "both"):
         want = sorted(set(local) - set(remote))
@@ -127,13 +135,12 @@ def _sync_kind(
             for fp in chunk:
                 if fp in present:
                     continue
-                entry = store.get_entry(kind, fp)
-                data = (store._read_object(entry["object"])
-                        if entry is not None else None)
-                if data is None:
+                found = store.read(kind, fp)
+                if found is None:
                     continue  # locally torn: never push unverifiable bytes
+                entry, data = found
                 try:
-                    client.put(kind, fp, data, entry.get("meta") or {})
+                    client.put(kind, fp, data, entry["meta"])
                 except StoreIntegrityError as exc:
                     row["errors"] += 1
                     emit(f"{client.address}: push {kind}/{fp} "

@@ -2,8 +2,7 @@
 
 :class:`TieredStore` *is* an :class:`~repro.store.store.ArtifactStore`
 (same root, same atomic-write discipline, drop-in wherever a store is
-accepted) whose index probes read through to remote peers on a local
-miss:
+accepted) whose reads go through to remote peers on a local miss:
 
 * **read-through fill** — a remote hit is re-hashed by the client,
   written locally via the store's own atomic-put path, and only then
@@ -158,14 +157,12 @@ class _Replicator:
 
     def _replicate(self, kind: str, fp: str) -> None:
         # Bytes are read back at send time: if the entry was since
-        # gc'd (or the object is torn) there is nothing to push.
-        entry = self._local.get_entry(kind, fp)
-        if entry is None:
+        # gc'd (or is torn) there is nothing to push.
+        found = self._local.read(kind, fp)
+        if found is None:
             return
-        data = self._local._read_object(entry["object"])
-        if data is None:
-            return
-        meta = entry.get("meta") or {}
+        entry, data = found
+        meta = entry["meta"]
         now = time.monotonic()
         for peer in self._peers:
             if peer.unusable or not peer.health.usable():
@@ -270,12 +267,12 @@ class TieredStore(ArtifactStore):
     # ------------------------------------------------------------------
     # reads: local first, then fill from peers
     # ------------------------------------------------------------------
-    def get_entry(self, kind: str, fp: str) -> Optional[dict]:
-        entry = super().get_entry(kind, fp)
-        if entry is not None or not self._peers:
-            return entry
+    def read(self, kind: str, fp: str) -> Optional[Tuple[dict, bytes]]:
+        found = super().read(kind, fp)
+        if found is not None or not self._peers:
+            return found
         if self._fill(kind, fp):
-            return super().get_entry(kind, fp)
+            return super().read(kind, fp)
         return None
 
     def _fill(self, kind: str, fp: str) -> bool:

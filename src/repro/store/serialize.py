@@ -1,6 +1,6 @@
 """(De)serialization of store artifacts.
 
-Every object file is a small ASCII header (store format + artifact
+Every payload is a small ASCII header (store format + artifact
 kind, so a corrupt or foreign file is rejected before any decoding)
 followed by a zlib-compressed pickle of the artifact's value state.
 The store holds one kind:
@@ -32,7 +32,7 @@ from repro.isa.program import Program
 from repro.isa.trace import TraceRecord
 from repro.store.fingerprint import FORMAT_VERSION
 
-#: Leading bytes of every object file; tracks FORMAT_VERSION
+#: Leading bytes of every payload; tracks FORMAT_VERSION
 #: structurally so the two can never drift apart.
 HEADER = f"repro-store:{FORMAT_VERSION}\n".encode("ascii")
 
@@ -40,11 +40,11 @@ _KINDS = ("program", "trace", "result")
 
 
 class ArtifactDecodeError(Exception):
-    """An object's bytes could not be decoded as the expected artifact."""
+    """A payload could not be decoded as the expected artifact."""
 
 
 def dumps(kind: str, payload: Any) -> bytes:
-    """Encode one artifact payload as object-file bytes."""
+    """Encode one artifact as payload bytes."""
     if kind not in _KINDS:
         raise ValueError(f"unknown artifact kind {kind!r}")
     body = zlib.compress(pickle.dumps(payload, protocol=4), 6)
@@ -52,7 +52,7 @@ def dumps(kind: str, payload: Any) -> bytes:
 
 
 def loads(kind: str, data: bytes) -> Any:
-    """Decode object-file bytes, checking header and kind."""
+    """Decode payload bytes, checking header and kind."""
     prefix = HEADER + kind.encode("ascii") + b"\n"
     if not data.startswith(prefix):
         raise ArtifactDecodeError(f"bad header for {kind} object")

@@ -1,23 +1,22 @@
-"""The on-disk content-addressed object store.
+"""The on-disk artifact store: one self-verifying file per entry.
 
-Two trees under one root::
+Each entry is one file, ``entries/<kind>/<fp>``: a one-line JSON
+header (``oid``, the SHA-256 of the payload; ``size``; ``meta``), a
+newline, then the payload bytes.  Every write is a temp file in the
+destination directory followed by ``os.replace``, so
 
-    objects/<aa>/<rest>        # artifact bytes, named by their SHA-256
-    index/<kind>/<fp>.json     # one JSON line: fingerprint -> object id
-
-Objects are immutable and shared: two index entries whose artifacts
-serialize identically reference one object file.  All writes go through
-a temp file in the destination directory followed by ``os.replace``, so
-
-* readers never see a partially written object or index entry, and
+* readers never see a partially written entry, and
 * when several writers race on one key — two sweeps on one store
   saving the same result — each write is complete and one wins.
 
-Reads are paranoid: an index entry that fails to parse, references a
-missing object, or references an object whose bytes no longer hash to
-its name is treated as a miss (``None``), never returned as data.  The
-maintenance surface (:meth:`stats` / :meth:`verify` / :meth:`gc`) backs
-the ``repro-experiments cache`` subcommand.
+Reads are paranoid: a file that fails to parse, or whose payload has
+the wrong size or no longer hashes to its ``oid``, is treated as a miss
+(``None``), never returned as data, and the next ``put`` of that key
+overwrites it.  Kinds must be plain lowercase names and fingerprints 64
+lowercase hex digits (anything else raises ``ValueError``), so no key
+can name a path outside the store.  The maintenance surface
+(:meth:`stats` / :meth:`verify` / :meth:`gc`) backs the
+``repro-experiments cache`` subcommand.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -40,7 +40,7 @@ TMP_MAX_AGE_SECONDS = 3600.0
 
 #: gc drops sweep journals (see ``runs/``) untouched for this long even
 #: when incomplete — the sweep is presumed abandoned; its results stay
-#: subject to the ordinary index/object policy.
+#: subject to the ordinary entry policy.
 JOURNAL_MAX_AGE_SECONDS = 30 * 86400.0
 
 #: Fault-injection seam: ``repro.exec.faults`` installs a callable here
@@ -50,7 +50,8 @@ JOURNAL_MAX_AGE_SECONDS = 30 * 86400.0
 #: itself; the hook is pushed in from the other side.
 _write_fault_hook = None
 
-_FP_CHARS = set("0123456789abcdef")
+_KIND = re.compile(r"[a-z]+")
+_FP = re.compile(r"[0-9a-f]{64}")
 
 
 def _atomic_write(path: str, data: bytes,
@@ -135,7 +136,7 @@ def read_journal(path: str) -> Optional[dict]:
                 sweep = header["sweep"]
                 cells = header["cells"]
             continue
-        if len(line) == 64 and set(line) <= _FP_CHARS and line not in seen:
+        if _FP.fullmatch(line) and line not in seen:
             seen.add(line)
             done.append(line)
     if sweep is None and not done:
@@ -143,8 +144,32 @@ def read_journal(path: str) -> Optional[dict]:
     return {"sweep": sweep, "cells": cells, "done": done}
 
 
+def _load(path: str) -> Optional[Tuple[dict, bytes]]:
+    """Parse and re-hash one entry file: ``(header, payload)``, or None
+    when it is corrupt (unparseable, malformed, wrong size or hash).
+    Raises ``OSError`` when the file cannot be read at all."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    line, newline, data = raw.partition(b"\n")
+    try:
+        entry = json.loads(line)
+    except ValueError:
+        return None
+    if (
+        not newline
+        or not isinstance(entry, dict)
+        or not isinstance(entry.get("oid"), str)
+        or not isinstance(entry.get("size"), int)
+        or not isinstance(entry.get("meta"), dict)
+        or entry["size"] != len(data)
+        or hashlib.sha256(data).hexdigest() != entry["oid"]
+    ):
+        return None
+    return entry, data
+
+
 class ArtifactStore:
-    """A content-addressed object store rooted at one directory."""
+    """An artifact store rooted at one directory."""
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(os.fspath(root))
@@ -153,23 +178,22 @@ class ArtifactStore:
     # paths
     # ------------------------------------------------------------------
     @property
-    def objects_dir(self) -> str:
-        return os.path.join(self.root, "objects")
-
-    @property
-    def index_dir(self) -> str:
-        return os.path.join(self.root, "index")
+    def entries_dir(self) -> str:
+        return os.path.join(self.root, "entries")
 
     @property
     def runs_dir(self) -> str:
         """Sweep journals (see :mod:`repro.exec.journal`)."""
         return os.path.join(self.root, "runs")
 
-    def _object_path(self, oid: str) -> str:
-        return os.path.join(self.objects_dir, oid[:2], oid[2:])
-
-    def _index_path(self, kind: str, fp: str) -> str:
-        return os.path.join(self.index_dir, kind, fp + ".json")
+    def _entry_path(self, kind: str, fp: str) -> str:
+        """The file of one key; every keyed method resolves through
+        here, so no key can name a path outside the store."""
+        if not _KIND.fullmatch(kind):
+            raise ValueError(f"bad artifact kind {kind!r}")
+        if not _FP.fullmatch(fp):
+            raise ValueError(f"bad fingerprint {fp!r}")
+        return os.path.join(self.entries_dir, kind, fp)
 
     def journal_path(self, sweep_fp: str) -> str:
         return os.path.join(self.runs_dir, sweep_fp + ".journal")
@@ -216,166 +240,74 @@ class ArtifactStore:
     def put(
         self, kind: str, fp: str, data: bytes, meta: Optional[dict] = None
     ) -> str:
-        """Store ``data`` and point ``(kind, fp)`` at it; returns the oid."""
+        """Store ``data`` under ``(kind, fp)``; returns its oid."""
         oid = hashlib.sha256(data).hexdigest()
-        # Re-hash any existing file rather than trusting its presence:
-        # writing over a *corrupt* object here is what lets a damaged
-        # store heal on the recompute path instead of missing forever.
-        if self._read_object(oid) is None:
-            _atomic_write(self._object_path(oid), data,
-                          fault_target=f"{kind}/{fp}:object")
-        else:
-            # Dedup hit: freshen the mtime so gc's racing-writer grace
-            # also covers an aged orphan being re-referenced right now.
-            try:
-                os.utime(self._object_path(oid))
-            except OSError:
-                pass
-        entry = {"object": oid, "size": len(data), "meta": meta or {}}
+        header = {"meta": meta or {}, "oid": oid, "size": len(data)}
         _atomic_write(
-            self._index_path(kind, fp),
-            (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"),
-            fault_target=f"{kind}/{fp}:index",
+            self._entry_path(kind, fp),
+            json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+            + data,
+            fault_target=f"{kind}/{fp}",
         )
         return oid
 
-    def get_entry(self, kind: str, fp: str) -> Optional[dict]:
-        """The parsed index entry for a key, or None (incl. corrupt).
+    def read(self, kind: str, fp: str) -> Optional[Tuple[dict, bytes]]:
+        """``(header, payload)`` for a key, or None on any failure.
 
-        Validates every field consumers touch — parseable-but-malformed
-        entries (a null size, a non-dict meta) must degrade to a miss
-        like any other corruption, not crash ``stats`` or a sweep
-        mid-run.
+        The payload is re-hashed on every read: a missing, truncated,
+        tampered or malformed entry is a miss, never returned as data.
+        The header holds ``oid``, ``size`` and ``meta``.
         """
         try:
-            with open(self._index_path(kind, fp), "rb") as fh:
-                entry = json.loads(fh.read())
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("object"), str)
-            or not isinstance(entry.get("size", 0), int)
-            or not isinstance(entry.get("meta", {}), dict)
-        ):
-            return None
-        return entry
-
-    def get(self, kind: str, fp: str) -> Optional[bytes]:
-        """The object bytes for a key, hash-verified, or None on any
-        failure (missing, truncated, or tampered — a miss, never lies)."""
-        entry = self.get_entry(kind, fp)
-        if entry is None:
-            return None
-        return self._read_object(entry["object"])
-
-    def _read_object(self, oid: str) -> Optional[bytes]:
-        try:
-            with open(self._object_path(oid), "rb") as fh:
-                data = fh.read()
+            return _load(self._entry_path(kind, fp))
         except OSError:
             return None
-        if hashlib.sha256(data).hexdigest() != oid:
-            return None
-        return data
+
+    def get_entry(self, kind: str, fp: str) -> Optional[dict]:
+        """The verified header for a key, or None."""
+        found = self.read(kind, fp)
+        return None if found is None else found[0]
+
+    def get(self, kind: str, fp: str) -> Optional[bytes]:
+        """The verified payload for a key, or None."""
+        found = self.read(kind, fp)
+        return None if found is None else found[1]
 
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------
-    def iter_index(self) -> Iterator[Tuple[str, str, Optional[dict]]]:
-        """Yield (kind, fingerprint, entry-or-None) for every index file."""
-        index_dir = self.index_dir
-        if not os.path.isdir(index_dir):
+    def _entry_files(self) -> Iterator[Tuple[str, str, str]]:
+        """Yield (kind, fingerprint, path) for every entry file."""
+        entries_dir = self.entries_dir
+        if not os.path.isdir(entries_dir):
             return
-        for kind in sorted(os.listdir(index_dir)):
-            kind_dir = os.path.join(index_dir, kind)
-            if not os.path.isdir(kind_dir):
+        for kind in sorted(os.listdir(entries_dir)):
+            kind_dir = os.path.join(entries_dir, kind)
+            if not _KIND.fullmatch(kind) or not os.path.isdir(kind_dir):
                 continue
-            for name in sorted(os.listdir(kind_dir)):
-                if name.startswith(".tmp-") or not name.endswith(".json"):
-                    continue
-                fp = name[: -len(".json")]
-                yield kind, fp, self.get_entry(kind, fp)
+            for fp in sorted(os.listdir(kind_dir)):
+                if _FP.fullmatch(fp):  # skips in-flight .tmp- files
+                    yield kind, fp, os.path.join(kind_dir, fp)
 
-    def iter_objects(self) -> Iterator[Tuple[str, str]]:
-        """Yield (oid, path) for every object file present."""
-        objects_dir = self.objects_dir
-        if not os.path.isdir(objects_dir):
-            return
-        for shard in sorted(os.listdir(objects_dir)):
-            shard_dir = os.path.join(objects_dir, shard)
-            if len(shard) != 2 or not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.startswith(".tmp-"):
-                    continue
-                oid = shard + name
-                if len(oid) == 64 and set(oid) <= _FP_CHARS:
-                    yield oid, os.path.join(shard_dir, name)
+    def iter_index(self) -> Iterator[Tuple[str, str, Optional[dict]]]:
+        """Yield (kind, fingerprint, header-or-None) for every entry."""
+        for kind, fp, _path in self._entry_files():
+            yield kind, fp, self.get_entry(kind, fp)
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def _classify_objects(self) -> tuple:
-        """One pass over all objects: ``(sizes, paths, intact, corrupt,
-        unreadable)``.
-
-        The single classification both :meth:`verify` and :meth:`gc`
-        consume, so the two can never drift on what counts as corrupt:
-        ``corrupt`` holds confirmed hash mismatches (reclaimable),
-        ``unreadable`` holds objects whose bytes could not be read at
-        all (possibly transient — these are also in ``intact``, i.e.
-        treated as live, so a gc pass during an I/O hiccup cannot
-        discard valid keys).
-        """
-        sizes: Dict[str, int] = {}
-        paths: Dict[str, str] = {}
-        intact: set = set()
-        corrupt: List[str] = []
-        unreadable: List[str] = []
-        for oid, path in self.iter_objects():
-            paths[oid] = path
-            try:
-                sizes[oid] = os.path.getsize(path)
-            except OSError:
-                sizes[oid] = 0
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError:
-                unreadable.append(oid)
-                intact.add(oid)
-                continue
-            if hashlib.sha256(data).hexdigest() == oid:
-                intact.add(oid)
-            else:
-                corrupt.append(oid)
-        return sizes, paths, intact, corrupt, unreadable
-
     def stats(self) -> dict:
-        """Object/index counts and byte totals, per artifact kind."""
+        """Entry counts and payload bytes per kind, plus journals."""
         kinds: Dict[str, dict] = {}
-        live: Dict[str, int] = {}
         bad_entries = 0
-        for kind, fp, entry in self.iter_index():
+        for kind, _fp, entry in self.iter_index():
             row = kinds.setdefault(kind, {"entries": 0, "bytes": 0})
             if entry is None:
                 bad_entries += 1
                 continue
             row["entries"] += 1
-            row["bytes"] += int(entry.get("size", 0))
-            live[entry["object"]] = 1
-        objects = 0
-        object_bytes = 0
-        orphans = 0
-        for oid, path in self.iter_objects():
-            objects += 1
-            try:
-                object_bytes += os.path.getsize(path)
-            except OSError:
-                continue
-            if oid not in live:
-                orphans += 1
+            row["bytes"] += entry["size"]
         journals = 0
         journal_bytes = 0
         journals_complete = 0
@@ -383,12 +315,7 @@ class ArtifactStore:
         now = time.time()
         for _sweep_fp, path in self.iter_journals():
             journals += 1
-            record = read_journal(path)
-            if (
-                record is not None
-                and record["cells"] is not None
-                and len(record["done"]) >= record["cells"]
-            ):
+            if _journal_complete(read_journal(path)):
                 journals_complete += 1
             try:
                 journal_bytes += os.path.getsize(path)
@@ -398,9 +325,6 @@ class ArtifactStore:
         return {
             "root": self.root,
             "kinds": kinds,
-            "objects": objects,
-            "object_bytes": object_bytes,
-            "orphan_objects": orphans,
             "bad_entries": bad_entries,
             "journals": journals,
             "journal_bytes": journal_bytes,
@@ -410,32 +334,27 @@ class ArtifactStore:
         }
 
     def verify(self) -> dict:
-        """Re-hash every object; cross-check the index.
+        """Re-read and re-hash every entry.
 
-        Returns ``{"checked", "corrupt_objects", "unreadable_objects",
-        "dangling_entries", "bad_entries"}``: ``corrupt_objects`` lists
-        object ids whose bytes no longer hash to their name (``gc``
-        reclaims these), ``unreadable_objects`` lists ids whose bytes
-        could not be read at all (possibly transient — permissions, I/O
-        — so ``gc`` deliberately leaves them alone), and
-        ``dangling_entries`` lists (kind, fingerprint) keys referencing
-        a missing or corrupt object.
+        Returns ``{"checked", "corrupt", "unreadable"}``: ``corrupt``
+        lists the (kind, fingerprint) keys whose file is malformed or
+        whose payload no longer matches its header (``gc`` deletes
+        these), ``unreadable`` the keys whose file could not be read at
+        all (possibly transient — permissions, I/O — so ``gc`` leaves
+        them alone).
         """
-        _sizes, paths, intact, corrupt, unreadable = self._classify_objects()
-        dangling: List[Tuple[str, str]] = []
-        bad_entries: List[Tuple[str, str]] = []
-        for kind, fp, entry in self.iter_index():
-            if entry is None:
-                bad_entries.append((kind, fp))
-            elif entry["object"] not in intact:
-                dangling.append((kind, fp))
-        return {
-            "checked": len(paths),
-            "corrupt_objects": corrupt,
-            "unreadable_objects": unreadable,
-            "dangling_entries": dangling,
-            "bad_entries": bad_entries,
-        }
+        checked = 0
+        corrupt: List[Tuple[str, str]] = []
+        unreadable: List[Tuple[str, str]] = []
+        for kind, fp, path in self._entry_files():
+            checked += 1
+            try:
+                if _load(path) is None:
+                    corrupt.append((kind, fp))
+            except OSError:
+                unreadable.append((kind, fp))
+        return {"checked": checked, "corrupt": corrupt,
+                "unreadable": unreadable}
 
     def gc(
         self,
@@ -454,218 +373,119 @@ class ArtifactStore:
         1. stray temp files from interrupted writes are removed (only
            ones older than :data:`TMP_MAX_AGE_SECONDS` — a young temp
            file may be a concurrent run's in-flight write);
-        2. corrupt objects (bytes no longer hashing to their name) are
-           deleted, and unparseable or dangling index entries — ones
-           referencing a missing or corrupt object — are removed, so a
-           store that ``verify`` flags as corrupt comes back clean
-           after ``gc`` (the affected keys simply go cold);
-        3. if ``max_bytes`` is given and live objects exceed it, whole
-           index entries are evicted oldest-first (index mtime — i.e.
-           least recently *written*; reads do not refresh entries) until
-           the live total fits;
+        2. corrupt entries (the ones :meth:`verify` flags as corrupt)
+           are deleted, so a store ``verify`` flags comes back clean
+           after ``gc`` (the affected keys simply go cold); unreadable
+           ones are kept;
+        3. if ``max_bytes`` is given and the live entries' payload bytes
+           exceed it, whole entries are evicted oldest-first (file
+           mtime — i.e. least recently *written*; reads do not refresh
+           entries) until the rest fits;
         4. sweep journals (``runs/``) are pruned: a *complete* journal
            (every cell it declared is recorded) older than
            :data:`TMP_MAX_AGE_SECONDS` has served its purpose, and any
            journal — complete, torn or headerless — untouched for
-           :data:`JOURNAL_MAX_AGE_SECONDS` is an abandoned sweep.
+           :data:`JOURNAL_MAX_AGE_SECONDS` is an abandoned sweep.  A
+           sweep's flight-recorder file goes with its journal, and one
+           without a journal ages out under the abandoned-sweep rule.
            Journal lines do **not** pin result entries against the
            size-cap eviction above: a resumed sweep whose results were
-           evicted simply re-simulates those cells;
-        5. objects no index entry references are deleted — except
-           *intact* orphans younger than :data:`TMP_MAX_AGE_SECONDS`,
-           which may be a concurrent writer's object whose index entry
-           has not landed yet (``put`` writes the object first); a
-           later gc collects them if they stay unreferenced.  Objects
-           orphaned by *this* pass's own entry removal are exempt from
-           the grace — gc just deleted their entries, so they are
-           definitionally not an in-flight write, and a size cap that
-           freed no bytes would be useless.
+           evicted simply re-simulates those cells.
 
         With ``dry_run`` nothing is deleted; the returned summary shows
-        what would happen.  Returns ``{"evicted_entries",
-        "deleted_objects", "freed_bytes", "live_bytes", "tmp_removed",
-        "journals_removed"}``.
+        what would happen.  Returns ``{"evicted_entries", "freed_bytes",
+        "live_bytes", "tmp_removed", "journals_removed",
+        "events_removed", "dry_run"}``; ``evicted_entries`` counts the
+        corrupt and the capped entries, the two byte counts are payload
+        bytes of intact entries.
         """
-        tmp_removed = 0
         now = time.time()
-        # The whole root: objects/, index/, runs/ and the top level
-        # (where check_writable probes land if interrupted).
-        for base in (self.root,):
-            for dirpath, _dirnames, filenames in os.walk(base):
-                for name in filenames:
-                    if not name.startswith(".tmp-"):
-                        continue
-                    path = os.path.join(dirpath, name)
-                    try:
-                        if now - os.path.getmtime(path) < \
-                                TMP_MAX_AGE_SECONDS:
-                            continue
-                    except OSError:
-                        continue
-                    tmp_removed += 1
-                    if not dry_run:
-                        try:
-                            os.unlink(path)
-                        except OSError:
-                            pass
 
-        # Re-hash every object (shared with verify, so the two cannot
-        # disagree on what counts as corrupt): corrupt ones can never
-        # be served and would otherwise pin their index entries red
-        # forever, so gc reclaims them.  This makes gc O(store bytes)
-        # like verify — stores are modest, and an integrity pass that
-        # cannot clean what it finds is worse.
-        object_sizes, object_paths, intact, _corrupt, _unreadable = \
-            self._classify_objects()
-
-        # Live references, annotated with entry age for LRU eviction.
-        # Entries referencing a missing or corrupt object are dropped.
-        entries: List[Tuple[float, str, str, str]] = []  # (mtime, kind, fp, oid)
-        evicted: List[Tuple[str, str]] = []
-        evicted_oids: set = set()
-        for kind, fp, entry in self.iter_index():
-            path = self._index_path(kind, fp)
-            if entry is None or entry["object"] not in intact:
-                if entry is None:
-                    # get_entry conflates garbage with transient I/O
-                    # failure; only confirmed-readable garbage may be
-                    # removed (mirrors the unreadable-object grace).
-                    try:
-                        with open(path, "rb") as fh:
-                            fh.read()
-                    except OSError:
-                        continue
-                evicted.append((kind, fp))
-                if entry is not None:
-                    evicted_oids.add(entry["object"])
-                if not dry_run:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                continue
+        def age(path: str) -> float:
+            # An unstattable file reads as brand new, so it is kept.
             try:
-                mtime = os.path.getmtime(path)
+                return now - os.path.getmtime(path)
             except OSError:
-                mtime = time.time()
-            entries.append((mtime, kind, fp, entry["object"]))
+                return 0.0
 
-        if max_bytes is not None:
-            entries.sort()  # oldest first
-            alive = entries
-            refs: Dict[str, int] = {}
-            for _mtime, _kind, _fp, oid in alive:
-                refs[oid] = refs.get(oid, 0) + 1
-            live_bytes = sum(
-                object_sizes.get(oid, 0) for oid in refs
-            )
-            keep: List[Tuple[float, str, str, str]] = []
-            for i, (mtime, kind, fp, oid) in enumerate(alive):
-                if live_bytes <= max_bytes:
-                    keep.extend(alive[i:])
-                    break
-                evicted.append((kind, fp))
-                evicted_oids.add(oid)
-                if not dry_run:
-                    try:
-                        os.unlink(self._index_path(kind, fp))
-                    except OSError:
-                        pass
-                refs[oid] -= 1
-                if refs[oid] == 0:
-                    live_bytes -= object_sizes.get(oid, 0)
-            entries = keep
-
-        live = {oid for _mtime, _kind, _fp, oid in entries}
-        deleted = []
-        freed = 0
-        for oid, path in object_paths.items():
-            if oid in live:
-                continue
-            if oid in intact and oid not in evicted_oids:
-                # A fresh intact orphan may be a racing put() whose
-                # index entry is still in flight; corrupt objects can
-                # never be (object writes are atomic), and objects this
-                # pass itself un-referenced are reclaimed immediately —
-                # otherwise a size cap on a recent store frees nothing.
-                try:
-                    if now - os.path.getmtime(path) < TMP_MAX_AGE_SECONDS:
-                        continue
-                except OSError:
-                    continue
-            deleted.append(oid)
-            freed += object_sizes.get(oid, 0)
+        def drop(path: str) -> None:
             if not dry_run:
                 try:
                     os.unlink(path)
                 except OSError:
                     pass
-        journals_removed = 0
-        events_removed = 0
-        handled_sweeps: set = set()
+
+        # The whole root: entries/, runs/ and the top level (where
+        # check_writable probes land if interrupted).
+        tmp_removed = 0
+        for dirpath, _dirnames, filenames in os.walk(self.root):
+            for name in filenames:
+                path = os.path.join(dirpath, name)
+                if name.startswith(".tmp-") and \
+                        age(path) >= TMP_MAX_AGE_SECONDS:
+                    tmp_removed += 1
+                    drop(path)
+
+        evicted = 0
+        live: List[Tuple[float, str, int]] = []  # (mtime, path, size)
+        for _kind, _fp, path in self._entry_files():
+            try:
+                found = _load(path)
+            except OSError:
+                continue  # unreadable, maybe transiently: kept
+            if found is None:
+                evicted += 1
+                drop(path)
+            else:
+                live.append((now - age(path), path, found[0]["size"]))
+        live_bytes = sum(size for _mtime, _path, size in live)
+        freed = 0
+        if max_bytes is not None:
+            live.sort()  # oldest first
+            for _mtime, path, size in live:
+                if live_bytes <= max_bytes:
+                    break
+                evicted += 1
+                freed += size
+                live_bytes -= size
+                drop(path)
+
         journal_age_limit = (
             JOURNAL_MAX_AGE_SECONDS if journal_max_age is None
             else journal_max_age
         )
-        for sweep_fp, path in self.iter_journals():
-            try:
-                age = now - os.path.getmtime(path)
-            except OSError:
-                handled_sweeps.add(sweep_fp)
-                continue
-            record = read_journal(path)
-            complete = (
-                record is not None
-                and record["cells"] is not None
-                and len(record["done"]) >= record["cells"]
-            )
-            stale = age > journal_age_limit
-            if not ((complete and age > TMP_MAX_AGE_SECONDS) or stale):
-                handled_sweeps.add(sweep_fp)
+        journals = list(self.iter_journals())
+        journals_removed = 0
+        events_removed = 0
+        for sweep_fp, path in journals:
+            journal_age = age(path)
+            if not (journal_age > journal_age_limit or (
+                    journal_age > TMP_MAX_AGE_SECONDS
+                    and _journal_complete(read_journal(path)))):
                 continue
             journals_removed += 1
-            if not dry_run:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            # The flight recorder rides with its journal: same sweep,
-            # same lifetime.  (Counting the sweep as kept stops the
-            # orphan loop below from double-counting on a dry run.)
-            handled_sweeps.add(sweep_fp)
+            drop(path)
             events = self.events_path(sweep_fp)
             if os.path.exists(events):
                 events_removed += 1
-                if not dry_run:
-                    try:
-                        os.unlink(events)
-                    except OSError:
-                        pass
-        # Orphan recorders (journal long gone, or never written) age out
-        # under the same abandoned-sweep rule.
+                drop(events)
+        with_journal = {sweep_fp for sweep_fp, _path in journals}
         if os.path.isdir(self.runs_dir):
             for name in sorted(os.listdir(self.runs_dir)):
-                if name.startswith(".tmp-") or not name.endswith(".events"):
-                    continue
-                if name[: -len(".events")] in handled_sweeps:
-                    continue
                 path = os.path.join(self.runs_dir, name)
-                try:
-                    if now - os.path.getmtime(path) <= journal_age_limit:
-                        continue
-                except OSError:
-                    continue
-                events_removed += 1
-                if not dry_run:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+                if (
+                    name.endswith(".events")
+                    and not name.startswith(".tmp-")
+                    and name[: -len(".events")] not in with_journal
+                    and age(path) > journal_age_limit
+                ):
+                    events_removed += 1
+                    drop(path)
+
         report = {
-            "evicted_entries": len(evicted),
-            "deleted_objects": len(deleted),
+            "evicted_entries": evicted,
             "freed_bytes": freed,
-            "live_bytes": sum(object_sizes.get(oid, 0) for oid in live),
+            "live_bytes": live_bytes,
             "tmp_removed": tmp_removed,
             "journals_removed": journals_removed,
             "events_removed": events_removed,
@@ -674,9 +494,8 @@ class ArtifactStore:
         if not dry_run:
             obs.STORE_GC_RUNS.inc()
             for what, count in (
-                ("object", len(deleted)), ("entry", len(evicted)),
-                ("tmp", tmp_removed), ("journal", journals_removed),
-                ("events", events_removed),
+                ("entry", evicted), ("tmp", tmp_removed),
+                ("journal", journals_removed), ("events", events_removed),
             ):
                 if count:
                     obs.STORE_GC_REMOVED.inc(count, what=what)
@@ -685,6 +504,15 @@ class ArtifactStore:
                 if key != "dry_run"
             })
         return report
+
+
+def _journal_complete(record: Optional[dict]) -> bool:
+    """Whether a parsed journal records every cell it declared."""
+    return (
+        record is not None
+        and record["cells"] is not None
+        and len(record["done"]) >= record["cells"]
+    )
 
 
 def default_store_root() -> Optional[str]:

@@ -335,14 +335,14 @@ class TestStoreFingerprints:
         assert stats_after["entries"] == results_before["entries"]
 
     def test_fresh_stores_get_identical_fingerprints(self, tmp_path):
-        import os
-
         fingerprints = {}
         for mode in ("accel", "interp"):
             root = tmp_path / mode
             reset_program_cache()
             run_matrix(store=str(root), engine_mode=mode, **self.KW)
-            index = os.path.join(str(root), "index", "result")
-            fingerprints[mode] = sorted(os.listdir(index))
+            store = ArtifactStore(str(root))
+            fingerprints[mode] = sorted(
+                fp for kind, fp, _entry in store.iter_index()
+                if kind == "result")
         assert fingerprints["accel"] == fingerprints["interp"]
         assert fingerprints["accel"]  # something was actually stored

@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.hashing import DolcHasher, DolcSpec, fold_xor
+from repro.common.hashing import (
+    DolcHasher,
+    DolcSpec,
+    fold_xor,
+    make_t1_index_tag,
+)
 
 STREAM_SPEC = DolcSpec(depth=12, older_bits=2, last_bits=4, current_bits=10)
 TRACE_SPEC = DolcSpec(depth=9, older_bits=4, last_bits=7, current_bits=9)
@@ -95,3 +100,27 @@ class TestDolcHasher:
         t1 = h.tag([0x1000], 0x4000)
         t2 = h.tag([0x2000], 0x4000)
         assert t1 != t2
+
+    @pytest.mark.parametrize("spec, bits", [(STREAM_SPEC, 11),
+                                            (TRACE_SPEC, 10)])
+    @given(history=st.lists(addrs, max_size=16), current=addrs)
+    def test_index_tag_matches_index_and_tag(self, spec, bits, history,
+                                             current):
+        """The memoized one-pass pair the predictors use equals the
+        reference pair, for windows shorter than, equal to and longer
+        than the depth; the second call is answered by the memo."""
+        h = DolcHasher(spec, bits)
+        want = (h.index(history, current), h.tag(history, current))
+        assert h.index_tag(history, current) == want
+        assert h.index_tag(history, current) == want
+
+
+class TestT1IndexTag:
+    @given(st.integers(1, 16), addrs)
+    def test_matches_reference_fold(self, bits, addr):
+        """The memoized first-level hasher equals its reference fold,
+        on the first call and on the memo hit that follows."""
+        t1_index_tag = make_t1_index_tag(bits)
+        want = (fold_xor(addr >> 2, bits), (addr >> 2) >> bits)
+        assert t1_index_tag(addr) == want
+        assert t1_index_tag(addr) == want

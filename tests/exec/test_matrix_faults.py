@@ -112,11 +112,11 @@ def test_sweep_error_names_cells_and_resume_reuses_survivors(
 
 
 def _killed_sweep_child(root: str) -> None:
-    # after=2 lets the first cell's result (object + index writes) land,
-    # then SIGKILLs this process between the second result's temp write
-    # and its atomic replace — the torn-write worst case.
+    # after=1 lets the first cell's result (one entry write) land, then
+    # SIGKILLs this process between the second result's temp write and
+    # its atomic replace — the torn-write worst case.
     os.environ[FAULTS_ENV] = encode_plan(
-        FaultSpec("store_kill", match="result", after=2)
+        FaultSpec("store_kill", match="result", after=1)
     )
     faults.refresh()
     run_matrix(**KW, store=root)

@@ -35,21 +35,25 @@ def _put_child(root: str, plan: str) -> None:
     ArtifactStore(root).put("result", FP, b"payload", meta={"k": 1})
 
 
-def _run_killed_put(root: str, match: str) -> None:
+def _run_killed_put(root: str) -> None:
+    """Fork a ``put`` of ``FP`` that is SIGKILLed before its replace."""
     child = multiprocessing.get_context("fork").Process(
         target=_put_child,
-        args=(root, encode_plan(FaultSpec("store_kill", match=match))),
+        args=(root, encode_plan(
+            FaultSpec("store_kill", match=f"result/{FP}"))),
     )
     child.start()
     child.join(timeout=60)
     assert child.exitcode == -9
 
 
+# The entry file is both the payload object and the key's index record,
+# so both drills kill the one replace of a put and check the two views.
 @pytest.mark.faults(timeout=120)
 def test_sigkill_before_object_replace_is_a_clean_miss(tmp_path):
     store = ArtifactStore(str(tmp_path))
-    _run_killed_put(str(tmp_path), ":object")
-    # Neither the object nor the index landed: a miss, not a torn hit.
+    _run_killed_put(str(tmp_path))
+    # The payload never landed: a miss, not a torn hit.
     assert store.get_entry("result", FP) is None
     assert store.get("result", FP) is None
     # The stranded temp file is swept by gc once past the writer grace.
@@ -70,11 +74,17 @@ def test_sigkill_before_object_replace_is_a_clean_miss(tmp_path):
 @pytest.mark.faults(timeout=120)
 def test_sigkill_before_index_replace_is_a_clean_miss(tmp_path):
     store = ArtifactStore(str(tmp_path))
-    _run_killed_put(str(tmp_path), ":index")
-    # The object landed but the key never did: still a clean miss.
-    assert store.get_entry("result", FP) is None
+    _run_killed_put(str(tmp_path))
+    # The key never entered the index: the stranded temp file is neither
+    # listed nor counted as a corrupt entry.
+    assert list(store.iter_index()) == []
+    assert store.stats()["bad_entries"] == 0
+    assert store.verify() == {"checked": 0, "corrupt": [],
+                              "unreadable": []}
     assert store.get("result", FP) is None
     store.put("result", FP, b"payload", meta={"k": 1})
+    assert [(kind, fp) for kind, fp, _ in store.iter_index()] == [
+        ("result", FP)]
     assert store.get("result", FP) == b"payload"
 
 

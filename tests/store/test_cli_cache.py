@@ -79,7 +79,7 @@ class TestCacheSubcommand:
     def test_stats(self, populated, capsys):
         assert main(["cache", "stats", "--store", populated]) == 0
         out = capsys.readouterr().out
-        assert "result" in out and "objects" in out
+        assert "result" in out and "4 entries" in out
         # Rows are the kinds present, not a fixed list.
         assert "program" not in out and "trace" not in out
 
@@ -89,15 +89,15 @@ class TestCacheSubcommand:
 
     def test_verify_detects_corruption(self, populated, capsys):
         store = ArtifactStore(populated)
-        oid, path = next(iter(store.iter_objects()))
-        with open(path, "wb") as fh:
+        kind, fp, _entry = next(iter(store.iter_index()))
+        with open(store._entry_path(kind, fp), "wb") as fh:
             fh.write(b"bad")
         assert main(["cache", "verify", "--store", populated]) == 1
-        assert "corrupt" in capsys.readouterr().out
+        assert f"corrupt entry {kind}/{fp}" in capsys.readouterr().out
 
     def test_gc_noop_on_clean_store(self, populated, capsys):
         assert main(["cache", "gc", "--store", populated]) == 0
-        assert "deleted 0 objects" in capsys.readouterr().out
+        assert "deleted 0 entries" in capsys.readouterr().out
 
     def test_gc_size_cap_then_recompute(self, populated, capsys):
         """Evicting everything is safe: the next run just goes cold."""
@@ -106,7 +106,9 @@ class TestCacheSubcommand:
         capsys.readouterr()
         stats = ArtifactStore(populated).stats()
         assert stats["kinds"] == {}  # every entry evicted -> all keys cold
-        assert stats["objects"] == 0  # ...and their objects reclaimed
+        assert sorted(os.listdir(populated)) == ["entries", "runs"]
+        assert os.listdir(os.path.join(populated, "entries", "result")) \
+            == []
         assert main(["fig9", *ARGS, "--store", populated]) == 0
         capsys.readouterr()
         assert ArtifactStore(populated).stats()[
@@ -135,7 +137,7 @@ class TestCacheSubcommand:
                      "--max-bytes", "0"]) == 0
         capsys.readouterr()
         stats = ArtifactStore(with_old_kinds).stats()
-        assert stats["kinds"] == {} and stats["objects"] == 0
+        assert stats["kinds"] == {} and stats["bad_entries"] == 0
 
     def test_old_kinds_synced_and_cross_checked(self, with_old_kinds,
                                                 tmp_path, capsys):

@@ -1,14 +1,14 @@
-"""Concurrent writers on one cold fingerprint: one object, identical
+"""Concurrent writers on one cold fingerprint: one entry, identical
 bits.
 
 These tests pin the two layers the ``repro.serve`` scheduler's
 coalescing relies on:
 
 * the **store** layer — two threads or processes computing the same
-  cold fingerprint concurrently yield exactly one object on disk, and
-  both sides load bit-identical values afterwards (content addressing
-  plus atomic writes: whichever complete write wins, it is the same
-  bytes);
+  cold fingerprint concurrently leave exactly one entry on disk, and
+  both sides load bit-identical values afterwards (deterministic
+  results plus atomic writes: whichever complete write wins, it is the
+  same bytes);
 * the **pending registry** — within one process, the first claimant of
   an in-flight fingerprint owns the computation and all later
   claimants subscribe to the same cell, so concurrent identical
@@ -18,6 +18,7 @@ coalescing relies on:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 
 from helpers import result_digest
@@ -51,11 +52,9 @@ def test_racing_thread_puts_one_object_identical_loads(tmp_path):
     for t in threads:
         t.join(timeout=30)
     assert len(set(oids)) == 1
-    stats = store.stats()
-    assert stats["objects"] == 1
-    assert stats["orphan_objects"] == 0
+    assert os.listdir(os.path.join(store.entries_dir, "result")) == [fp]
     assert store.get("result", fp) == data
-    assert store.verify()["corrupt_objects"] == []
+    assert store.verify() == {"checked": 1, "corrupt": [], "unreadable": []}
 
 
 def _matrix_child(root: str, conn) -> None:
@@ -73,9 +72,9 @@ def test_two_processes_same_cold_cell_one_object(tmp_path):
 
     Both simulate (cross-process coalescing is out of scope — the
     registry is per-process), but the store must end up with exactly
-    one result object per cell, no orphans or corruption, and both
-    processes' results must be bit-identical to each other and to a
-    fresh local load from the store.
+    one intact result entry per cell, and both processes' results must
+    be bit-identical to each other and to a fresh local load from the
+    store.
     """
     root = str(tmp_path / "store")
     ctx = multiprocessing.get_context()
@@ -97,9 +96,8 @@ def test_two_processes_same_cold_cell_one_object(tmp_path):
     stats = store.stats()
     n_cells = 1  # 1 bench x 1 layout x 1 width x 1 arch
     assert stats["kinds"]["result"]["entries"] == n_cells
-    report = store.verify()
-    assert report["corrupt_objects"] == []
-    assert report["dangling_entries"] == []
+    assert store.verify() == {"checked": n_cells, "corrupt": [],
+                              "unreadable": []}
     # The winning write is readable and matches what both runs computed.
     warm = run_matrix(BENCHES, **KWARGS, store=root)
     assert {repr(s): result_digest(r) for s, r in warm.results.items()} \

@@ -154,13 +154,12 @@ class TestCorruptionFallback:
         store_root = str(tmp_path / "store")
         run_matrix(BENCHES, **KWARGS, store=store_root)
         before = len(counted_run_cell)
-        # Truncate every result object.
+        # Truncate every result entry.
         store = ArtifactStore(store_root)
-        for kind, fp, entry in store.iter_index():
+        for kind, fp, _entry in store.iter_index():
             if kind != "result":
                 continue
-            path = store._object_path(entry["object"])
-            with open(path, "wb") as fh:
+            with open(store._entry_path(kind, fp), "wb") as fh:
                 fh.write(b"truncated")
         warm = run_matrix(BENCHES, **KWARGS, store=store_root)
         assert matrices_identical(reference_matrix, warm)

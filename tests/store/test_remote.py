@@ -2,7 +2,7 @@
 write-behind replication, corruption mirrors, anti-entropy sync.
 
 The daemon-backed tests spin a real in-process ``ExperimentServer``
-(socket and all); the corruption tests tear real object files and
+(socket and all); the corruption tests tear real entry files and
 assert the remote tier degrades to clean misses that self-heal on the
 next replication pass — never to wrong bytes.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -19,8 +20,10 @@ from helpers import free_port, serve_once
 
 from repro.cluster.health import DEAD, HEALTHY, HealthPolicy
 from repro.exec.faults import FaultSpec, active_plan
+from repro.experiments.runner import run_matrix
 from repro.serve import protocol
 from repro.serve.server import ExperimentServer
+from repro.store.cache import ArtifactCache
 from repro.store.remote import parse_peers, version_salt
 from repro.store.remote import ops
 from repro.store.remote.client import (
@@ -45,10 +48,9 @@ FAST_HEALTH = HealthPolicy(
 )
 
 
-def _tear_object(store: ArtifactStore, kind: str, fp: str) -> None:
-    """Truncate the object file behind an index entry."""
-    entry = store.get_entry(kind, fp)
-    path = store._object_path(entry["object"])
+def _tear_entry(store: ArtifactStore, kind: str, fp: str) -> None:
+    """Truncate the entry file of one key."""
+    path = store._entry_path(kind, fp)
     with open(path, "rb") as fh:
         data = fh.read()
     with open(path, "wb") as fh:
@@ -153,7 +155,7 @@ class TestOps:
 
     def test_get_torn_object_is_a_miss_never_a_lie(self, local):
         local.put("result", FP, b"x" * 1000)
-        _tear_object(local, "result", FP)
+        _tear_entry(local, "result", FP)
         out = ops.handle(local, self._msg("store_get", kind="result",
                                           fp=FP))
         assert out["ok"] and out["found"] is False
@@ -204,6 +206,28 @@ class TestClientServer:
         got = client.get("result", FP)
         assert got == (oid, b"federated", {"k": 1})
         assert client.get("result", FP2) is None
+
+    def test_traversal_keys_are_bad_requests(self, peer, tmp_path):
+        """Every store op refuses a kind or fp that is not a plain name
+        or a hex digest before it can name a path: nothing lands
+        outside the peer's store, or inside it."""
+        client = RemoteStoreClient(peer.address)
+        data = b"outside"
+        for bad in ("../x", "../../x", "../../../x"):
+            for kind, fp in ((bad, FP), ("result", bad)):
+                for message in (
+                    {"op": "store_put", "kind": kind, "fp": fp,
+                     "oid": hashlib.sha256(data).hexdigest(),
+                     "data": base64.b64encode(data).decode(), "meta": {}},
+                    {"op": "store_get", "kind": kind, "fp": fp},
+                    {"op": "store_has", "kind": kind, "fps": [fp]},
+                ):
+                    message["version"] = version_salt()
+                    with pytest.raises(RemoteStoreError,
+                                       match="bad_request"):
+                        client.request(message)
+        assert set(os.listdir(tmp_path)) <= {"peer-store"}
+        assert list(peer.store.iter_index()) == []
 
     def test_version_skew_is_typed_with_peer_salt(self, peer):
         client = RemoteStoreClient(peer.address, version="bogus")
@@ -308,7 +332,7 @@ class TestTieredStore:
         landed = ArtifactStore(tier.root)
         assert landed.get("result", FP) == b"remote bytes"
         entry = landed.get_entry("result", FP)
-        assert entry["object"] == oid and entry["meta"] == {"m": 1}
+        assert entry["oid"] == oid and entry["meta"] == {"m": 1}
         # Second read is local: no second remote hit.
         assert tier.get("result", FP) == b"remote bytes"
         assert tier.peers[0].hits == 1
@@ -338,16 +362,16 @@ class TestTieredStore:
 
     def test_torn_remote_object_is_a_clean_miss_then_self_heals(
             self, peer, tmp_path):
-        # Satellite drill: the peer's object file is torn on disk.
+        # The peer's entry file is torn on disk.
         peer.store.put("result", FP, b"y" * 1000)
-        _tear_object(peer.store, "result", FP)
+        _tear_entry(peer.store, "result", FP)
         tier = self._tier(tmp_path, peer.address)
         # Clean miss — no exception, no wrong bytes, no health strike.
         assert tier.get("result", FP) is None
         assert tier.peers[0].misses == 1
         assert tier.peers[0].health.state == HEALTHY
         # "Recompute" locally and let write-behind re-put: the peer's
-        # torn object is healed by its own store.put path.
+        # torn entry is healed by its own store.put path.
         tier.put("result", FP, b"y" * 1000)
         assert tier.flush_replication(timeout=10)
         assert peer.store.get("result", FP) == b"y" * 1000
@@ -432,10 +456,37 @@ class TestSync:
 
     def test_torn_local_object_is_never_pushed(self, peer, local):
         local.put("result", FP, b"z" * 1000)
-        _tear_object(local, "result", FP)
+        _tear_entry(local, "result", FP)
         (row,) = sync_with_peers(local, peer.address, direction="push")
         assert row["pushed"] == 0
         assert peer.store.get("result", FP) is None
+
+    def test_bad_listed_fp_is_an_error_not_a_crash(self, peer, local,
+                                                   monkeypatch):
+        """A peer that lists (and serves) a fingerprint the local store
+        refuses costs one counted error; the rest of the pull lands."""
+        peer.store.put("result", FP, b"good")
+        bad, evil = "../../x", b"evil"
+        listing, fetch = RemoteStoreClient.has, RemoteStoreClient.get
+
+        def has(self, kind, fps):
+            oids = listing(self, kind, fps)
+            if fps is None:
+                oids[bad] = hashlib.sha256(evil).hexdigest()
+            return oids
+
+        def get(self, kind, fp):
+            if fp == bad:
+                return hashlib.sha256(evil).hexdigest(), evil, {}
+            return fetch(self, kind, fp)
+
+        monkeypatch.setattr(RemoteStoreClient, "has", has)
+        monkeypatch.setattr(RemoteStoreClient, "get", get)
+        (row,) = sync_with_peers(local, peer.address, direction="pull")
+        assert row["pulled"] == 1 and row["errors"] == 1
+        assert [(kind, fp) for kind, fp, _e in local.iter_index()] == [
+            ("result", FP)]
+        assert not os.path.exists(os.path.join(local.root, "..", "x"))
 
     def test_unreachable_peer_is_skipped_whole(self, local):
         local.put("result", FP, b"a")
@@ -447,3 +498,22 @@ class TestSync:
     def test_bad_direction_raises(self, local):
         with pytest.raises(ValueError, match="direction"):
             sync_with_peers(local, "127.0.0.1:1", direction="sideways")
+
+
+# ----------------------------------------------------------------------
+# run_matrix(peers=...)
+# ----------------------------------------------------------------------
+def test_reused_cache_replicates_every_run(peer, tmp_path):
+    """A caller's cache passed to several federated runs is federated
+    afresh by each: every run's results reach the peer, and the cache
+    keeps its own store between runs."""
+    cache = ArtifactCache(str(tmp_path / "local"))
+    own = cache.store
+    for benchmark in ("gzip", "twolf"):
+        run_matrix((benchmark,), widths=(8,), archs=("ev8",),
+                   layouts=(True,), instructions=2000, scale=0.3,
+                   store=cache, peers=peer.address)
+        assert cache.store is own
+    assert cache.misses["result"] == 2
+    assert len(list(own.iter_index())) == 2
+    assert len(list(peer.store.iter_index())) == 2

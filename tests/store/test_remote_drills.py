@@ -112,7 +112,7 @@ def test_peer_killed_mid_get_costs_one_transport_error(
 
 def test_partitioned_peer_trips_its_breaker_then_read_through_heals(
         tmp_path, fleet, tier, drill_baseline):
-    extra_fp = "feedfacefeedface"
+    extra_fp = "feedface" * 8
     extra_data = b"partition-heal extra artifact\n" * 8
     remote_root = str(tmp_path / "remote")
     port = free_port()
