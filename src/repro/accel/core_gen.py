@@ -1,7 +1,7 @@
 """Specialized ``Processor.run`` kernels: cycle loop + inlined scheduler.
 
 The generated kernel is a transliteration of the interpreted hot path
-with three structural changes, none of which can alter results:
+with these structural changes, none of which can alter results:
 
 * the back-end's **segment scheduler is inlined** into the cycle loop —
   the per-segment :meth:`DataflowBackend.dispatch_segment` call and its
@@ -9,13 +9,23 @@ with three structural changes, none of which can alter results:
   occupancy, completion ring cursor, commit chain) lives in the one
   frame's locals for the whole run;
 * every **config constant is folded** into the source as a literal —
-  pipe width, dispatch depth, ROB size, the three D-cache latency
-  levels, the completion-ring mask — so the branches they gate
-  compile to immediate comparisons;
+  pipe width, dispatch depth, ROB size, the three D-side latency
+  levels, the L2 geometry — so the branches they gate compile to
+  immediate comparisons;
 * **result counters and the trace cursor are locals**: the per-block
   ``result.<counter> += 1`` attribute round-trips and the per-block
   walker ``__next__`` call become local int bumps and a list index,
-  published back to their objects once at the end of the run.
+  published back to their objects once at the end of the run;
+* the **L2 probe is inlined** (the L1D outcome is read off the trace's
+  data stream, as in the oracle); L2 counters stay attribute updates
+  because the instruction side shares that cache mid-run, and the L1D
+  counters are derived from the access count at publish time;
+* the **per-slot loop is lean**: it iterates the segment's schedule
+  tuples (or a slice of them) directly; the issue search starts at
+  ``ready_base = max(dispatch_cycle + 1, floor)``, computed once per
+  segment and clamped again when a compaction raises the floor, so
+  only dependences can raise it; and commit slots come from one
+  three-way branch.
 
 One further bit-exact micro-optimization rides along: the warmup
 snapshot copies the local counter tuple instead of the result
@@ -34,9 +44,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from repro.common.types import BranchKind, InstrClass
+from repro.common.types import BranchKind
 from repro.core.backend import _IU_LIMIT
 from repro.core.results import SimulationResult
+from repro.isa.program import MEM_LOAD
 
 from repro.accel.codegen import CompiledKernel, compile_kernel
 
@@ -45,49 +56,30 @@ __all__ = ["run_kernel", "run_kernel_source"]
 #: Sentinel "no queued entry" cycle, mirroring processor.py.
 _NEVER = 1 << 62
 
-# Inlined D-side cache probe (Cache.access of L1D, falling to L2):
-# sets ``lvl`` to the hit level (1/2/3) with exactly the interpreter's
-# access/LRU/fill/counter semantics.  L1D counters live in run() locals
-# (the data path is the only L1D client); L2 counters stay attribute
-# updates because the instruction side shares that cache mid-run.
+# Inlined L2 probe (Cache.access of the L2) for an L1D miss at ``a``:
+# sets ``dlat`` to the load-to-use latency of the level that held the
+# line, with exactly the interpreter's access/LRU/fill/counter
+# semantics.
 _PROBE_BLOCK = """\
-line = a >> $DL1_OFF
-ways = dl1_sets[line & $DL1_MASK]
-tag = line >> $DL1_SHIFT
-dl1_acc += 1
+line = a >> $L2_OFF
+ways = l2_sets[line & $L2_MASK]
+tag = line >> $L2_SHIFT
+l2_cache.accesses += 1
 if ways and ways[0] == tag:
-    lvl = 1
+    dlat = $LVL1
 else:
     try:
         ways.remove(tag)
     except ValueError:
-        dl1_miss += 1
+        l2_cache.misses += 1
         ways.insert(0, tag)
-        if len(ways) > $DL1_ASSOC:
+        if len(ways) > $L2_ASSOC:
             ways.pop()
-            dl1_evict += 1
-        line = a >> $L2_OFF
-        ways = l2_sets[line & $L2_MASK]
-        tag = line >> $L2_SHIFT
-        l2_cache.accesses += 1
-        if ways and ways[0] == tag:
-            lvl = 2
-        else:
-            try:
-                ways.remove(tag)
-            except ValueError:
-                l2_cache.misses += 1
-                ways.insert(0, tag)
-                if len(ways) > $L2_ASSOC:
-                    ways.pop()
-                    l2_cache.evictions += 1
-                lvl = 3
-            else:
-                ways.insert(0, tag)
-                lvl = 2
+            l2_cache.evictions += 1
+        dlat = $LVL2
     else:
         ways.insert(0, tag)
-        lvl = 1
+        dlat = $LVL1
 """
 
 
@@ -120,11 +112,10 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
     stats_dict = engine.stats_dict
     mem_stats = mem.stats_summary
     completions = backend._completions
-    counters = backend._load_counters
-    counters_get = counters.get
+    codes = backend._data.codes
+    data_extend = backend._data.extend
     dl1_cache = mem.dl1
     l2_cache = mem.l2
-    dl1_sets = dl1_cache._sets
     l2_sets = l2_cache._sets
     iu_compact = backend._iu_compact
     KIND_NONE = BranchKind.NONE
@@ -187,7 +178,9 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         cic = backend._commits_in_cycle
         loads = backend.load_accesses
         stores = backend.store_accesses
-        dl1_acc = dl1_cache.accesses
+        # Every memory access is one L1D access: the count is published
+        # from ``loads + stores``.
+        dl1_base = dl1_cache.accesses - loads - stores
         dl1_miss = dl1_cache.misses
         dl1_evict = dl1_cache.evictions
         segs = backend.seg_count
@@ -282,27 +275,25 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                             take = remaining
 
                         # ==== inlined segment scheduler ======================
-                        # backend.dispatch_segment(dyn.meta, dyn.keys,
-                        # cur_off, take, dispatch_cycle); see the module
-                        # docstring.
+                        # backend.dispatch_segment(dyn.sched, cur_off,
+                        # take, dispatch_cycle); see the module docstring.
                         segs += 1
-                        seg_meta = dyn.meta
-                        seg_keys = dyn.keys
+                        seg_sched = dyn.sched
+                        if take != size:
+                            seg_sched = seg_sched[cur_off:cur_off + take]
                         ready_base = dispatch_cycle + 1
-                        complete = 0
-                        for i in range(cur_off, cur_off + take):
-                            (cls, latency, d1, d2, mem_base, mem_stride,
-                             mem_span) = seg_meta[i]
-                            ready = ready_base
+                        if floor > ready_base:
+                            ready_base = floor
+                        for mem, latency, d1, d2 in seg_sched:
+                            issue = ready_base
                             if d1:
                                 dep = completions[(cnt - d1) & 127]
-                                if dep > ready:
-                                    ready = dep
+                                if dep > issue:
+                                    issue = dep
                             if d2:
                                 dep = completions[(cnt - d2) & 127]
-                                if dep > ready:
-                                    ready = dep
-                            issue = ready if ready > floor else floor
+                                if dep > issue:
+                                    issue = dep
                             used = iu.get(issue, 0)
                             while used >= $WIDTH:
                                 issue += 1
@@ -312,18 +303,23 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                                 iu_compact(issue)
                                 iu = backend._iu
                                 floor = backend._issue_floor
+                                if floor > ready_base:
+                                    ready_base = floor
 
-                            if cls == $CLS_LOAD or cls == $CLS_STORE:
-                                slot_key = seg_keys[i]
-                                k = counters_get(slot_key, 0)
-                                counters[slot_key] = k + 1
-                                a = mem_base + (k * mem_stride) % (
-                                    mem_span if mem_span > 0 else 1
-                                )
+                            if mem:
+                                try:
+                                    code = codes[loads + stores]
+                                except IndexError:
+                                    data_extend()
+                                    code = codes[loads + stores]
+                                if code < 0:
+                                    dlat = $LVL0
+                                else:
+                                    dl1_miss += 1
+                                    dl1_evict += code & 1
+                                    a = code >> 1
 $PROBE_SLOT
-                                if cls == $CLS_LOAD:
-                                    dlat = ($LVL0, $LVL1,
-                                            $LVL2)[lvl - 1]
+                                if mem == $MEM_LOAD:
                                     latency += dlat
                                     loads += 1
                                 else:
@@ -333,18 +329,14 @@ $PROBE_SLOT
                             completions[cnt & 127] = complete
                             cnt += 1
 
-                            earliest = complete + 1
-                            commit2 = (earliest if earliest > last
-                                       else last)
-                            if commit2 == last:
-                                if cic >= $WIDTH:
-                                    commit2 += 1
-                                    cic = 1
-                                else:
-                                    cic += 1
-                            else:
+                            if complete >= last:
+                                last = complete + 1
                                 cic = 1
-                            last = commit2
+                            elif cic >= $WIDTH:
+                                last += 1
+                                cic = 1
+                            else:
+                                cic += 1
                         seg_commit = last
                         # ==== end inlined segment scheduler ==================
 
@@ -472,7 +464,7 @@ $PROBE_SLOT
             backend.load_accesses = loads
             backend.store_accesses = stores
             backend.seg_count = segs
-            dl1_cache.accesses = dl1_acc
+            dl1_cache.accesses = dl1_base + loads + stores
             dl1_cache.misses = dl1_miss
             dl1_cache.evictions = dl1_evict
 
@@ -515,21 +507,16 @@ $PROBE_SLOT
     return run
 '''
 
-# Splice the cache-probe block into the per-slot loop at the
-# surrounding indentation.
-_TEMPLATE = _TEMPLATE.replace("$PROBE_SLOT", _indent(_PROBE_BLOCK, 32))
+# Splice the L2-probe block into the per-slot loop at the surrounding
+# indentation.
+_TEMPLATE = _TEMPLATE.replace("$PROBE_SLOT", _indent(_PROBE_BLOCK, 36))
 
 
 def _consts(processor) -> dict:
     core = processor.machine.core
     lvl0, lvl1, lvl2 = processor.backend._lvl_lat
-    dl1 = processor.mem.dl1
     l2 = processor.mem.l2
     return {
-        "DL1_OFF": dl1._offset_bits,
-        "DL1_MASK": dl1._index_mask,
-        "DL1_SHIFT": dl1._tag_shift,
-        "DL1_ASSOC": dl1._assoc,
         "L2_OFF": l2._offset_bits,
         "L2_MASK": l2._index_mask,
         "L2_SHIFT": l2._tag_shift,
@@ -542,8 +529,7 @@ def _consts(processor) -> dict:
         "LVL2": lvl2,
         "NEVER": _NEVER,
         "IU_LIMIT": _IU_LIMIT,
-        "CLS_LOAD": int(InstrClass.LOAD),
-        "CLS_STORE": int(InstrClass.STORE),
+        "MEM_LOAD": MEM_LOAD,
     }
 
 

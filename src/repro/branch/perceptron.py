@@ -14,6 +14,7 @@ outcome to the corresponding weight, saturating at 8-bit range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import List, Tuple
 
 
@@ -38,6 +39,10 @@ class PerceptronConfig:
 
 #: (perceptron index, local table index, input bits, output) for update.
 PredictionInfo = Tuple[int, int, int, int]
+
+#: The 8 bits of each byte value, least significant first: unpacks an
+#: input vector for ``itertools.compress`` a byte at a time.
+_BYTE_BITS = tuple(tuple((b >> i) & 1 for i in range(8)) for b in range(256))
 
 
 class PerceptronPredictor:
@@ -70,6 +75,8 @@ class PerceptronPredictor:
         # (``threshold`` is a computed property — float math per call).
         self._threshold = cfg.threshold
         self._n_inputs = cfg.num_inputs
+        # Bytes of ``bits << 1``: the weights plus the bias's slot.
+        self._n_bytes = (cfg.num_inputs + 8) // 8
         self._wmin = cfg.weight_min
         self._wmax = cfg.weight_max
         self._pidx_mask = cfg.num_perceptrons - 1
@@ -98,17 +105,15 @@ class PerceptronPredictor:
         y = memo.get(key)
         if y is None:
             weights = self._weights[pidx]
-            # Dot product over +1/-1 inputs, visiting only the set bits:
+            # Dot product over +1/-1 inputs, summing only the set bits:
             # y = bias + sum(w_i for set i) - sum(w_i for clear i)
             #   = bias - wsum + 2 * sum(w_i for set i).
-            s = 0
-            x = bits
-            i = 1
-            while x:
-                if x & 1:
-                    s += weights[i]
-                x >>= 1
-                i += 1
+            # Input bit i pairs with weights[i + 1]: shifting the inputs
+            # left by one lines the bias up against a 0.
+            s = sum(compress(weights, chain.from_iterable(map(
+                _BYTE_BITS.__getitem__,
+                (bits << 1).to_bytes(self._n_bytes, "little"),
+            ))))
             y = weights[0] - self._wsum[pidx] + 2 * s
             if len(memo) > (1 << 16):  # deterministic bound
                 memo.clear()

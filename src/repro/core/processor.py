@@ -107,7 +107,16 @@ class Processor:
         self.engine = engine
         self.machine = machine
         self.mem = mem
-        self.backend = DataflowBackend(machine, mem)
+        # The backend reads the L1D outcome of each access off the
+        # trace's data stream, which starts at the trace's first access
+        # on a cold L1D: so must this processor.
+        if walker._pos or mem.dl1.accesses:
+            raise ValueError(
+                "a processor starts at the head of its trace, on a cold L1D"
+            )
+        self.backend = DataflowBackend(
+            machine, mem, walker.record.data_stream(mem.dl1.params)
+        )
         self.cursor = _TraceCursor(walker)
         self.benchmark = benchmark
         self.optimized = optimized
@@ -292,7 +301,7 @@ class Processor:
                     if take > remaining:
                         take = remaining
                     complete, commit = dispatch_seg(
-                        dyn.meta, dyn.keys, cur_off, take, dispatch_cycle
+                        dyn.sched, cur_off, take, dispatch_cycle
                     )
                     scheduled += take
                     correct_in_bundle += take

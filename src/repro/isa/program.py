@@ -29,6 +29,15 @@ from repro.isa.cfg import ControlFlowGraph, IlpProfile
 #: dep distances are 0 when absent; mem_* are 0 for non-memory ops.
 InstrMeta = Tuple[int, int, int, int, int, int, int]
 
+#: Per-instruction schedule tuple, what the back-end's per-slot loop
+#: reads: (mem, base_latency, dep1_distance, dep2_distance), where
+#: ``mem`` is 0 for a non-memory op, :data:`MEM_STORE` or
+#: :data:`MEM_LOAD`.
+SchedSlot = Tuple[int, int, int, int]
+MEM_STORE = 1
+MEM_LOAD = 2
+_MEM_CODE = {int(InstrClass.STORE): MEM_STORE, int(InstrClass.LOAD): MEM_LOAD}
+
 
 class LinearBlock:
     """A laid-out block: address-level view of one basic block or stub."""
@@ -43,7 +52,7 @@ class LinearBlock:
         "taken_means_true",
         "ind_target_addrs",
         "_meta",
-        "_slot_keys",
+        "_sched",
     )
 
     def __init__(
@@ -65,7 +74,7 @@ class LinearBlock:
         self.taken_means_true = taken_means_true
         self.ind_target_addrs: Optional[List[int]] = None
         self._meta: Optional[Tuple[InstrMeta, ...]] = None
-        self._slot_keys: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._sched: Optional[Tuple[SchedSlot, ...]] = None
 
     @property
     def fallthrough_addr(self) -> int:
@@ -163,22 +172,22 @@ class Program:
 
     def block_meta(
         self, lb: LinearBlock
-    ) -> Tuple[Tuple[InstrMeta, ...], Tuple[Tuple[int, int], ...]]:
-        """All per-block decode artifacts the hot dispatch loop needs.
+    ) -> Tuple[Tuple[InstrMeta, ...], Tuple[SchedSlot, ...]]:
+        """All per-block decode artifacts the simulator needs.
 
-        Returns ``(instr_meta, slot_keys)``, both computed at most once
-        per block and interned on it: the processor's run loop consumes
-        one element of each per instruction, so building them per
-        instruction (as a naive loop would) dominates the profile.
+        Returns ``(instr_meta, sched)``, both computed at most once per
+        block and interned on it: the back-end's per-slot loop reads one
+        ``sched`` tuple per instruction, and the trace's data stream
+        reads the address fields of ``instr_meta``.
         """
-        meta = lb._meta
-        if meta is None:
-            meta = lb._meta = tuple(_synthesize_meta(lb, self.cfg.ilp, self.seed))
-        keys = lb._slot_keys
-        if keys is None:
-            addr = lb.addr
-            keys = lb._slot_keys = tuple((addr, i) for i in range(lb.size))
-        return meta, keys
+        meta = self.instr_meta(lb)
+        sched = lb._sched
+        if sched is None:
+            sched = lb._sched = tuple(
+                (_MEM_CODE.get(cls, 0), latency, d1, d2)
+                for cls, latency, d1, d2, _base, _stride, _span in meta
+            )
+        return meta, sched
 
     # ------------------------------------------------------------------
     # serialization (perfbench's program codec only; the store holds
@@ -191,8 +200,8 @@ class Program:
         rebuild on demand, and trace records have their own codec (they
         would otherwise drag walk-context RNG state into the image
         object).  The deterministic per-block decode artifacts
-        (``_meta`` / ``_slot_keys`` / segment plans) live on the blocks
-        and ride along, so a loaded image is warm.
+        (``_meta`` / ``_sched``) live on the blocks and ride along, so a
+        loaded image is warm.
         """
         state = self.__dict__.copy()
         state["_scan_cache"] = {}

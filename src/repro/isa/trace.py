@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.common.params import CacheParams
 from repro.common.types import BranchKind
 from repro.isa.behavior import WalkContext
 from repro.isa.cfg import ControlFlowGraph
@@ -38,7 +39,7 @@ class DynBlock:
     """
 
     __slots__ = ("lb", "taken", "next_addr", "addr", "size", "kind",
-                 "meta", "keys")
+                 "meta", "sched")
 
     def __init__(self, lb: LinearBlock, taken: bool, next_addr: int) -> None:
         self.lb = lb
@@ -47,10 +48,12 @@ class DynBlock:
         self.addr = lb.addr
         self.size = lb.size
         self.kind = lb.kind
-        # Denormalized decode artifacts (filled by the interning walker):
-        # the processor reads them once per dispatched segment.
+        # Denormalized decode artifacts (filled by the interning walker;
+        # None on a block whose metadata was never built): the processor
+        # reads ``sched`` once per dispatched segment, the data stream
+        # reads ``meta`` once per block of the trace.
         self.meta = lb._meta
-        self.keys = lb._slot_keys
+        self.sched = lb._sched
 
     @property
     def target_addr(self) -> int:
@@ -109,6 +112,13 @@ class TraceRecord:
     same (program, seed) replays that list, paying a list index per
     block instead of a behaviour sample.  Records are cached on the
     :class:`~repro.isa.program.Program` (see :class:`TraceWalker`).
+
+    In this model only correct-path instructions reach the L1D, and
+    nothing but loads and stores does, so every cell of one image sends
+    its L1D the same access sequence and sees the same hits and misses.
+    :meth:`data_stream` computes that outcome once per L1D
+    configuration and caches it here, as the record itself is cached on
+    the program.
     """
 
     #: How many blocks one extension step appends.
@@ -132,6 +142,8 @@ class TraceRecord:
         # a per-block allocation.
         self._interned: Dict[Tuple[int, bool, int], DynBlock] = {}
         self._block_at = program.block_starting_at
+        #: L1D configuration -> :class:`repro.core.backend.DataStream`.
+        self._data_streams: Dict[CacheParams, object] = {}
 
     def extend(self) -> None:
         """Materialize the next :data:`CHUNK` blocks of the trace."""
@@ -151,6 +163,18 @@ class TraceRecord:
                 )
             append(record)
         self._current = lb
+
+    def data_stream(self, dl1: CacheParams):
+        """The :class:`repro.core.backend.DataStream` of this trace for
+        an L1D of configuration ``dl1``, built on first use."""
+        stream = self._data_streams.get(dl1)
+        if stream is None:
+            # Imported here: the back end imports the ISA, not the
+            # other way round.
+            from repro.core.backend import DataStream
+
+            stream = self._data_streams[dl1] = DataStream(self, dl1)
+        return stream
 
     # ------------------------------------------------------------------
     # serialization (perfbench's trace codec only; the store holds

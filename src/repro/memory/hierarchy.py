@@ -6,6 +6,11 @@ it also missed there).  The instruction side fetches whole (potentially
 very wide) L1I lines; when an L1I line is wider than an L2 line, each
 constituent L2 line is probed and the worst latency applies — the
 single-ported wide read the paper adopts in §3.4.
+
+The data side is driven by the back end
+(:mod:`repro.core.backend`): each trace's data stream holds the L1D
+outcome of every load and store, ``dl1`` keeps the published L1D
+counters, and an L1D miss probes ``l2`` here.
 """
 
 from __future__ import annotations
@@ -68,17 +73,6 @@ class MemoryHierarchy:
             start = addr - (addr % il1_line)
             for chunk in range(start, start + il1_line, l2_line):
                 self.l2.access(chunk)
-
-    # ------------------------------------------------------------------
-    # data side
-    # ------------------------------------------------------------------
-    def data_access(self, addr: int, is_store: bool = False) -> int:
-        """Load/store latency through L1D -> L2 -> memory."""
-        if self.dl1.access(addr):
-            return self._dl1_hit
-        if self.l2.access(addr):
-            return self._dl1_hit + self._l2_lat
-        return self._dl1_hit + self._l2_lat + self._mem_lat
 
     # ------------------------------------------------------------------
     def stats_summary(self) -> dict:

@@ -87,8 +87,8 @@ def _has(store: Any, kind: str, message: Dict[str, Any]) -> Dict[str, Any]:
     if fps is None:
         # Full-index listing for this kind: the anti-entropy pass
         # diffs against this (and a pull needs no fourth op).
-        for entry_kind, fp, entry in store.iter_index():
-            if entry_kind == kind and entry is not None:
+        for _kind, fp, entry in store.iter_index(kind):
+            if entry is not None:
                 oids[fp] = entry["oid"]
     else:
         _require(isinstance(fps, list)

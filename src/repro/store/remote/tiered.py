@@ -114,9 +114,20 @@ class _Replicator:
 
     # ------------------------------------------------------------------
     def enqueue(self, kind: str, fp: str) -> None:
-        """Queue one local put for replication; never blocks."""
+        """Queue one local put for replication; never blocks.
+
+        A put after :meth:`stop` is not replicated: it counts as
+        dropped, and the first one per store root warns.
+        """
         with self._cond:
             if self._stopping:
+                self.dropped += 1
+                obs.STORE_REMOTE_REPLICATION_DROPPED.inc()
+                warn_once(
+                    f"store.remote.closed:{self._local.root}",
+                    f"store {self._local.root}: a put after close() is "
+                    f"stored locally but not replicated to its peers",
+                )
                 return
             self._queue.append((kind, fp))
             while len(self._queue) > self._limit:

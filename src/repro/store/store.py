@@ -276,23 +276,32 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------
-    def _entry_files(self) -> Iterator[Tuple[str, str, str]]:
-        """Yield (kind, fingerprint, path) for every entry file."""
+    def _entry_files(
+        self, kind: Optional[str] = None
+    ) -> Iterator[Tuple[str, str, str]]:
+        """Yield (kind, fingerprint, path) for every entry file, or for
+        those of one ``kind`` (none for a malformed kind)."""
         entries_dir = self.entries_dir
         if not os.path.isdir(entries_dir):
             return
-        for kind in sorted(os.listdir(entries_dir)):
-            kind_dir = os.path.join(entries_dir, kind)
-            if not _KIND.fullmatch(kind) or not os.path.isdir(kind_dir):
+        kinds = sorted(os.listdir(entries_dir)) if kind is None else [kind]
+        for name in kinds:
+            if not _KIND.fullmatch(name):
+                continue
+            kind_dir = os.path.join(entries_dir, name)
+            if not os.path.isdir(kind_dir):
                 continue
             for fp in sorted(os.listdir(kind_dir)):
                 if _FP.fullmatch(fp):  # skips in-flight .tmp- files
-                    yield kind, fp, os.path.join(kind_dir, fp)
+                    yield name, fp, os.path.join(kind_dir, fp)
 
-    def iter_index(self) -> Iterator[Tuple[str, str, Optional[dict]]]:
-        """Yield (kind, fingerprint, header-or-None) for every entry."""
-        for kind, fp, _path in self._entry_files():
-            yield kind, fp, self.get_entry(kind, fp)
+    def iter_index(
+        self, kind: Optional[str] = None
+    ) -> Iterator[Tuple[str, str, Optional[dict]]]:
+        """Yield (kind, fingerprint, header-or-None) for every entry, or
+        for every entry of one ``kind``."""
+        for name, fp, _path in self._entry_files(kind):
+            yield name, fp, self.get_entry(name, fp)
 
     # ------------------------------------------------------------------
     # maintenance

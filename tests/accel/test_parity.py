@@ -72,18 +72,43 @@ def test_backend_state_parity(gzip_small, arch):
             trace_seed=ref_trace_seed("gzip"), engine_mode=mode,
         )
         result = processor.run(2500)
-        backend = processor.backend
-        walker = processor.cursor._walker
-        states.append((
-            result_digest(result),
-            backend.instructions, backend.last_commit_cycle,
-            backend.load_accesses, backend.store_accesses,
-            processor.mem.dl1.accesses, processor.mem.dl1.misses,
-            processor.mem.l2.accesses, processor.mem.l2.misses,
-            walker.blocks_walked, walker.instructions_walked,
-            processor.cursor.offset, processor.cursor.dyn.addr,
-        ))
+        states.append((result_digest(result), _published_state(processor)))
     assert states[0] == states[1]
+
+
+def _published_state(processor):
+    """Backend, cache, walker and cursor state after a run."""
+    backend = processor.backend
+    dl1 = processor.mem.dl1
+    walker = processor.cursor._walker
+    # Every load and store is one L1D access, and indexes the stream.
+    assert backend.load_accesses + backend.store_accesses == dl1.accesses
+    return (
+        backend.instructions, backend.last_commit_cycle,
+        backend.load_accesses, backend.store_accesses,
+        dl1.accesses, dl1.misses, dl1.evictions,
+        processor.mem.l2.accesses, processor.mem.l2.misses,
+        processor.mem.l2.evictions,
+        walker.blocks_walked, walker.instructions_walked,
+        processor.cursor.offset, processor.cursor.dyn.addr,
+    )
+
+
+@pytest.mark.parametrize("arch", ["ev8", "stream"])
+def test_resumed_run_parity(gzip_small, arch):
+    """A processor that runs again continues its trace, and its data
+    stream, where it stopped: 2,000 then 3,000 more instructions
+    publish the same state in both modes."""
+    states = []
+    for mode in ("accel", "interp"):
+        processor = _build(gzip_small, arch, 8, mode)
+        first = processor.run(2000)
+        mid = _published_state(processor)
+        second = processor.run(3000)
+        states.append((result_digest(first), mid, result_digest(second),
+                       _published_state(processor)))
+    assert states[0] == states[1]
+    assert states[0][3][0] >= 5000  # both runs dispatched
 
 
 def _random_machine(rng, width):
@@ -190,6 +215,29 @@ def test_compaction_parity(gzip_small, arch):
     for mode in ("accel", "interp"):
         processor = _build(gzip_small, arch, 2, mode)
         digest = result_digest(processor.run(8000, warmup=1000))
+        backend = processor.backend
+        assert backend._issue_floor > 0, mode
+        states[mode] = (digest, backend._issue_floor, backend._iu)
+    assert states["accel"] == states["interp"]
+
+
+def test_over_full_table_parity(gzip_small):
+    """Both modes agree while the issue table stays over-full.
+
+    Occupancy seeded far in the future keeps the table past
+    ``_IU_LIMIT``, so every insert compacts; with a 600-cycle memory a
+    slot that waits on a miss raises the floor past the dispatch cycle
+    of the later slots of its segment, which must then start their
+    issue search at the new floor.
+    """
+    base = default_machine(2)
+    machine = dataclasses.replace(base, memory=dataclasses.replace(
+        base.memory, memory_latency=600))
+    states = {}
+    for mode in ("accel", "interp"):
+        processor = _build(gzip_small, "ev8", 2, mode, machine=machine)
+        processor.backend._iu = {1_000_000 + c: 2 for c in range(4096)}
+        digest = result_digest(processor.run(1500))
         backend = processor.backend
         assert backend._issue_floor > 0, mode
         states[mode] = (digest, backend._issue_floor, backend._iu)

@@ -8,6 +8,7 @@ nothing about the predictors.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.branch.history import HistoryRegister
 from repro.branch.perceptron import PerceptronConfig, PerceptronPredictor
@@ -127,6 +128,42 @@ class TestPerceptron:
     def test_threshold_formula(self):
         cfg = PerceptronConfig()
         assert cfg.threshold == int(1.93 * cfg.num_inputs + 14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(40, 14), (8, 4), (3, 4)]),
+        seed=st.integers(0, 2**32 - 1),
+        pc=st.integers(0, 2**20),
+        ghist=st.integers(0, 2**64 - 1),
+    )
+    def test_predict_matches_the_bit_loop(self, shape, seed, pc, ghist):
+        """The memo-miss dot product equals a loop over every input bit,
+        for any weights and inputs; the shapes cover 54 inputs (the
+        Table 2 default), 12 (a padded last byte) and 7 (exactly one
+        byte with the bias)."""
+        global_bits, local_bits = shape
+        cfg = PerceptronConfig(
+            num_perceptrons=16, global_history_bits=global_bits,
+            local_table_entries=16, local_history_bits=local_bits,
+        )
+        pred = PerceptronPredictor(cfg)
+        rng = random.Random(seed)
+        n = cfg.num_inputs
+        for pidx in range(cfg.num_perceptrons):
+            weights = [rng.randint(cfg.weight_min, cfg.weight_max)
+                       for _ in range(n + 1)]
+            pred._weights[pidx] = weights
+            pred._wsum[pidx] = sum(weights[1:])
+        pred._local = [rng.getrandbits(local_bits)
+                       for _ in range(cfg.local_table_entries)]
+        taken, (pidx, _lidx, bits, y) = pred.predict(pc, ghist)
+        weights = pred._weights[pidx]
+        expected = weights[0] + sum(
+            weights[i + 1] if (bits >> i) & 1 else -weights[i + 1]
+            for i in range(n)
+        )
+        assert y == expected
+        assert taken == (expected >= 0)
 
 
 class TestComparative:

@@ -103,6 +103,24 @@ class TestBackpressure:
         assert tiny.rob_stall_cycles > normal.rob_stall_cycles
 
 
+class TestDataStreamStart:
+    def test_processor_starts_at_the_trace_head_on_a_cold_l1d(
+            self, tiny_program):
+        """The data stream holds the L1D outcomes from the trace's first
+        access on: a processor that starts elsewhere is refused."""
+        machine = default_machine(8)
+        walked = TraceWalker(tiny_program, seed=5)
+        next(walked)
+        mem = MemoryHierarchy(machine.memory)
+        with pytest.raises(ValueError, match="head of its trace"):
+            Processor(build_engine("ev8", tiny_program, machine, mem),
+                      walked, machine, mem)
+        mem.dl1.accesses = 1
+        with pytest.raises(ValueError, match="cold L1D"):
+            Processor(build_engine("ev8", tiny_program, machine, mem),
+                      TraceWalker(tiny_program, seed=5), machine, mem)
+
+
 class TestBuildProcessorHelper:
     def test_build_processor(self, gzip_programs):
         base, _ = gzip_programs

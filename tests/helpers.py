@@ -88,6 +88,17 @@ def result_digest(result) -> dict:
     return d
 
 
+class ExplicitCodes:
+    """A back end's data stream with given codes: ``-1`` is an L1D hit,
+    ``(addr << 1) | evicted`` an L1D miss at ``addr``."""
+
+    def __init__(self, codes=()):
+        self.codes = list(codes)
+
+    def extend(self):
+        raise AssertionError("dispatched past the explicit codes")
+
+
 def build_tiny_cfg() -> ControlFlowGraph:
     """A hand-built CFG mirroring Figure 1 of the paper.
 

@@ -1,8 +1,11 @@
 """Tests for the Table 2 memory hierarchy."""
 
 import pytest
+from helpers import ExplicitCodes
 
-from repro.common.params import default_memory
+from repro.common.params import default_machine, default_memory
+from repro.core.backend import DataflowBackend
+from repro.isa.program import MEM_LOAD, MEM_STORE
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -42,29 +45,50 @@ class TestInstructionSide:
         assert mem.fetch_line(0x3000) == 1
 
 
+def _data_latency(mem, slot, code):
+    """Latency of one memory op dispatched at cycle 0 through a back end
+    over ``mem``, the L1D outcome given by ``code``."""
+    be = DataflowBackend(default_machine(8), mem, ExplicitCodes([code]))
+    complete, _ = be.dispatch_segment((slot,), 0, 1, 0)
+    return complete - 1  # issued at cycle 1
+
+
+_LOAD = (MEM_LOAD, 1, 0, 0)
+_STORE = (MEM_STORE, 1, 0, 0)
+
+
 class TestDataSide:
+    """The data side: the back end adds ``_lvl_lat`` to a load's base
+    latency by the level that held the line, and probes the L2 here on
+    an L1D miss."""
+
     def test_cold_load(self, mem):
-        assert mem.data_access(0x50000) == 1 + 15 + 100
+        be = DataflowBackend(default_machine(8), mem, ExplicitCodes([]))
+        assert tuple(1 + lat for lat in be._lvl_lat) == (
+            1, 1 + 15, 1 + 15 + 100
+        )
+        assert _data_latency(mem, _LOAD, 0x50000 << 1) == 1 + 15 + 100
 
     def test_warm_load(self, mem):
-        mem.data_access(0x50000)
-        assert mem.data_access(0x50000) == 1
+        assert _data_latency(mem, _LOAD, -1) == 1
 
     def test_store_fills_too(self, mem):
-        mem.data_access(0x60000, is_store=True)
-        assert mem.data_access(0x60000) == 1
+        _data_latency(mem, _STORE, 0x60000 << 1)
+        assert mem.l2.probe(0x60000)
+        assert _data_latency(mem, _LOAD, 0x60000 << 1) == 1 + 15
 
     def test_stats_summary_keys(self, mem):
         mem.fetch_line(0x1000)
-        mem.data_access(0x2000)
+        _data_latency(mem, _LOAD, 0x2000 << 1)
         stats = mem.stats_summary()
         for key in ("il1_misses", "dl1_misses", "l2_misses",
                     "il1_miss_rate", "dl1_miss_rate"):
             assert key in stats
+        assert (stats["dl1_accesses"], stats["dl1_misses"]) == (1, 1)
 
 
 class TestSharedL2:
     def test_instruction_and_data_share_l2(self, mem):
         mem.fetch_line(0x1000)       # fills L2 with 0x1000 (as data too)
-        latency = mem.data_access(0x1000)
+        latency = _data_latency(mem, _LOAD, 0x1000 << 1)
         assert latency == 1 + 15     # L2 hit thanks to the I-side fill

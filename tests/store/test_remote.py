@@ -140,6 +140,43 @@ class TestOps:
             "store_has", kind="result", fps=None))
         assert list(out["oids"]) == [FP]
 
+    def test_has_null_fps_reads_only_its_kind(self, local, monkeypatch):
+        """A full listing of one kind reads that kind's entries alone,
+        however many entries the other kinds hold."""
+        oids = {}
+        for i in range(5):
+            fp = f"{i:064x}"
+            oids[fp] = local.put("result", fp, b"result %d" % i)
+        for i in range(50):
+            local.put("trace", f"{i + 100:064x}", b"trace %d" % i)
+        reads = []
+        read = local.read
+
+        def counted(kind, fp):
+            reads.append(kind)
+            return read(kind, fp)
+
+        monkeypatch.setattr(local, "read", counted)
+        out = ops.handle(local, self._msg(
+            "store_has", kind="result", fps=None))
+        assert out["oids"] == oids
+        assert reads == ["result"] * 5
+
+    def test_has_null_fps_unknown_or_malformed_kind_is_empty(
+            self, local, tmp_path):
+        local.put("result", FP, b"one")
+        # A well-formed entry file one level above the entries tree:
+        # a kind that climbs out of the tree must not list it.
+        outside = os.path.join(local.root, "evil")
+        os.makedirs(outside)
+        with open(local._entry_path("result", FP), "rb") as src, \
+                open(os.path.join(outside, FP), "wb") as dst:
+            dst.write(src.read())
+        for kind in ("nope", "../evil", "result/../../evil"):
+            out = ops.handle(local, self._msg(
+                "store_has", kind=kind, fps=None))
+            assert out["ok"] and out["oids"] == {}, kind
+
     def test_get_roundtrip(self, local):
         oid = local.put("result", FP, b"payload", meta={"n": 1})
         out = ops.handle(local, self._msg("store_get", kind="result",
@@ -359,6 +396,20 @@ class TestTieredStore:
         assert peer.store.get("result", fps[2]) == b"v2"
         assert peer.store.get("result", fps[0]) is None
         assert peer.store.get("result", fps[1]) is None
+
+    def test_put_after_close_counts_as_dropped(self, peer, tmp_path):
+        """A put on a closed tier lands locally, is not replicated, and
+        says so: ``dropped`` counts it and a warning fires."""
+        tier = self._tier(tmp_path, peer.address)
+        tier.put("result", FP, b"before close")
+        tier.close(timeout=10)
+        assert peer.store.get("result", FP) == b"before close"
+        with pytest.warns(RuntimeWarning, match="after close"):
+            tier.put("result", FP2, b"after close")
+        assert tier.get("result", FP2) == b"after close"
+        assert tier.remote_stats()["replication"] == {"backlog": 0,
+                                                      "dropped": 1}
+        assert peer.store.get("result", FP2) is None
 
     def test_torn_remote_object_is_a_clean_miss_then_self_heals(
             self, peer, tmp_path):
