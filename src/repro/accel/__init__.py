@@ -14,12 +14,10 @@ the kernels are transliterations, and ``tests/accel/`` pins full-result
 parity per engine and width — so artifact-store fingerprints do not
 depend on the engine mode and warm caches stay valid either way.
 
-Selection: ``engine_mode`` is ``"accel"``, ``"interp"`` or ``"auto"``
-(the default).  ``auto`` consults :data:`ACCEL_ENV` (``$REPRO_ACCEL``,
-mirroring ``$REPRO_STORE``) and otherwise enables the accelerator.  Any
-failure to generate, compile or bind a kernel warns **once** per
-process and falls back to the interpreted path; it can never change
-results or abort a run.
+Selection: ``engine_mode`` is ``"accel"`` (or None, the default) or
+``"interp"``.  Any failure to generate, compile or bind a kernel warns
+**once** per process and falls back to the interpreted path; it can
+never change results or abort a run.
 
 Debugging: :func:`kernel_sources` returns the generated text for a
 given architecture, and ``python -m repro.accel ARCH [WIDTH]`` prints
@@ -28,7 +26,6 @@ it (see benchmarks/README.md, "Accelerator").
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from repro import obs
@@ -36,7 +33,6 @@ from repro.accel.codegen import clear_compile_cache
 from repro.common.warnonce import reset_warn_once, warn_once
 
 __all__ = [
-    "ACCEL_ENV",
     "clear_compile_cache",
     "compiled_run",
     "kernel_sources",
@@ -44,40 +40,18 @@ __all__ = [
     "resolve_engine_mode",
 ]
 
-#: Environment variable consulted by ``engine_mode="auto"``.
-ACCEL_ENV = "REPRO_ACCEL"
-
-_OFF_VALUES = frozenset(
-    {"0", "false", "no", "off", "interp", "interpreter"}
-)
-_ON_VALUES = frozenset({"1", "true", "yes", "on", "accel", "auto", ""})
-
-
 def resolve_engine_mode(mode: Optional[str] = None) -> str:
     """Normalize an engine-mode request to ``"accel"`` or ``"interp"``.
 
-    ``mode`` may be ``"accel"`` / ``"interp"`` (explicit, wins over the
-    environment), ``"auto"`` / ``None`` (consult ``$REPRO_ACCEL``,
-    default on), or a bool.
+    None and ``"accel"`` mean the accelerator; anything but those and
+    ``"interp"`` raises :class:`ValueError`.
     """
-    if mode == "accel" or mode is True:
+    if mode is None or mode == "accel":
         return "accel"
-    if mode == "interp" or mode is False:
+    if mode == "interp":
         return "interp"
-    if mode is None or mode == "auto":
-        env = os.environ.get(ACCEL_ENV, "").strip().lower()
-        if env in _OFF_VALUES:
-            return "interp"
-        if env not in _ON_VALUES:
-            warn_once(
-                "accel.env",
-                f"repro.accel: unrecognized ${ACCEL_ENV}={env!r}; "
-                "expected accel/interp/auto (or 1/0) — using accel",
-                stacklevel=2,
-            )
-        return "accel"
     raise ValueError(
-        f"engine_mode must be 'accel', 'interp' or 'auto', got {mode!r}"
+        f"engine_mode must be 'accel', 'interp' or None, got {mode!r}"
     )
 
 

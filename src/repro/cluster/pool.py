@@ -1,8 +1,9 @@
 """A :class:`~repro.exec.pool.Pool` backend that dispatches sweep
 cells to a fleet of ``repro.serve`` daemons.
 
-Each job is sent as a one-cell ``matrix`` request over the serve wire
-protocol; the daemon answers with the store's canonical result
+Each job is sent as a one-cell ``matrix`` request through the
+daemon's one client, :class:`~repro.serve.client.ServeClient` (the
+federated store's peers use the same class); the daemon answers with the store's canonical result
 encoding, so a remote cell is **bit-identical** to a local simulation
 by construction (and the raw wire bytes are kept so the caller can
 ingest them into its own store verbatim, see
@@ -442,8 +443,9 @@ class ClusterPool(Pool):
             put((generation, "net", node, job, str(exc)))
             return
         except ServeError as exc:
-            # Garbage frames and response timeouts: the node is not
-            # speaking the protocol usefully — treat it as sick.
+            # Garbage frames, response timeouts and any other error
+            # code: the node is not speaking the protocol usefully —
+            # treat it as sick.
             put((generation, "net", node, job, str(exc)))
             return
         except Exception as exc:  # pragma: no cover - defensive

@@ -76,14 +76,3 @@ _LATENCY = {
     InstrClass.STORE: 1,
     InstrClass.BRANCH: 1,
 }
-
-
-def align_down(addr: int, granule: int) -> int:
-    """Align ``addr`` down to a multiple of ``granule`` (a power of two)."""
-    return addr & ~(granule - 1)
-
-
-def instructions_to_line_end(addr: int, line_bytes: int) -> int:
-    """Number of instructions from ``addr`` to the end of its cache line."""
-    offset = addr & (line_bytes - 1)
-    return (line_bytes - offset) // INSTRUCTION_BYTES

@@ -123,9 +123,8 @@ class Processor:
         # ``engine_mode`` selects the execution strategy, never the
         # results: "accel" runs the exec-compiled specialized kernels of
         # :mod:`repro.accel` (bit-identical, falling back to the
-        # interpreter with a single warning if codegen fails), "interp"
-        # forces the interpreted path, None/"auto" consults $REPRO_ACCEL
-        # and defaults to the accelerator.
+        # interpreter with a single warning if codegen fails) and is
+        # the default (None), "interp" forces the interpreted path.
         from repro import accel
 
         self.engine_mode = accel.resolve_engine_mode(engine_mode)

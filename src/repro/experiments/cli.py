@@ -52,7 +52,13 @@ from repro.experiments.figures import figure8_text, figure9_text
 from repro.experiments.runner import run_matrix
 from repro.experiments.tables import table1_text, table3_text
 from repro.isa.workloads import SPEC_BENCHMARKS
-from repro.accel import ACCEL_ENV
+from repro.serve.client import (
+    ServeClient,
+    ServeError,
+    StorePeerUnusable,
+    address_list,
+)
+from repro.store.remote import PEERS_ENV, parse_peers
 from repro.store.store import STORE_ENV, ArtifactStore, default_store_root
 
 
@@ -77,21 +83,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the simulation matrix "
                              "(results are identical to --jobs 1)")
-    accel = parser.add_mutually_exclusive_group()
-    accel.add_argument(
-        "--accel", dest="engine_mode", action="store_const", const="accel",
-        default=None,
-        help="run the exec-compiled simulation kernels (default: "
-             f"${ACCEL_ENV}, else on; results are bit-identical)",
-    )
-    accel.add_argument(
+    parser.add_argument(
         "--no-accel", dest="engine_mode", action="store_const",
-        const="interp",
-        help="force the interpreted simulation paths",
+        const="interp", default=None,
+        help="run the interpreted simulation paths instead of the "
+             "exec-compiled kernels (results are bit-identical)",
     )
     _add_store(parser)
     parser.add_argument(
         "--cluster", metavar="HOST:PORT,HOST:PORT", default=None,
+        type=address_list,
         help="shard missing cells across a fleet of repro.serve "
              "daemons (bit-identical results; dead or partitioned "
              "nodes are redispatched around, and a fully unreachable "
@@ -99,6 +100,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store-peers", metavar="HOST:PORT[,...]", default=None,
+        type=address_list,
         help="federate the store with these repro.serve daemons: "
              "misses read through to them, fresh results replicate "
              "back (requires --store; default: $REPRO_STORE_PEERS; "
@@ -164,13 +166,13 @@ def main(argv: List[str] | None = None) -> int:
     p_cache.add_argument("action", choices=("stats", "verify", "gc",
                                             "sync"))
     p_cache.add_argument("peers", nargs="?", default=None,
-                         metavar="HOST:PORT[,...]",
+                         metavar="HOST:PORT[,...]", type=address_list,
                          help="sync: serve daemons to reconcile with "
                               "(also usable positionally for "
                               "stats/verify)")
     _add_store(p_cache)
     p_cache.add_argument("--peers", dest="peers_opt", default=None,
-                         metavar="HOST:PORT[,...]",
+                         metavar="HOST:PORT[,...]", type=address_list,
                          help="stats/verify: add a remote section / "
                               "cross-check shared fingerprints against "
                               "these peers (default: "
@@ -208,8 +210,15 @@ def main(argv: List[str] | None = None) -> int:
     store_flag_given = args.store is not None
     if args.store is None:
         args.store = default_store_root()
-    if getattr(args, "store_peers", None) is None:
-        args.store_peers = os.environ.get("REPRO_STORE_PEERS") or None
+    if args.command == "cache":
+        args.store_peers = args.peers or args.peers_opt
+    if args.store_peers is None:
+        args.store_peers = os.environ.get(PEERS_ENV) or None
+        if args.store_peers is not None:
+            try:
+                address_list(args.store_peers)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"${PEERS_ENV}: {exc}")
     t0 = time.time()
 
     if args.command == "cache":
@@ -253,7 +262,7 @@ def main(argv: List[str] | None = None) -> int:
     if args.command == "table1" and args.engine_mode is not None:
         # Table 1 walks the trace directly (no processor), so there is
         # no engine to accelerate or interpret.
-        print("note: --accel/--no-accel is ignored by table1 "
+        print("note: --no-accel is ignored by table1 "
               "(trace walk, no simulation)", file=sys.stderr)
 
     def progress(result) -> None:
@@ -307,8 +316,7 @@ def _cache_command(args) -> int:
               file=sys.stderr)
         return 2
     store = ArtifactStore(args.store)
-    peers = (args.peers or args.peers_opt
-             or os.environ.get("REPRO_STORE_PEERS") or None)
+    peers = args.store_peers
     if args.action == "sync":
         if not peers:
             print("cache sync needs peers: "
@@ -380,38 +388,30 @@ def _cache_command(args) -> int:
 
 def _remote_stats(peers) -> None:
     """The ``cache stats`` remote section: one row per peer."""
-    from repro.serve.client import ServeClient, ServeError
-    from repro.store.remote import parse_peers
-    from repro.store.remote.client import (
-        RemoteStoreClient,
-        RemoteStoreError,
-        StorePeerUnusable,
-    )
     from repro.store.remote.sync import SYNC_KINDS
 
     print("remote peers:")
     for address in parse_peers(peers):
-        client = RemoteStoreClient(address)
+        client = ServeClient.at(address, connect_retries=1)
         try:
             client.hello()
         except StorePeerUnusable as exc:
             print(f"  {address:21s} unusable ({exc})")
             continue
-        except RemoteStoreError as exc:
+        except ServeError as exc:
             print(f"  {address:21s} unreachable ({exc})")
             continue
         counts = []
         for kind in SYNC_KINDS:
             try:
-                counts.append(f"{kind} {len(client.has(kind, None))}")
-            except RemoteStoreError:
+                counts.append(f"{kind} {len(client.store_has(kind, None))}")
+            except ServeError:
                 counts.append(f"{kind} ?")
         print(f"  {address:21s} up  ({', '.join(counts)})")
         # A federated daemon's status carries its own STORE_REMOTE_*
         # view (per-peer hits/misses/integrity, replication backlog).
         try:
-            remote = (ServeClient.at(address).status()
-                      .get("store", {}).get("remote"))
+            remote = client.status().get("store", {}).get("remote")
         except ServeError:
             remote = None
         if remote:
@@ -433,27 +433,21 @@ def _remote_verify(store, peers, sample: int) -> bool:
     local index, per peer, and compares oids: an artifact is immutable
     by construction, so one fingerprint must name one object.
     """
-    from repro.store.remote import parse_peers
-    from repro.store.remote.client import (
-        RemoteStoreClient,
-        RemoteStoreError,
-        StorePeerUnusable,
-    )
     from repro.store.remote.sync import _local_index
 
     local = _local_index(store)
     ok = True
     for address in parse_peers(peers):
-        client = RemoteStoreClient(address)
+        client = ServeClient.at(address, connect_retries=1)
         try:
             client.hello()
-        except (StorePeerUnusable, RemoteStoreError) as exc:
+        except ServeError as exc:
             print(f"peer {address}: skipped ({exc})")
             continue
         for kind, ours in sorted(local.items()):
             try:
-                theirs = client.has(kind, None)
-            except RemoteStoreError as exc:
+                theirs = client.store_has(kind, None)
+            except ServeError as exc:
                 print(f"peer {address}: {kind} listing failed ({exc})")
                 continue
             shared = sorted(set(ours) & set(theirs))[:max(0, sample)]

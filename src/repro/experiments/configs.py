@@ -104,8 +104,8 @@ def build_processor(
     """Assemble a complete simulated machine for one architecture.
 
     ``engine_mode`` selects accelerated ("accel") or interpreted
-    ("interp") execution — results are bit-identical; None/"auto"
-    consults ``$REPRO_ACCEL`` and defaults to the accelerator.
+    ("interp") execution — results are bit-identical; None means
+    the accelerator.
     """
     machine = machine or default_machine(width)
     mem = MemoryHierarchy(machine.memory)

@@ -431,8 +431,8 @@ def run_matrix(
 
     ``engine_mode`` selects accelerated ("accel") or interpreted
     ("interp") simulation per cell — results (and therefore store
-    fingerprints) are bit-identical either way; None/"auto" consults
-    ``$REPRO_ACCEL`` and defaults to the accelerator.
+    fingerprints) are bit-identical either way; None means the
+    accelerator.
 
     ``warmup`` defaults to a third of the instruction budget — the
     predictors and caches train during it, and it is excluded from the

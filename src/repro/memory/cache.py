@@ -1,9 +1,9 @@
 """A classic set-associative cache with true-LRU replacement.
 
 Used for the L1 instruction cache (with the very wide lines the stream
-architecture relies on, §3.4), the L1 data cache, the unified L2, and as
-the storage array of the trace cache (which indexes by trace id rather
-than address, but shares the geometry/LRU mechanics).
+architecture relies on, §3.4), the L1 data cache and the unified L2.
+The trace cache keeps its own sets
+(:class:`~repro.fetch.trace_cache.TraceStore`).
 
 The cache sits on the simulator's hottest path (every fetch cycle and
 every load/store probes one), so the event counters are plain integer
@@ -23,10 +23,8 @@ from repro.common.stats import CounterBag
 class Cache:
     """Set-associative LRU cache keyed by line address.
 
-    ``access`` combines probe + fill (the common case in a simulator);
-    ``probe`` and ``fill`` are exposed separately for engines that need
-    to model a miss without immediately filling (e.g. selective trace
-    storage deciding not to insert).
+    ``access`` probes, updates LRU and fills on a miss; ``probe`` and
+    :meth:`resident_lines` read the state without changing it.
     """
 
     __slots__ = (
@@ -111,20 +109,6 @@ class Cache:
         """Check residency without changing any state."""
         ways, tag = self._locate(addr)
         return tag in ways
-
-    def fill(self, addr: int) -> None:
-        """Insert a line (MRU position), evicting the LRU if needed."""
-        ways, tag = self._locate(addr)
-        if tag in ways:
-            ways.remove(tag)
-        ways.insert(0, tag)
-        if len(ways) > self._assoc:
-            ways.pop()
-            self.evictions += 1
-
-    def invalidate_all(self) -> None:
-        for ways in self._sets:
-            ways.clear()
 
     # ------------------------------------------------------------------
     @property

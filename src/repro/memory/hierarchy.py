@@ -23,7 +23,7 @@ class MemoryHierarchy:
     """Owns the caches and answers latency queries."""
 
     __slots__ = ("params", "il1", "dl1", "l2",
-                 "_il1_hit", "_dl1_hit", "_l2_lat", "_mem_lat")
+                 "_dl1_hit", "_l2_lat", "_mem_lat")
 
     def __init__(self, params: MemoryParams) -> None:
         self.params = params
@@ -31,7 +31,6 @@ class MemoryHierarchy:
         self.dl1 = Cache(params.dl1, "L1D")
         self.l2 = Cache(params.l2, "L2")
         # Latency constants, hoisted out of the per-access paths.
-        self._il1_hit = params.il1.hit_latency
         self._dl1_hit = params.dl1.hit_latency
         self._l2_lat = params.l2_latency
         self._mem_lat = params.memory_latency
@@ -39,13 +38,9 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # instruction side
     # ------------------------------------------------------------------
-    def fetch_line(self, addr: int) -> int:
-        """Fetch the L1I line containing ``addr``; returns latency."""
-        if self.il1.access(addr):
-            return self._il1_hit
-        return self._il1_hit + self._fill_from_l2_instr(addr)
-
     def _fill_from_l2_instr(self, addr: int) -> int:
+        """Fill the L1I line holding ``addr`` from the L2 after an L1I
+        miss; returns the latency it adds to the L1I hit."""
         il1_line = self.params.il1.line_bytes
         l2_line = self.params.l2.line_bytes
         start = addr - (addr % il1_line)
@@ -59,20 +54,6 @@ class MemoryHierarchy:
             if latency > worst:
                 worst = latency
         return worst
-
-    def instruction_prefetch(self, addr: int) -> None:
-        """Fill an L1I line without charging latency (wrong-path effect).
-
-        Wrong-path fetches still move lines into the cache; the paper's
-        simulator models exactly this pollution/prefetch side effect.
-        """
-        if not self.il1.probe(addr):
-            self.il1.fill(addr)
-            l2_line = self.params.l2.line_bytes
-            il1_line = self.params.il1.line_bytes
-            start = addr - (addr % il1_line)
-            for chunk in range(start, start + il1_line, l2_line):
-                self.l2.access(chunk)
 
     # ------------------------------------------------------------------
     def stats_summary(self) -> dict:

@@ -17,6 +17,11 @@ into a resident service:
   is stored and journaled before any client sees it, so a SIGKILLed
   daemon restarts and re-simulates only what is missing.
 
+:class:`ServeClient` is the one client of the protocol: the matrix
+and control ops, and the federated-store ops
+(:mod:`repro.store.remote`) with their typed errors, all rooted at
+:class:`ServeError`.
+
 The fault drills in ``tests/serve/test_daemon.py`` (``pytest -m
 faults``) drive those claims end to end against real daemon
 subprocesses under injected faults.
@@ -28,6 +33,9 @@ from repro.serve.client import (
     ServeError,
     ServeOverloaded,
     ServeUnavailable,
+    StoreIntegrityError,
+    StorePeerUnusable,
+    StoreVersionSkew,
     parse_address,
 )
 from repro.serve.protocol import MatrixQuery, ProtocolError
@@ -52,5 +60,8 @@ __all__ = [
     "ServeError",
     "ServeOverloaded",
     "ServeUnavailable",
+    "StoreIntegrityError",
+    "StorePeerUnusable",
+    "StoreVersionSkew",
     "parse_address",
 ]

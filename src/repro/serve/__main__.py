@@ -22,7 +22,7 @@ from typing import Any, List, Optional
 
 from repro.exec.faults import FAULTS_ENV
 from repro.exec.policy import FaultPolicy
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, address_list
 from repro.serve.server import ExperimentServer
 
 
@@ -48,6 +48,7 @@ def serve(argv: List[str]) -> int:
                         help="per-cell retry budget")
     parser.add_argument("--store-peers", metavar="HOST:PORT[,...]",
                         default=os.environ.get("REPRO_STORE_PEERS"),
+                        type=address_list,
                         help="federated store peers to read through to "
                              "and replicate into (default: "
                              "$REPRO_STORE_PEERS; needs --store)")

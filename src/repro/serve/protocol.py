@@ -308,8 +308,8 @@ def parse_matrix_query(message: Dict[str, Any]) -> MatrixQuery:
              "scale must be a positive number")
 
     engine_mode = message.get("engine_mode")
-    _require(engine_mode in (None, "auto", "accel", "interp"),
-             "engine_mode must be one of accel, interp, auto, null")
+    _require(engine_mode in (None, "accel", "interp"),
+             "engine_mode must be one of accel, interp, null")
 
     deadline = message.get("deadline")
     _require(deadline is None or (isinstance(deadline, (int, float))

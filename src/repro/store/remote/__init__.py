@@ -18,9 +18,14 @@ Three wire ops (served by the daemon, :mod:`.ops`):
     One artifact pushed at a peer; the server re-hashes the decoded
     bytes and refuses with a typed ``integrity`` error on mismatch.
 
-The client tier (:class:`.TieredStore`, :mod:`.tiered`) layers the
-local :class:`~repro.store.store.ArtifactStore` under one or more
-remote peers: local reads are tried first, misses fan out across
+The client side is the daemon's one client,
+:class:`~repro.serve.client.ServeClient`, which speaks these ops and
+raises the federation's typed errors
+(:class:`~repro.serve.client.StoreIntegrityError`,
+:class:`~repro.serve.client.StorePeerUnusable`,
+:class:`~repro.serve.client.StoreVersionSkew`).  The tier
+(:class:`.TieredStore`, :mod:`.tiered`) holds one client per peer and
+layers the local :class:`~repro.store.store.ArtifactStore` under them: local reads are tried first, misses fan out across
 peers guarded by the same circuit-breaker state machine the cluster
 pool uses (:class:`repro.cluster.health.NodeHealth`), every remote
 payload is re-hashed before it is trusted, verified fills land
@@ -52,11 +57,6 @@ __all__ = [
     "PEERS_ENV",
     "parse_peers",
     "version_salt",
-    "RemoteStoreClient",
-    "RemoteStoreError",
-    "StoreIntegrityError",
-    "StorePeerUnusable",
-    "StoreVersionSkew",
     "TieredStore",
     "sync_with_peers",
 ]
@@ -85,9 +85,10 @@ def parse_peers(peers: object) -> List[str]:
     Accepts a comma-separated string (CLI / ``$REPRO_STORE_PEERS``), a
     sequence of strings, or None/empty for no peers.  Addresses are
     validated (and bare ports expanded to ``127.0.0.1:port``); order
-    is preserved, duplicates dropped.
+    is preserved, duplicates dropped; a malformed address raises
+    :class:`ValueError`.
     """
-    from repro.common.net import parse_hostport
+    from repro.serve.client import parse_address
 
     if peers is None:
         return []
@@ -99,7 +100,7 @@ def parse_peers(peers: object) -> List[str]:
     for item in raw:
         if not item:
             continue
-        host, port = parse_hostport(item)  # ValueError on junk
+        host, port = parse_address(item)
         address = f"{host}:{port}"
         if address not in out:
             out.append(address)
@@ -107,14 +108,9 @@ def parse_peers(peers: object) -> List[str]:
 
 
 def __getattr__(name: str):  # pragma: no cover - thin lazy re-exports
-    # The client/tier classes pull in repro.cluster (health) and
-    # repro.serve (protocol); importing them here eagerly would cycle
-    # with serve.server's lazy handshake import of this package.
-    if name in ("RemoteStoreClient", "RemoteStoreError",
-                "StoreIntegrityError", "StorePeerUnusable",
-                "StoreVersionSkew"):
-        from repro.store.remote import client
-        return getattr(client, name)
+    # The tier and sync pull in repro.cluster (health) and repro.serve
+    # (the client); importing them here eagerly would cycle with
+    # serve.server's lazy handshake import of this package.
     if name == "TieredStore":
         from repro.store.remote.tiered import TieredStore
         return TieredStore

@@ -7,6 +7,8 @@ is durably landed (atomic put, both directions oid-verified) before
 the next one starts, so the pass is **resumable by construction**: a
 SIGKILL mid-sync loses at most the artifact in flight, and the next
 run's diff simply no longer contains what already made it across.
+Each peer is reached through one
+:class:`~repro.serve.client.ServeClient`.
 
 Existing entries are never overwritten — the sync fills holes, it
 does not arbitrate between divergent stores (``cache verify --peers``
@@ -17,13 +19,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.store.remote import parse_peers
-from repro.store.remote.client import (
-    RemoteStoreClient,
-    RemoteStoreError,
+from repro.serve.client import (
+    ServeClient,
+    ServeError,
     StoreIntegrityError,
     StorePeerUnusable,
 )
+from repro.store.remote import parse_peers
 from repro.store.store import ArtifactStore
 
 __all__ = ["SYNC_KINDS", "sync_with_peers"]
@@ -70,14 +72,14 @@ def sync_with_peers(
         row: Dict[str, Any] = {"peer": address, "pulled": 0, "pushed": 0,
                                "errors": 0, "skipped": None}
         rows.append(row)
-        client = RemoteStoreClient(address)
+        client = ServeClient.at(address, connect_retries=1)
         try:
             client.hello()
         except StorePeerUnusable as exc:  # includes version skew
             row["skipped"] = str(exc)
             emit(f"{address}: skipped ({exc})")
             continue
-        except RemoteStoreError as exc:
+        except ServeError as exc:
             row["skipped"] = str(exc)
             emit(f"{address}: unreachable ({exc})")
             continue
@@ -85,7 +87,7 @@ def sync_with_peers(
             for kind in kinds:
                 _sync_kind(store, client, kind, local.get(kind, {}),
                            direction, batch, row, emit)
-        except RemoteStoreError as exc:
+        except ServeError as exc:
             # The peer went away mid-pass; everything already landed
             # stays landed, the next run picks up the difference.
             row["errors"] += 1
@@ -97,7 +99,7 @@ def sync_with_peers(
 
 def _sync_kind(
     store: ArtifactStore,
-    client: RemoteStoreClient,
+    client: ServeClient,
     kind: str,
     local: Dict[str, str],
     direction: str,
@@ -105,11 +107,11 @@ def _sync_kind(
     row: Dict[str, Any],
     emit: Callable[[str], None],
 ) -> None:
-    remote = client.has(kind, None)  # full listing: the diff base
+    remote = client.store_has(kind, None)  # full listing: the diff base
     if direction in ("pull", "both"):
         for fp in sorted(set(remote) - set(local)):
             try:
-                found = client.get(kind, fp)
+                found = client.store_get(kind, fp)
             except StoreIntegrityError as exc:
                 row["errors"] += 1
                 emit(f"{client.address}: pull {kind}/{fp} refused ({exc})")
@@ -131,7 +133,7 @@ def _sync_kind(
             chunk = want[start:start + max(1, batch)]
             # Re-probe the batch right before pushing: another syncer
             # (or the peer's own sweeps) may have filled it meanwhile.
-            present = client.has(kind, chunk)
+            present = client.store_has(kind, chunk)
             for fp in chunk:
                 if fp in present:
                     continue
@@ -140,7 +142,7 @@ def _sync_kind(
                     continue  # locally torn: never push unverifiable bytes
                 entry, data = found
                 try:
-                    client.put(kind, fp, data, entry["meta"])
+                    client.store_put(kind, fp, data, entry["meta"])
                 except StoreIntegrityError as exc:
                     row["errors"] += 1
                     emit(f"{client.address}: push {kind}/{fp} "

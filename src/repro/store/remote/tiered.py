@@ -13,18 +13,23 @@ accepted) whose reads go through to remote peers on a local miss:
   the one a peer is most likely to want) with an obs counter; the
   simulate path never blocks on a slow peer.
 
-Peer failures are classified, not retried blindly:
+Each peer is one :class:`~repro.serve.client.ServeClient`, and its
+failures are classified by the client's exception classes, not
+retried blindly:
 
-* transport errors strike the peer's circuit breaker
-  (:class:`repro.cluster.health.NodeHealth` — the same state machine,
-  backoff, and deterministic jitter the cluster pool uses) and fall
-  through to the next peer; a dead peer is only re-contacted when its
-  probe backoff expires, and the read that probes it is the probe.
-* integrity failures (bytes that do not hash to their oid) bump a
-  quarantine counter and degrade to a miss — a lying peer can cost
-  a recompute, never a wrong artifact.
-* ``no_store`` / version-skewed peers are warned about once and never
-  asked again.
+* :class:`~repro.serve.client.StorePeerUnusable` (``no_store``) and
+  its subclass :class:`~repro.serve.client.StoreVersionSkew`: the peer
+  is warned about once and never asked again.
+* :class:`~repro.serve.client.StoreIntegrityError` (bytes that do not
+  hash to their oid) bumps a quarantine counter and degrades to a
+  miss — a lying peer can cost a recompute, never a wrong artifact.
+* any other :class:`~repro.serve.client.ServeError` (refused, reset,
+  timed out, garbage frames, daemon-side errors) strikes the peer's
+  circuit breaker (:class:`repro.cluster.health.NodeHealth` — the same
+  state machine, backoff, and deterministic jitter the cluster pool
+  uses) and falls through to the next peer; a dead peer is only
+  re-contacted when its probe backoff expires, and the read that
+  probes it is the probe.
 
 When every peer is unusable or dead the tier warns once and runs
 local-only — bit-identical to having no peers at all.
@@ -40,14 +45,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.common.warnonce import warn_once
 from repro.cluster.health import HealthPolicy, NodeHealth
-from repro.store.remote import parse_peers
-from repro.store.remote.client import (
-    RemoteStoreClient,
-    RemoteStoreError,
+from repro.serve.client import (
+    ServeClient,
+    ServeError,
     StoreIntegrityError,
     StorePeerUnusable,
     StoreVersionSkew,
 )
+from repro.store.remote import parse_peers
 from repro.store.store import ArtifactStore
 
 __all__ = ["RemoteStorePeer", "TieredStore"]
@@ -59,7 +64,7 @@ DEFAULT_REPLICATION_LIMIT = 256
 
 
 class RemoteStorePeer:
-    """One peer: client handle + breaker + per-peer counters."""
+    """One peer: its :class:`ServeClient` + breaker + per-peer counters."""
 
     def __init__(self, address: str,
                  health_policy: Optional[HealthPolicy] = None,
@@ -67,8 +72,8 @@ class RemoteStorePeer:
                  connect_timeout: float = 5.0,
                  request_timeout: Optional[float] = 30.0) -> None:
         self.address = address
-        self.client = RemoteStoreClient(
-            address, connect_timeout=connect_timeout,
+        self.client = ServeClient.at(
+            address, connect_timeout=connect_timeout, connect_retries=1,
             request_timeout=request_timeout, version=version,
         )
         self.health = NodeHealth(address, health_policy)
@@ -179,13 +184,13 @@ class _Replicator:
             if peer.unusable or not peer.health.usable():
                 continue  # read path owns the probing
             try:
-                peer.client.put(kind, fp, data, meta)
-            except (StoreVersionSkew, StorePeerUnusable) as exc:
+                peer.client.store_put(kind, fp, data, meta)
+            except StorePeerUnusable as exc:  # includes version skew
                 _mark_unusable(peer, exc)
             except StoreIntegrityError:
                 peer.integrity += 1
                 obs.STORE_REMOTE_INTEGRITY.inc(peer=peer.address)
-            except RemoteStoreError:
+            except ServeError:
                 peer.errors += 1
                 obs.STORE_REMOTE_ERRORS.inc(peer=peer.address)
                 peer.health.record_failure(now)
@@ -299,8 +304,8 @@ class TieredStore(ArtifactStore):
                 continue  # breaker open; not due yet
             consulted = True
             try:
-                found = peer.client.get(kind, fp)
-            except (StoreVersionSkew, StorePeerUnusable) as exc:
+                found = peer.client.store_get(kind, fp)
+            except StorePeerUnusable as exc:  # includes version skew
                 _mark_unusable(peer, exc)
                 continue
             except StoreIntegrityError:
@@ -311,7 +316,7 @@ class TieredStore(ArtifactStore):
                 peer.integrity += 1
                 obs.STORE_REMOTE_INTEGRITY.inc(peer=peer.address)
                 continue
-            except RemoteStoreError:
+            except ServeError:
                 peer.errors += 1
                 obs.STORE_REMOTE_ERRORS.inc(peer=peer.address)
                 if probing:

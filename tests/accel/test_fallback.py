@@ -3,7 +3,7 @@
 Any failure to generate, compile or bind a kernel must (a) emit exactly
 one RuntimeWarning per process, (b) leave the processor on the
 interpreted path, and (c) leave results untouched.  Mode selection via
-``engine_mode`` / ``$REPRO_ACCEL`` is covered here too.
+``engine_mode`` is covered here too.
 """
 
 import warnings
@@ -95,24 +95,13 @@ class TestModeSelection:
         assert processor.engine_mode == "accel"
         assert processor._accel_run is not None
 
-    def test_env_disables(self, gzip_tiny, monkeypatch):
-        monkeypatch.setenv(accel.ACCEL_ENV, "interp")
-        processor, _ = _run(gzip_tiny, mode=None)
-        assert processor.engine_mode == "interp"
-        assert processor._accel_run is None
-
-    def test_env_loses_to_explicit_mode(self, gzip_tiny, monkeypatch):
-        monkeypatch.setenv(accel.ACCEL_ENV, "interp")
-        processor, _ = _run(gzip_tiny, mode="accel")
-        assert processor.engine_mode == "accel"
-
     def test_resolve_values(self):
+        assert accel.resolve_engine_mode(None) == "accel"
         assert accel.resolve_engine_mode("accel") == "accel"
         assert accel.resolve_engine_mode("interp") == "interp"
-        assert accel.resolve_engine_mode(True) == "accel"
-        assert accel.resolve_engine_mode(False) == "interp"
-        with pytest.raises(ValueError):
-            accel.resolve_engine_mode("warp-speed")
+        for bad in ("warp-speed", "auto", True, False):
+            with pytest.raises(ValueError):
+                accel.resolve_engine_mode(bad)
 
 
 class TestUnknownEngineClass:

@@ -1,14 +1,18 @@
-"""Tests for repro.common.types."""
+"""Tests for repro.common.types, and the engines' line arithmetic
+over ``INSTRUCTION_BYTES``."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.common.types import (
-    INSTRUCTION_BYTES,
-    BranchKind,
-    InstrClass,
-    align_down,
-    instructions_to_line_end,
-)
+from repro.common.types import INSTRUCTION_BYTES, BranchKind, InstrClass
+from repro.fetch.base import FetchEngine
+
+
+def instructions_to_line_end(addr: int, line_bytes: int) -> int:
+    """The engines' ``FetchEngine._instrs_to_line_end`` for one line size."""
+    engine = SimpleNamespace(line_bytes=line_bytes)
+    return FetchEngine._instrs_to_line_end(engine, addr)
 
 
 class TestBranchKind:
@@ -47,10 +51,6 @@ class TestInstrClass:
 
 
 class TestAddressHelpers:
-    def test_align_down(self):
-        assert align_down(0x1234, 64) == 0x1200
-        assert align_down(0x1200, 64) == 0x1200
-
     def test_instructions_to_line_end_full_line(self):
         assert instructions_to_line_end(0x1000, 64) == 64 // INSTRUCTION_BYTES
 

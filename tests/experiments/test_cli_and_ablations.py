@@ -1,5 +1,9 @@
 """Smoke tests for the CLI and the ablation studies."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import ablations
@@ -52,3 +56,38 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+_SMALL = ["--benchmarks", "gzip", "--widths", "2", "--instructions", "2000",
+          "--scale", "0.3"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["repro.experiments.cli", "fig8", *_SMALL, "--store", "{store}",
+      "--store-peers", "x:y"], {}),
+    (["repro.experiments.cli", "fig8", *_SMALL, "--cluster", "x:y"], {}),
+    (["repro.experiments.cli", "cache", "sync", "x:y", "--store",
+      "{store}"], {}),
+    (["repro.experiments.cli", "cache", "stats", "--peers", "x:y",
+      "--store", "{store}"], {}),
+    (["repro.experiments.cli", "cache", "verify", "--peers", "x:y",
+      "--store", "{store}"], {}),
+    (["repro.serve", "--store", "{store}", "--store-peers", "x:y"], {}),
+    (["repro.experiments.cli", "fig8", *_SMALL, "--store", "{store}"],
+     {"REPRO_STORE_PEERS": "x:y"}),
+], ids=["fig8-store-peers", "fig8-cluster", "cache-sync", "cache-stats",
+        "cache-verify", "serve-store-peers", "fig8-env-peers"])
+def test_malformed_address_exits_2(argv, env, tmp_path):
+    """A malformed daemon address is a usage error: exit 2 with one
+    line naming it, before anything runs, and no traceback."""
+    import repro
+
+    src = os.path.dirname(os.path.abspath(list(repro.__path__)[0]))
+    args = [a.format(store=tmp_path / "store") for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src, **env},
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "bad address 'x:y'" in proc.stderr

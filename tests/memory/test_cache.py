@@ -37,14 +37,8 @@ class TestBasicBehaviour:
 
     def test_fill_then_probe(self):
         c = small_cache()
-        c.fill(0x1000)
+        c.access(0x1000)  # a miss fills the line
         assert c.probe(0x1000) is True
-
-    def test_invalidate_all(self):
-        c = small_cache()
-        c.access(0x1000)
-        c.invalidate_all()
-        assert c.probe(0x1000) is False
 
 
 class TestLRU:
@@ -144,15 +138,6 @@ class TestFastCounters:
         assert stats["accesses"] == c.accesses == 20
         assert stats["misses"] == c.misses
         assert stats["evictions"] == c.evictions
-
-    def test_fill_counts_evictions_only(self):
-        c = small_cache(assoc=2, sets=1)
-        c.fill(0x000)
-        c.fill(0x040)
-        c.fill(0x080)  # evicts
-        assert c.accesses == 0
-        assert c.misses == 0
-        assert c.evictions == 1
 
     def test_probe_touches_nothing(self):
         c = small_cache()

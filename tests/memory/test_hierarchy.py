@@ -14,35 +14,35 @@ def mem() -> MemoryHierarchy:
     return MemoryHierarchy(default_memory(8))
 
 
+def _fetch(mem, addr):
+    """Cycles an I-fetch adds to the L1I hit, on the engines' path
+    (``FetchEngine._fetch_line``): an L1I access, then on a miss the
+    fill from the L2."""
+    return 0 if mem.il1.access(addr) else mem._fill_from_l2_instr(addr)
+
+
 class TestInstructionSide:
     def test_cold_fetch_pays_memory(self, mem):
-        latency = mem.fetch_line(0x1000)
-        assert latency == 1 + 15 + 100
+        assert _fetch(mem, 0x1000) == 15 + 100
 
     def test_warm_fetch_is_l1_hit(self, mem):
-        mem.fetch_line(0x1000)
-        assert mem.fetch_line(0x1000) == 1
+        _fetch(mem, 0x1000)
+        assert _fetch(mem, 0x1000) == 0
 
     def test_l2_hit_after_l1_eviction(self, mem):
-        mem.fetch_line(0x1000)
+        _fetch(mem, 0x1000)
         # Evict from 64KB 2-way L1I by touching two conflicting lines.
         line = mem.params.il1.line_bytes
         way_stride = mem.params.il1.num_sets * line
-        mem.fetch_line(0x1000 + way_stride)
-        mem.fetch_line(0x1000 + 2 * way_stride)
-        latency = mem.fetch_line(0x1000)
-        assert latency == 1 + 15  # L2 still holds it
+        _fetch(mem, 0x1000 + way_stride)
+        _fetch(mem, 0x1000 + 2 * way_stride)
+        assert _fetch(mem, 0x1000) == 15  # L2 still holds it
 
     def test_wide_line_spans_multiple_l2_lines(self, mem):
         # 128B L1I line = two 64B L2 lines; both get filled.
-        mem.fetch_line(0x2000)
+        _fetch(mem, 0x2000)
         assert mem.l2.probe(0x2000)
         assert mem.l2.probe(0x2040)
-
-    def test_prefetch_fills_without_latency_result(self, mem):
-        mem.instruction_prefetch(0x3000)
-        assert mem.il1.probe(0x3000)
-        assert mem.fetch_line(0x3000) == 1
 
 
 def _data_latency(mem, slot, code):
@@ -78,7 +78,7 @@ class TestDataSide:
         assert _data_latency(mem, _LOAD, 0x60000 << 1) == 1 + 15
 
     def test_stats_summary_keys(self, mem):
-        mem.fetch_line(0x1000)
+        _fetch(mem, 0x1000)
         _data_latency(mem, _LOAD, 0x2000 << 1)
         stats = mem.stats_summary()
         for key in ("il1_misses", "dl1_misses", "l2_misses",
@@ -89,6 +89,6 @@ class TestDataSide:
 
 class TestSharedL2:
     def test_instruction_and_data_share_l2(self, mem):
-        mem.fetch_line(0x1000)       # fills L2 with 0x1000 (as data too)
+        _fetch(mem, 0x1000)          # fills L2 with 0x1000 (as data too)
         latency = _data_latency(mem, _LOAD, 0x1000 << 1)
         assert latency == 1 + 15     # L2 hit thanks to the I-side fill

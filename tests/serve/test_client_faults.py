@@ -1,15 +1,18 @@
-"""Client error taxonomy under injected socket failures.
+"""The client's error hierarchy under injected socket failures.
 
-Every way a connection can go wrong maps to one typed exception and
-never to a hang: refused connections (with a bounded, deterministic
-retry budget), resets mid-frame, garbage frames, oversized frames, and
-the ``net_*`` fault-injection kinds that emulate all of the above.
+Every way a request can go wrong maps to one typed exception and never
+to a hang: every wire error code, refused connections (with a bounded,
+deterministic retry budget), resets mid-frame, garbage frames,
+oversized frames, silent daemons, and the ``net_*`` fault-injection
+kinds that emulate all of the above — for the experiment ops and the
+store ops alike.
 """
 
 from __future__ import annotations
 
 import errno
 import io
+import json
 import socket
 import time
 
@@ -22,9 +25,100 @@ from repro.serve import protocol
 from repro.serve.client import (
     DEFAULT_MATRIX_TIMEOUT,
     ServeClient,
+    ServeDraining,
     ServeError,
+    ServeOverloaded,
     ServeUnavailable,
+    StoreIntegrityError,
+    StorePeerUnusable,
+    StoreVersionSkew,
 )
+
+
+# ----------------------------------------------------------------------
+# one table: every failure -> one class, for a serve op and a store op
+# ----------------------------------------------------------------------
+#: The class each wire error code raises.
+CODE_CLASSES = {
+    protocol.ERROR_BAD_REQUEST: ServeError,
+    protocol.ERROR_OVERLOADED: ServeOverloaded,
+    protocol.ERROR_DRAINING: ServeDraining,
+    protocol.ERROR_INTERNAL: ServeError,
+    protocol.ERROR_FRAME_TOO_LARGE: ServeError,
+    protocol.ERROR_INTEGRITY: StoreIntegrityError,
+    protocol.ERROR_VERSION_SKEW: StoreVersionSkew,
+    protocol.ERROR_NO_STORE: StorePeerUnusable,
+}
+
+#: The class each transport failure raises.
+TRANSPORT_CLASSES = {
+    "refused": ServeUnavailable,  # nothing listens
+    "hangup": ServeUnavailable,   # FIN before any answer
+    "reset": ServeUnavailable,    # half a frame, then RST
+    "garbage": ServeError,        # a line that is not JSON
+    "silent": ServeError,         # connected, never answered
+}
+
+OPS = {
+    "ping": lambda client: client.ping(),
+    "store_get": lambda client: client.store_get("result", "ab" * 32),
+}
+
+
+def _endpoint(failure):
+    """A port where ``failure`` happens, and a socket to close after."""
+    if failure in CODE_CLASSES:
+        return serve_once(json.dumps({
+            "ok": False, "error": failure, "message": "scripted",
+            "version": "their-salt",
+        }).encode() + b"\n"), None
+    if failure == "refused":
+        return free_port(), None
+    if failure == "silent":  # the kernel completes the handshake
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        return listener.getsockname()[1], listener
+    answer = {"hangup": b"", "reset": b'{"ok": tru',
+              "garbage": b"\xfe\xed not json at all\xff\n"}[failure]
+    return serve_once(answer, rst=failure == "reset"), None
+
+
+def test_code_table_covers_every_protocol_code():
+    codes = {value for name, value in vars(protocol).items()
+             if name.startswith("ERROR_")}
+    assert codes == set(CODE_CLASSES)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("failure", [*CODE_CLASSES, *TRANSPORT_CLASSES])
+def test_every_failure_maps_to_one_class(failure, op):
+    port, listener = _endpoint(failure)
+    client = ServeClient("127.0.0.1", port, connect_timeout=0.5,
+                         connect_retries=0, request_timeout=0.5,
+                         version="our-salt")
+    try:
+        with pytest.raises(ServeError) as err:
+            OPS[op](client)
+    finally:
+        if listener is not None:
+            listener.close()
+    cls = {**CODE_CLASSES, **TRANSPORT_CLASSES}[failure]
+    assert type(err.value) is cls
+    if cls is StoreVersionSkew:
+        assert err.value.peer_version == "their-salt"
+
+
+def test_hello_records_the_frame_limit_then_checks_the_salt():
+    port = serve_once(json.dumps({
+        "ok": True, "max_frame": 4096, "store_version": "their-salt",
+    }).encode() + b"\n")
+    client = ServeClient("127.0.0.1", port, connect_retries=0,
+                         version="our-salt")
+    with pytest.raises(StoreVersionSkew) as err:
+        client.hello()
+    assert err.value.peer_version == "their-salt"
+    assert client.max_frame == 4096
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,8 @@ def test_parse_matrix_query_defaults():
     {"scale": 0},
     {"engine_mode": "turbo"},
     {"deadline": "soon"},
+    {"engine_mode": "auto"},
+    {"engine_mode": True},
 ])
 def test_parse_matrix_query_rejects(bad):
     with pytest.raises(ProtocolError):

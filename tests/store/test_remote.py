@@ -1,5 +1,6 @@
-"""Federated store: wire ops, client taxonomy, tiered read-through,
-write-behind replication, corruption mirrors, anti-entropy sync.
+"""Federated store: wire ops, the client's store ops, tiered
+read-through, write-behind replication, corruption mirrors,
+anti-entropy sync.
 
 The daemon-backed tests spin a real in-process ``ExperimentServer``
 (socket and all); the corruption tests tear real entry files and
@@ -22,17 +23,17 @@ from repro.cluster.health import DEAD, HEALTHY, HealthPolicy
 from repro.exec.faults import FaultSpec, active_plan
 from repro.experiments.runner import run_matrix
 from repro.serve import protocol
-from repro.serve.server import ExperimentServer
-from repro.store.cache import ArtifactCache
-from repro.store.remote import parse_peers, version_salt
-from repro.store.remote import ops
-from repro.store.remote.client import (
-    RemoteStoreClient,
-    RemoteStoreError,
+from repro.serve.client import (
+    ServeClient,
+    ServeError,
     StoreIntegrityError,
     StorePeerUnusable,
     StoreVersionSkew,
 )
+from repro.serve.server import ExperimentServer
+from repro.store.cache import ArtifactCache
+from repro.store.remote import parse_peers, version_salt
+from repro.store.remote import ops
 from repro.store.remote.sync import sync_with_peers
 from repro.store.remote.tiered import TieredStore
 from repro.store.store import ArtifactStore
@@ -97,6 +98,8 @@ class TestParsePeers:
         assert parse_peers("b:2,a:1,b:2") == ["b:2", "a:1"]
 
     def test_junk_raises(self):
+        with pytest.raises(ValueError, match="bad address 'x:y'"):
+            parse_peers("a:1,x:y")
         with pytest.raises(ValueError):
             parse_peers("not an address")
 
@@ -225,30 +228,34 @@ class TestOps:
 
 
 # ----------------------------------------------------------------------
-# client <-> daemon over a real socket
+# the client's store ops <-> daemon over a real socket
 # ----------------------------------------------------------------------
+def _client(address, **kwargs):
+    return ServeClient.at(address, connect_retries=0, **kwargs)
+
+
 class TestClientServer:
     def test_hello_learns_frame_limit_and_version(self, peer):
-        client = RemoteStoreClient(peer.address)
+        client = _client(peer.address)
         response = client.hello()
         assert response["ok"]
         assert client.max_frame == protocol.MAX_LINE_BYTES
         assert response["store_version"] == version_salt()
 
     def test_put_get_has_roundtrip(self, peer):
-        client = RemoteStoreClient(peer.address)
-        oid = client.put("result", FP, b"federated", meta={"k": 1})
+        client = _client(peer.address)
+        oid = client.store_put("result", FP, b"federated", meta={"k": 1})
         assert peer.store.get("result", FP) == b"federated"
-        assert client.has("result", [FP, FP2]) == {FP: oid}
-        got = client.get("result", FP)
+        assert client.store_has("result", [FP, FP2]) == {FP: oid}
+        got = client.store_get("result", FP)
         assert got == (oid, b"federated", {"k": 1})
-        assert client.get("result", FP2) is None
+        assert client.store_get("result", FP2) is None
 
     def test_traversal_keys_are_bad_requests(self, peer, tmp_path):
         """Every store op refuses a kind or fp that is not a plain name
         or a hex digest before it can name a path: nothing lands
         outside the peer's store, or inside it."""
-        client = RemoteStoreClient(peer.address)
+        client = _client(peer.address)
         data = b"outside"
         for bad in ("../x", "../../x", "../../../x"):
             for kind, fp in ((bad, FP), ("result", bad)):
@@ -260,42 +267,37 @@ class TestClientServer:
                     {"op": "store_has", "kind": kind, "fps": [fp]},
                 ):
                     message["version"] = version_salt()
-                    with pytest.raises(RemoteStoreError,
+                    with pytest.raises(ServeError,
                                        match="bad_request"):
                         client.request(message)
         assert set(os.listdir(tmp_path)) <= {"peer-store"}
         assert list(peer.store.iter_index()) == []
 
     def test_version_skew_is_typed_with_peer_salt(self, peer):
-        client = RemoteStoreClient(peer.address, version="bogus")
+        client = _client(peer.address, version="bogus")
         with pytest.raises(StoreVersionSkew) as err:
-            client.get("result", FP)
+            client.store_get("result", FP)
         assert err.value.peer_version == version_salt()
 
     def test_storeless_daemon_is_unusable(self):
         with ExperimentServer(max_workers=1) as server:
             host, port = server.address
-            client = RemoteStoreClient(f"{host}:{port}")
+            client = _client(f"{host}:{port}")
             with pytest.raises(StorePeerUnusable):
-                client.get("result", FP)
-
-    def test_refused_connection_is_transport(self):
-        client = RemoteStoreClient(f"127.0.0.1:{free_port()}",
-                                   connect_retries=0)
-        with pytest.raises(RemoteStoreError, match="no store peer"):
-            client.get("result", FP)
+                client.store_get("result", FP)
 
     def test_net_garbage_fault_is_transport(self, peer):
         peer.store.put("result", FP, b"payload")
-        client = RemoteStoreClient(peer.address)
+        client = _client(peer.address)
         # Garble the client's own store_get request frame: the daemon
-        # answers bad_request, surfaced as a transport-class error.
+        # answers bad_request, which is a plain ServeError.
         with active_plan(FaultSpec("net_garbage", match="store_get",
                                    times=1)):
-            with pytest.raises(RemoteStoreError):
-                client.get("result", FP)
+            with pytest.raises(ServeError, match="bad_request") as err:
+                client.store_get("result", FP)
+        assert type(err.value) is ServeError
         # The plan is spent: the very next call works.
-        assert client.get("result", FP)[1] == b"payload"
+        assert client.store_get("result", FP)[1] == b"payload"
 
     def test_lying_peer_payload_is_integrity(self):
         # A peer that serves bytes which do not hash to the claimed
@@ -306,10 +308,9 @@ class TestClientServer:
             "found": True, "oid": "0" * 64, "size": 4,
             "meta": {}, "data": base64.b64encode(b"evil").decode(),
         }).encode() + b"\n")
-        client = RemoteStoreClient(f"127.0.0.1:{port}",
-                                   connect_retries=0)
+        client = _client(f"127.0.0.1:{port}")
         with pytest.raises(StoreIntegrityError, match="hashes to"):
-            client.get("result", FP)
+            client.store_get("result", FP)
 
     def test_undecodable_payload_is_integrity(self):
         port = serve_once(json.dumps({
@@ -317,16 +318,15 @@ class TestClientServer:
             "found": True, "oid": "0" * 64, "size": 4,
             "meta": {}, "data": "!!! not base64 !!!",
         }).encode() + b"\n")
-        client = RemoteStoreClient(f"127.0.0.1:{port}",
-                                   connect_retries=0)
+        client = _client(f"127.0.0.1:{port}")
         with pytest.raises(StoreIntegrityError, match="undecodable"):
-            client.get("result", FP)
+            client.store_get("result", FP)
 
     def test_oversized_put_refused_client_side(self, peer):
-        client = RemoteStoreClient(peer.address)
+        client = _client(peer.address)
         client.max_frame = 1024  # as if hello() learned a small cap
-        with pytest.raises(RemoteStoreError, match="frame limit"):
-            client.put("result", FP, b"x" * 4096)
+        with pytest.raises(ServeError, match="frame limit"):
+            client.store_put("result", FP, b"x" * 4096)
         assert peer.store.get("result", FP) is None
 
     def test_oversized_put_bounces_with_typed_error(self, tmp_path):
@@ -337,9 +337,9 @@ class TestClientServer:
         with ExperimentServer(store_root=root, max_workers=1,
                               max_frame_bytes=2048) as server:
             host, port = server.address
-            client = RemoteStoreClient(f"{host}:{port}")
-            with pytest.raises(RemoteStoreError, match="frame_too_large"):
-                client.put("result", FP, b"x" * 8192)
+            client = _client(f"{host}:{port}")
+            with pytest.raises(ServeError, match="frame_too_large"):
+                client.store_put("result", FP, b"x" * 8192)
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +518,7 @@ class TestSync:
         refuses costs one counted error; the rest of the pull lands."""
         peer.store.put("result", FP, b"good")
         bad, evil = "../../x", b"evil"
-        listing, fetch = RemoteStoreClient.has, RemoteStoreClient.get
+        listing, fetch = ServeClient.store_has, ServeClient.store_get
 
         def has(self, kind, fps):
             oids = listing(self, kind, fps)
@@ -531,8 +531,8 @@ class TestSync:
                 return hashlib.sha256(evil).hexdigest(), evil, {}
             return fetch(self, kind, fp)
 
-        monkeypatch.setattr(RemoteStoreClient, "has", has)
-        monkeypatch.setattr(RemoteStoreClient, "get", get)
+        monkeypatch.setattr(ServeClient, "store_has", has)
+        monkeypatch.setattr(ServeClient, "store_get", get)
         (row,) = sync_with_peers(local, peer.address, direction="pull")
         assert row["pulled"] == 1 and row["errors"] == 1
         assert [(kind, fp) for kind, fp, _e in local.iter_index()] == [

@@ -14,7 +14,10 @@ EXAMPLES = os.path.join(
 
 
 @pytest.mark.parametrize(
-    "script", ["quickstart.py", "serve_client.py", "cached_matrix.py"])
+    "script", ["quickstart.py", "serve_client.py", "cached_matrix.py",
+               # The fleet examples boot real daemons, keep their stores
+               # in temporary directories and exit 1 on a divergence.
+               "federated_sweep.py", "cluster_sweep.py"])
 def test_example_runs(script, tmp_path):
     # cached_matrix.py takes its store directory: keep it out of the repo.
     args = [str(tmp_path / "store")] if script == "cached_matrix.py" else []
