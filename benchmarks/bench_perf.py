@@ -569,8 +569,7 @@ def measure_remote_store_latency(reps: int = 3) -> dict:
                                          {"bench": True})
 
             def _tier(name):
-                tier = TieredStore(os.path.join(root, name), address,
-                                   replicate_async=False)
+                tier = TieredStore(os.path.join(root, name), address)
                 tiers.append(tier)
                 return tier
 

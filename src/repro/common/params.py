@@ -10,7 +10,7 @@ live in :mod:`repro.experiments.configs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.types import INSTRUCTION_BYTES
 

@@ -59,7 +59,7 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 #: Environment variable carrying the active fault plan (JSON list).

@@ -49,7 +49,6 @@ to a later failure), and in the dict ``run`` returns.
 from __future__ import annotations
 
 import heapq
-import os
 import signal
 import threading
 import time

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.common.params import (
     CacheParams,

@@ -18,7 +18,7 @@ prediction machinery:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.branch.perceptron import PerceptronConfig
 from repro.branch.twobcgskew import GskewConfig

@@ -486,8 +486,8 @@ def run_matrix(
 
     ``peers`` federates the store (requires ``store=``): admission
     probes read through to the listed ``repro.serve`` daemons'
-    stores (see :mod:`repro.store.remote`) and fresh results
-    replicate to them write-behind.  Peers are a shortcut exactly
+    stores (see :mod:`repro.store.remote`) and fresh results are
+    pushed to them in the background.  Peers are a shortcut exactly
     like the store itself: dead, lying or version-skewed peers cost
     at most recomputes (warn-once, circuit-broken), never a changed
     result.  Workers never open a store; all store traffic, federated
@@ -558,9 +558,8 @@ def run_matrix(
             )
             obs.detach(recorder)
         if owned_tier is not None:
-            # Bounded write-behind drain: peers that are up get the
-            # fresh results now; a slow or dead peer cannot hold the
-            # sweep's return hostage.
+            # One final push pass, bounded: results a down peer has not
+            # taken count as dropped, and ``cache sync`` repairs them.
             owned_tier.close()
 
     # Completions arrive out of order from the pool; results and

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.types import BranchKind
 from repro.isa.behavior import (

@@ -253,14 +253,14 @@ STORE_REMOTE_ERRORS = _R.counter(
     ("peer",))
 STORE_REMOTE_REPLICATED = _R.counter(
     "repro_store_remote_replicated_total",
-    "Local puts replicated to a peer by the write-behind thread.",
+    "Local puts the tier's background pusher delivered to a peer.",
     ("peer",))
 STORE_REMOTE_REPLICATION_DROPPED = _R.counter(
     "repro_store_remote_replication_dropped_total",
-    "Write-behind entries dropped (oldest-first) on queue overflow.")
+    "Local puts never replicated: pending at close() or put after it.")
 STORE_REMOTE_REPLICATION_BACKLOG = _R.gauge(
     "repro_store_remote_replication_backlog",
-    "Entries waiting in the write-behind replication queue.")
+    "Local puts not yet acknowledged, summed over peers.")
 
 # accel
 ACCEL_KERNEL_COMPILES = _R.counter(

@@ -71,7 +71,7 @@ import base64
 import binascii
 import json
 from dataclasses import dataclass
-from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Any, Dict, Optional, Tuple
 
 from repro.core.results import SimulationResult
 from repro.store import serialize

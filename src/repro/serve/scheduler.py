@@ -220,10 +220,9 @@ class ExperimentScheduler:
 
         if store_root is not None and store_peers:
             # Federated daemon: admission probes read through to the
-            # peers, settled cells replicate write-behind.  Workers
-            # keep plain local stores (the parent owns all store I/O
-            # that matters: admission happens here and settled results
-            # are put here).
+            # peers, settled cells are pushed to them in the
+            # background.  Workers keep plain local stores (admission
+            # happens here and settled results are put here).
             from repro.store.remote.tiered import TieredStore
             store: ArtifactStore = TieredStore(store_root, store_peers)
         elif store_root is not None:
@@ -627,5 +626,5 @@ class ExperimentScheduler:
         if self._artifacts is not None:
             close = getattr(self._artifacts.store, "close", None)
             if callable(close):
-                close()  # bounded write-behind flush, then stop
+                close()  # one final push pass, then stop the pusher
         return not self._thread.is_alive()

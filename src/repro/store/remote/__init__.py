@@ -25,15 +25,16 @@ raises the federation's typed errors
 :class:`~repro.serve.client.StorePeerUnusable`,
 :class:`~repro.serve.client.StoreVersionSkew`).  The tier
 (:class:`.TieredStore`, :mod:`.tiered`) holds one client per peer and
-layers the local :class:`~repro.store.store.ArtifactStore` under them: local reads are tried first, misses fan out across
-peers guarded by the same circuit-breaker state machine the cluster
-pool uses (:class:`repro.cluster.health.NodeHealth`), every remote
-payload is re-hashed before it is trusted, verified fills land
-through the store's atomic-put path, and local puts replicate to
-peers from a bounded write-behind queue that never blocks the
-simulate path.  The degradation ladder ends in warn-once local-only
-operation — with every peer dead, lying, or slow, a sweep still
-produces bit-identical results.
+layers the local :class:`~repro.store.store.ArtifactStore` under
+them: local reads are tried first, misses fan out across peers
+guarded by the same circuit-breaker state machine the cluster pool
+uses (:class:`repro.cluster.health.NodeHealth`), every remote payload
+is re-hashed before it is trusted, verified fills land through the
+store's atomic-put path, and each local put stays pending for every
+peer until a background pusher, running ``cache sync``'s push routine
+(:mod:`.sync`), has delivered it.  The degradation ladder ends in
+warn-once local-only operation — with every peer dead, lying, or
+slow, a sweep still produces bit-identical results.
 
 Version skew is detected, not suffered: every store op carries the
 ``FORMAT_VERSION:code_version`` salt (:func:`version_salt`), so a
@@ -42,9 +43,9 @@ after one warning instead of mixing incompatible artifacts.
 
 The fault drills in ``tests/store/test_remote_drills.py`` cover the
 failure matrix (peer SIGKILL mid-get, garbage payloads,
-partition-then-heal, skewed versions, all-peers-down, fleet
-read-through) and assert bit-identical results against a local-only
-baseline.
+partition-then-heal, skewed versions, all-peers-down, a peer dead at
+put time, fleet read-through) and assert bit-identical results
+against a local-only baseline.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 import base64
 import binascii
 import hashlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.serve.protocol import (
     ERROR_INTEGRITY,

@@ -10,6 +10,9 @@ run's diff simply no longer contains what already made it across.
 Each peer is reached through one
 :class:`~repro.serve.client.ServeClient`.
 
+The push half, :func:`push_missing`, is also how a
+:class:`~repro.store.remote.tiered.TieredStore` replicates its puts.
+
 Existing entries are never overwritten — the sync fills holes, it
 does not arbitrate between divergent stores (``cache verify --peers``
 reports those instead).
@@ -17,7 +20,7 @@ reports those instead).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.serve.client import (
     ServeClient,
@@ -28,12 +31,15 @@ from repro.serve.client import (
 from repro.store.remote import parse_peers
 from repro.store.store import ArtifactStore
 
-__all__ = ["SYNC_KINDS", "sync_with_peers"]
+__all__ = ["PUSH_BATCH", "SYNC_KINDS", "push_missing", "sync_with_peers"]
 
 #: The artifact kind the cache populates.  Sync also covers any other
 #: kind found in the local index, such as entries an older checkout
 #: wrote.
 SYNC_KINDS = ("result",)
+
+#: Fingerprints per ``store_has`` re-probe in :func:`push_missing`.
+PUSH_BATCH = 64
 
 
 def _local_index(store: ArtifactStore) -> Dict[str, Dict[str, str]]:
@@ -49,7 +55,6 @@ def sync_with_peers(
     store: ArtifactStore,
     peers: object,
     direction: str = "both",
-    batch: int = 64,
     out: Optional[Callable[[str], None]] = None,
 ) -> List[Dict[str, Any]]:
     """Reconcile ``store`` with each peer; returns per-peer rows.
@@ -86,7 +91,7 @@ def sync_with_peers(
         try:
             for kind in kinds:
                 _sync_kind(store, client, kind, local.get(kind, {}),
-                           direction, batch, row, emit)
+                           direction, row, emit)
         except ServeError as exc:
             # The peer went away mid-pass; everything already landed
             # stays landed, the next run picks up the difference.
@@ -103,7 +108,6 @@ def _sync_kind(
     kind: str,
     local: Dict[str, str],
     direction: str,
-    batch: int,
     row: Dict[str, Any],
     emit: Callable[[str], None],
 ) -> None:
@@ -129,23 +133,42 @@ def _sync_kind(
             row["pulled"] += 1
     if direction in ("push", "both"):
         want = sorted(set(local) - set(remote))
-        for start in range(0, len(want), max(1, batch)):
-            chunk = want[start:start + max(1, batch)]
-            # Re-probe the batch right before pushing: another syncer
-            # (or the peer's own sweeps) may have filled it meanwhile.
-            present = client.store_has(kind, chunk)
-            for fp in chunk:
-                if fp in present:
-                    continue
-                found = store.read(kind, fp)
-                if found is None:
-                    continue  # locally torn: never push unverifiable bytes
-                entry, data = found
-                try:
-                    client.store_put(kind, fp, data, entry["meta"])
-                except StoreIntegrityError as exc:
-                    row["errors"] += 1
-                    emit(f"{client.address}: push {kind}/{fp} "
-                         f"refused ({exc})")
-                    continue
+        for fp, outcome in push_missing(store, client, kind, want):
+            if isinstance(outcome, StoreIntegrityError):
+                row["errors"] += 1
+                emit(f"{client.address}: push {kind}/{fp} refused "
+                     f"({outcome})")
+            elif outcome:
                 row["pushed"] += 1
+
+
+def push_missing(
+    store: ArtifactStore,
+    client: ServeClient,
+    kind: str,
+    fps: List[str],
+) -> Iterator[Tuple[str, Union[bool, StoreIntegrityError]]]:
+    """Push to ``client`` each of ``fps`` it lacks; yield ``(fp, outcome)``.
+
+    Each batch is re-probed with ``store_has`` right before its puts
+    (another pusher may have filled it meanwhile).  ``outcome`` is True
+    when pushed, False when verified present on the peer or missing or
+    torn locally (unverifiable bytes are never pushed), or the peer's
+    :class:`StoreIntegrityError` refusal.  Any other
+    :class:`ServeError` propagates, leaving the rest unsettled.
+    """
+    for start in range(0, len(fps), PUSH_BATCH):
+        chunk = fps[start:start + PUSH_BATCH]
+        present = client.store_has(kind, chunk)
+        for fp in chunk:
+            found = None if fp in present else store.read(kind, fp)
+            if found is None:
+                yield fp, False
+                continue
+            entry, data = found
+            try:
+                client.store_put(kind, fp, data, entry["meta"])
+            except StoreIntegrityError as exc:
+                yield fp, exc
+                continue
+            yield fp, True

@@ -7,29 +7,29 @@ accepted) whose reads go through to remote peers on a local miss:
 * **read-through fill** — a remote hit is re-hashed by the client,
   written locally via the store's own atomic-put path, and only then
   served; every later read is local.
-* **write-behind replication** — local puts enqueue ``(kind, fp)`` to
-  a bounded background replicator that pushes the bytes to every
-  usable peer.  Overflow drops the *oldest* entry (the newest write is
-  the one a peer is most likely to want) with an obs counter; the
-  simulate path never blocks on a slow peer.
+* **replication** — a local put adds ``(kind, fp)`` to each usable
+  peer's pending set and returns at once.  A background pusher drains
+  the sets through :func:`~repro.store.remote.sync.push_missing`, the
+  push routine of ``cache sync``; a key stays pending until its peer
+  holds it, so a peer that was down at put time gets it when it heals.
 
-Each peer is one :class:`~repro.serve.client.ServeClient`, and its
-failures are classified by the client's exception classes, not
-retried blindly:
+Every contact with a peer, fill or push, is classified on the
+:class:`~repro.serve.client.ServeClient` exception classes by one
+helper (:meth:`TieredStore._record`), not retried blindly:
 
 * :class:`~repro.serve.client.StorePeerUnusable` (``no_store``) and
   its subclass :class:`~repro.serve.client.StoreVersionSkew`: the peer
-  is warned about once and never asked again.
+  is warned about once and never asked again; its pending set clears.
 * :class:`~repro.serve.client.StoreIntegrityError` (bytes that do not
-  hash to their oid) bumps a quarantine counter and degrades to a
-  miss — a lying peer can cost a recompute, never a wrong artifact.
+  hash to their oid) bumps a quarantine counter and is not retried — a
+  lying peer can cost a recompute, never a wrong artifact.
 * any other :class:`~repro.serve.client.ServeError` (refused, reset,
   timed out, garbage frames, daemon-side errors) strikes the peer's
   circuit breaker (:class:`repro.cluster.health.NodeHealth` — the same
   state machine, backoff, and deterministic jitter the cluster pool
-  uses) and falls through to the next peer; a dead peer is only
-  re-contacted when its probe backoff expires, and the read that
-  probes it is the probe.
+  uses) and leaves the rest pending; a dead peer is only re-contacted
+  when its probe backoff expires, and the read or push that contacts
+  it is the probe.
 
 When every peer is unusable or dead the tier warns once and runs
 local-only — bit-identical to having no peers at all.
@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.common.warnonce import warn_once
@@ -53,18 +52,18 @@ from repro.serve.client import (
     StoreVersionSkew,
 )
 from repro.store.remote import parse_peers
+from repro.store.remote.sync import push_missing
 from repro.store.store import ArtifactStore
 
 __all__ = ["RemoteStorePeer", "TieredStore"]
 
-#: Default bound on the write-behind queue (entries, not bytes — each
-#: entry is just a ``(kind, fp)`` pair; bytes are read back from the
-#: local store at send time).
-DEFAULT_REPLICATION_LIMIT = 256
+#: Seconds between push passes while anything is pending; a put, a
+#: flush or a close wakes the pusher at once.
+_POLL = 0.5
 
 
 class RemoteStorePeer:
-    """One peer: its :class:`ServeClient` + breaker + per-peer counters."""
+    """One peer: client, breaker, pending set and counters."""
 
     def __init__(self, address: str,
                  health_policy: Optional[HealthPolicy] = None,
@@ -80,11 +79,19 @@ class RemoteStorePeer:
         #: Set when the peer can never serve us (no store, version
         #: skew): it is skipped without further network traffic.
         self.unusable = False
+        #: Local puts, as ``(kind, fp)``, the peer has not acknowledged
+        #: yet; guarded by the owning tier's lock.
+        self.pending: Set[Tuple[str, str]] = set()
         self.hits = 0
         self.misses = 0
         self.integrity = 0
         self.errors = 0
         self.replicated = 0
+
+    def due(self, now: float) -> bool:
+        """Whether to contact the peer now (a dead one: as its probe)."""
+        return not self.unusable and (
+            self.health.usable() or self.health.due_for_probe(now))
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -99,148 +106,8 @@ class RemoteStorePeer:
         }
 
 
-class _Replicator:
-    """Bounded write-behind queue pushing local puts to peers."""
-
-    def __init__(self, local: ArtifactStore,
-                 peers: Sequence[RemoteStorePeer],
-                 limit: int = DEFAULT_REPLICATION_LIMIT,
-                 autostart: bool = True) -> None:
-        self._local = local
-        self._peers = peers
-        self._limit = max(1, int(limit))
-        self._autostart = autostart
-        self._cond = threading.Condition()
-        self._queue: deque = deque()
-        self._inflight = 0
-        self._stopping = False
-        self._thread: Optional[threading.Thread] = None
-        self.dropped = 0
-
-    # ------------------------------------------------------------------
-    def enqueue(self, kind: str, fp: str) -> None:
-        """Queue one local put for replication; never blocks.
-
-        A put after :meth:`stop` is not replicated: it counts as
-        dropped, and the first one per store root warns.
-        """
-        with self._cond:
-            if self._stopping:
-                self.dropped += 1
-                obs.STORE_REMOTE_REPLICATION_DROPPED.inc()
-                warn_once(
-                    f"store.remote.closed:{self._local.root}",
-                    f"store {self._local.root}: a put after close() is "
-                    f"stored locally but not replicated to its peers",
-                )
-                return
-            self._queue.append((kind, fp))
-            while len(self._queue) > self._limit:
-                self._queue.popleft()  # oldest first: newest wins
-                self.dropped += 1
-                obs.STORE_REMOTE_REPLICATION_DROPPED.inc()
-            obs.STORE_REMOTE_REPLICATION_BACKLOG.set(len(self._queue))
-            self._cond.notify_all()
-            if self._autostart and self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="store-replicate", daemon=True)
-                self._thread.start()
-
-    def backlog(self) -> int:
-        with self._cond:
-            return len(self._queue) + self._inflight
-
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Replicate one queued entry synchronously; False when idle.
-
-        The worker thread loops this; tests call it directly for a
-        threadless, deterministic drain.
-        """
-        with self._cond:
-            if not self._queue:
-                return False
-            kind, fp = self._queue.popleft()
-            self._inflight += 1
-            obs.STORE_REMOTE_REPLICATION_BACKLOG.set(len(self._queue))
-        try:
-            self._replicate(kind, fp)
-        finally:
-            with self._cond:
-                self._inflight -= 1
-                self._cond.notify_all()
-        return True
-
-    def _replicate(self, kind: str, fp: str) -> None:
-        # Bytes are read back at send time: if the entry was since
-        # gc'd (or is torn) there is nothing to push.
-        found = self._local.read(kind, fp)
-        if found is None:
-            return
-        entry, data = found
-        meta = entry["meta"]
-        now = time.monotonic()
-        for peer in self._peers:
-            if peer.unusable or not peer.health.usable():
-                continue  # read path owns the probing
-            try:
-                peer.client.store_put(kind, fp, data, meta)
-            except StorePeerUnusable as exc:  # includes version skew
-                _mark_unusable(peer, exc)
-            except StoreIntegrityError:
-                peer.integrity += 1
-                obs.STORE_REMOTE_INTEGRITY.inc(peer=peer.address)
-            except ServeError:
-                peer.errors += 1
-                obs.STORE_REMOTE_ERRORS.inc(peer=peer.address)
-                peer.health.record_failure(now)
-            else:
-                peer.replicated += 1
-                obs.STORE_REMOTE_REPLICATED.inc(peer=peer.address)
-                peer.health.record_success()
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stopping:
-                    self._cond.wait(0.5)
-                if self._stopping and not self._queue:
-                    return
-            self.step()
-
-    # ------------------------------------------------------------------
-    def flush(self, timeout: Optional[float] = 5.0) -> bool:
-        """Wait until the queue drains; False if the timeout expired."""
-        if self._thread is None:
-            while self.step():
-                pass
-            return True
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: not self._queue and not self._inflight, timeout)
-
-    def stop(self, timeout: Optional[float] = 5.0) -> None:
-        with self._cond:
-            self._stopping = True
-            self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
-
-
-def _mark_unusable(peer: RemoteStorePeer, exc: Exception) -> None:
-    peer.unusable = True
-    reason = ("version skew" if isinstance(exc, StoreVersionSkew)
-              else "unusable")
-    warn_once(
-        f"store.remote.{reason.replace(' ', '-')}:{peer.address}",
-        f"store peer {peer.address} ignored ({reason}: {exc}); "
-        f"continuing without it",
-    )
-
-
 class TieredStore(ArtifactStore):
-    """Local store + remote read-through + write-behind replication.
+    """Local store + remote read-through + background replication.
 
     Drop-in for :class:`ArtifactStore`: same constructor semantics for
     the local root, plus ``peers`` (comma string or sequence of
@@ -251,10 +118,8 @@ class TieredStore(ArtifactStore):
     def __init__(self, root: str, peers: object = None,
                  health_policy: Optional[HealthPolicy] = None,
                  version: Optional[str] = None,
-                 replication_limit: int = DEFAULT_REPLICATION_LIMIT,
                  connect_timeout: float = 5.0,
-                 request_timeout: Optional[float] = 30.0,
-                 replicate_async: bool = True) -> None:
+                 request_timeout: Optional[float] = 30.0) -> None:
         super().__init__(root)
         self._peers: List[RemoteStorePeer] = [
             RemoteStorePeer(
@@ -264,10 +129,14 @@ class TieredStore(ArtifactStore):
             )
             for address in parse_peers(peers)
         ]
-        self._replicator = _Replicator(
-            ArtifactStore(self.root), self._peers,
-            limit=replication_limit, autostart=replicate_async,
-        )
+        # One lock guards the pending sets and the pusher's state.
+        self._cond = threading.Condition()
+        self._pusher: Optional[threading.Thread] = None
+        self._wake = False
+        self._closed = False
+        self._passes_started = 0
+        self._passes_done = 0
+        self._dropped = 0
 
     # ------------------------------------------------------------------
     @property
@@ -292,41 +161,19 @@ class TieredStore(ArtifactStore):
         return None
 
     def _fill(self, kind: str, fp: str) -> bool:
-        """Try every eligible peer for ``(kind, fp)``; land the bytes
+        """Try every due peer for ``(kind, fp)``; land the bytes
         locally via the atomic-put path on a verified hit."""
         consulted = False
         for peer in self._peers:
-            if peer.unusable:
+            if not peer.due(time.monotonic()):
                 continue
-            now = time.monotonic()
-            probing = not peer.health.usable()
-            if probing and not peer.health.due_for_probe(now):
-                continue  # breaker open; not due yet
             consulted = True
             try:
                 found = peer.client.store_get(kind, fp)
-            except StorePeerUnusable as exc:  # includes version skew
-                _mark_unusable(peer, exc)
+            except ServeError as exc:
+                self._record(peer, exc)
                 continue
-            except StoreIntegrityError:
-                # Quarantine: a lying peer costs a recompute, never a
-                # wrong artifact.  No health strike — the transport
-                # demonstrably works; trying again would re-fetch the
-                # same bad bytes anyway, so fall through to a miss.
-                peer.integrity += 1
-                obs.STORE_REMOTE_INTEGRITY.inc(peer=peer.address)
-                continue
-            except ServeError:
-                peer.errors += 1
-                obs.STORE_REMOTE_ERRORS.inc(peer=peer.address)
-                if probing:
-                    peer.health.record_probe(now, False)
-                else:
-                    peer.health.record_failure(now)
-                continue
-            if probing:
-                peer.health.record_probe(now, True)
-            peer.health.record_success()
+            self._record(peer)
             if found is None:
                 peer.misses += 1
                 obs.STORE_REMOTE_MISSES.inc(peer=peer.address)
@@ -347,30 +194,161 @@ class TieredStore(ArtifactStore):
             )
         return False
 
+    def _record(self, peer: RemoteStorePeer,
+                exc: Optional[ServeError] = None) -> None:
+        """Classify one contact with ``peer`` (a fill, a push pass, or
+        one refused push); ``exc`` is None when the peer answered."""
+        now = time.monotonic()
+        probing = not peer.health.usable()
+        if exc is None:
+            if probing:
+                peer.health.record_probe(now, True)
+            peer.health.record_success()
+        elif isinstance(exc, StorePeerUnusable):  # includes version skew
+            peer.unusable = True
+            with self._cond:
+                peer.pending.clear()
+            reason = ("version skew" if isinstance(exc, StoreVersionSkew)
+                      else "unusable")
+            warn_once(
+                f"store.remote.{reason.replace(' ', '-')}:{peer.address}",
+                f"store peer {peer.address} ignored ({reason}: {exc}); "
+                f"continuing without it",
+            )
+        elif isinstance(exc, StoreIntegrityError):
+            # Quarantine: no health strike — the transport demonstrably
+            # works, and asking again would move the same bad bytes.
+            peer.integrity += 1
+            obs.STORE_REMOTE_INTEGRITY.inc(peer=peer.address)
+        else:
+            peer.errors += 1
+            obs.STORE_REMOTE_ERRORS.inc(peer=peer.address)
+            if probing:
+                peer.health.record_probe(now, False)
+            else:
+                peer.health.record_failure(now)
+
     # ------------------------------------------------------------------
     # writes: local first, replicate behind
     # ------------------------------------------------------------------
     def put(self, kind: str, fp: str, data: bytes,
             meta: Optional[dict] = None) -> str:
         oid = super().put(kind, fp, data, meta)
-        if self._peers:
-            self._replicator.enqueue(kind, fp)
+        with self._cond:
+            if self._peers and self._closed:
+                self._drop(1, "a put after close() is stored locally but "
+                              "not replicated to its peers")
+            elif self._peers:
+                for peer in self._peers:
+                    if not peer.unusable:
+                        peer.pending.add((kind, fp))
+                self._kick()
         return oid
+
+    def _kick(self) -> None:
+        """Wake the pusher, starting it on first use (lock held)."""
+        self._wake = True
+        if self._pusher is None:
+            self._pusher = threading.Thread(
+                target=self._push_loop, name="store-push", daemon=True)
+            self._pusher.start()
+        self._cond.notify_all()
+
+    def _backlog(self) -> int:
+        """Keys pending, summed over peers (lock held)."""
+        return sum(len(peer.pending) for peer in self._peers)
+
+    def _push_loop(self) -> None:
+        while True:
+            with self._cond:
+                if not (self._wake or self._closed):
+                    self._cond.wait(_POLL if self._backlog() else None)
+                if self._closed:
+                    return
+                self._wake = False
+                self._passes_started += 1
+            for peer in self._peers:
+                if peer.due(time.monotonic()):
+                    self._push(peer)
+            with self._cond:
+                self._passes_done += 1
+                obs.STORE_REMOTE_REPLICATION_BACKLOG.set(self._backlog())
+                self._cond.notify_all()
+
+    def _push(self, peer: RemoteStorePeer) -> None:
+        """Push ``peer``'s pending keys; settled ones leave its set."""
+        by_kind: Dict[str, List[str]] = {}
+        with self._cond:
+            for kind, fp in peer.pending:
+                by_kind.setdefault(kind, []).append(fp)
+        if not by_kind:
+            return
+        try:
+            for kind, fps in sorted(by_kind.items()):
+                for fp, outcome in push_missing(
+                        self.local_store(), peer.client, kind, sorted(fps)):
+                    with self._cond:
+                        peer.pending.discard((kind, fp))
+                    if isinstance(outcome, StoreIntegrityError):
+                        self._record(peer, outcome)
+                    elif outcome:
+                        peer.replicated += 1
+                        obs.STORE_REMOTE_REPLICATED.inc(peer=peer.address)
+        except ServeError as exc:
+            self._record(peer, exc)
+        else:
+            self._record(peer)
+
+    def _drop(self, count: int, what: str) -> None:
+        """Count ``count`` keys that no peer will get (lock held)."""
+        self._dropped += count
+        obs.STORE_REMOTE_REPLICATION_DROPPED.inc(count)
+        warn_once(
+            f"store.remote.dropped:{self.root}",
+            f"store {self.root}: {what}; `repro-experiments cache sync` "
+            f"pushes what the peers lack",
+        )
 
     # ------------------------------------------------------------------
     def remote_stats(self) -> Dict[str, Any]:
-        return {
-            "peers": [peer.stats() for peer in self._peers],
-            "replication": {
-                "backlog": self._replicator.backlog(),
-                "dropped": self._replicator.dropped,
-            },
-        }
+        with self._cond:
+            return {
+                "peers": [peer.stats() for peer in self._peers],
+                "replication": {"backlog": self._backlog(),
+                                "dropped": self._dropped},
+            }
 
     def flush_replication(self, timeout: Optional[float] = 5.0) -> bool:
-        return self._replicator.flush(timeout)
+        """Wait for one push pass that begins after this call.
+
+        True when no usable peer has anything pending afterwards; False
+        on a timeout, or while a peer is down (its breaker decides when
+        the pusher tries it again).
+        """
+        with self._cond:
+            if self._backlog() and not self._closed:
+                want = self._passes_started + 1
+                self._kick()
+                self._cond.wait_for(
+                    lambda: self._passes_done >= want or self._closed,
+                    timeout)
+            return not self._backlog()
 
     def close(self, timeout: Optional[float] = 5.0) -> None:
-        """Best-effort drain of the write-behind queue, then stop."""
-        self._replicator.flush(timeout)
-        self._replicator.stop(timeout)
+        """Wait for one final push pass, then stop the pusher.
+
+        Keys still pending then count as dropped, as does every later
+        put; ``cache sync`` repairs both.
+        """
+        self.flush_replication(timeout)
+        with self._cond:
+            lost = self._backlog()
+            if lost:
+                self._drop(lost, f"{lost} put(s) still pending at close() "
+                                 f"were not replicated to their peers")
+            self._closed = True
+            for peer in self._peers:
+                peer.pending.clear()
+            self._cond.notify_all()
+        if self._pusher is not None:  # no pusher starts once closed
+            self._pusher.join(timeout)

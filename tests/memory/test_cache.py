@@ -1,7 +1,5 @@
 """Tests for the set-associative cache."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

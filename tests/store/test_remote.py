@@ -1,5 +1,5 @@
 """Federated store: wire ops, the client's store ops, tiered
-read-through, write-behind replication, corruption mirrors,
+read-through, background replication, corruption mirrors,
 anti-entropy sync.
 
 The daemon-backed tests spin a real in-process ``ExperimentServer``
@@ -14,6 +14,9 @@ import base64
 import hashlib
 import json
 import os
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -343,12 +346,11 @@ class TestClientServer:
 
 
 # ----------------------------------------------------------------------
-# TieredStore: read-through, write-behind, degradation
+# TieredStore: read-through, background replication, degradation
 # ----------------------------------------------------------------------
 class TestTieredStore:
     def _tier(self, tmp_path, peers, **kwargs):
         kwargs.setdefault("health_policy", FAST_HEALTH)
-        kwargs.setdefault("replicate_async", False)
         return TieredStore(str(tmp_path / "tier"), peers, **kwargs)
 
     def test_no_peers_behaves_like_plain_store(self, tmp_path):
@@ -376,26 +378,70 @@ class TestTieredStore:
 
     def test_write_behind_replicates(self, peer, tmp_path):
         tier = self._tier(tmp_path, peer.address)
-        tier.put("result", FP, b"local first", {"m": 2})
-        assert peer.store.get("result", FP) is None  # not yet pushed
-        assert tier.flush_replication(timeout=10)
+        # A slow link: the put returns without waiting on the peer.
+        with active_plan(FaultSpec("net_delay", match="store_put",
+                                   times=1, seconds=1.0)):
+            started = time.monotonic()
+            tier.put("result", FP, b"local first", {"m": 2})
+            assert time.monotonic() - started < 0.5
+            assert peer.store.get("result", FP) is None  # not yet pushed
+            assert tier.flush_replication(timeout=10)
         assert peer.store.get("result", FP) == b"local first"
         assert peer.store.get_entry("result", FP)["meta"] == {"m": 2}
         assert tier.peers[0].replicated == 1
+        assert tier.remote_stats()["replication"] == {"backlog": 0,
+                                                      "dropped": 0}
 
-    def test_replication_overflow_drops_oldest(self, peer, tmp_path):
-        tier = self._tier(tmp_path, peer.address, replication_limit=2)
-        fps = [f"{i:02x}" * 32 for i in range(4)]
-        for i, fp in enumerate(fps):
-            tier.put("result", fp, b"v%d" % i)
-        stats = tier.remote_stats()["replication"]
-        assert stats["backlog"] == 2 and stats["dropped"] == 2
+    def test_dropped_push_stays_pending_until_delivered(self, peer,
+                                                        tmp_path):
+        """A push the link drops leaves its key pending, not lost: the
+        flush says so, and a later pass delivers it."""
+        # Trip on the first failure and stay tripped for a second, so
+        # the flush's pass cannot retry before the assertions run.
+        policy = HealthPolicy(dead_after=1, probe_backoff=1.0,
+                              probe_jitter=0.0)
+        tier = self._tier(tmp_path, peer.address, health_policy=policy)
+        with active_plan(FaultSpec("net_drop", match="store_put",
+                                   times=1)):
+            tier.put("result", FP, b"dropped once")
+            assert not tier.flush_replication(timeout=10)
+        assert tier.peers[0].errors == 1
+        assert tier.remote_stats()["replication"] == {"backlog": 1,
+                                                      "dropped": 0}
+        assert peer.store.get("result", FP) is None
+        time.sleep(policy.probe_backoff)
         assert tier.flush_replication(timeout=10)
-        # Newest writes won; the dropped oldest two never made it.
-        assert peer.store.get("result", fps[3]) == b"v3"
-        assert peer.store.get("result", fps[2]) == b"v2"
-        assert peer.store.get("result", fps[0]) is None
-        assert peer.store.get("result", fps[1]) is None
+        assert peer.store.get("result", FP) == b"dropped once"
+        assert tier.peers[0].replicated == 1
+
+    def test_puts_racing_the_pusher_all_arrive(self, peer, tmp_path):
+        """Four threads put while the pusher drains: no key is lost
+        between a put and a pass, and none is pushed twice."""
+        tier = self._tier(tmp_path, peer.address)
+        fps = [f"{i:064x}" for i in range(64)]
+
+        def put_all(part):
+            for fp in part:
+                tier.put("result", fp, fp.encode())
+
+        threads = [threading.Thread(target=put_all, args=(fps[k::4],))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tier.flush_replication(timeout=30)
+        assert {fp for _kind, fp, _e in peer.store.iter_index()} == set(fps)
+        assert tier.peers[0].replicated == len(fps)
+        tier.close(timeout=10)
+        assert tier.remote_stats()["replication"] == {"backlog": 0,
+                                                      "dropped": 0}
 
     def test_put_after_close_counts_as_dropped(self, peer, tmp_path):
         """A put on a closed tier lands locally, is not replicated, and
@@ -421,7 +467,7 @@ class TestTieredStore:
         assert tier.get("result", FP) is None
         assert tier.peers[0].misses == 1
         assert tier.peers[0].health.state == HEALTHY
-        # "Recompute" locally and let write-behind re-put: the peer's
+        # "Recompute" locally and let the pusher re-put: the peer's
         # torn entry is healed by its own store.put path.
         tier.put("result", FP, b"y" * 1000)
         assert tier.flush_replication(timeout=10)
@@ -452,6 +498,12 @@ class TestTieredStore:
         # peerless store.
         tier.put("result", FP, b"still fine")
         assert tier.get("result", FP) == b"still fine"
+        # The put never reached the peer: close counts it and names
+        # the repair.
+        with pytest.warns(RuntimeWarning, match="cache sync"):
+            tier.close(timeout=1.0)
+        assert tier.remote_stats()["replication"] == {"backlog": 0,
+                                                      "dropped": 1}
 
     def test_version_skew_marks_peer_unusable_once(self, peer, tmp_path):
         peer.store.put("result", FP, b"unreachable generation")

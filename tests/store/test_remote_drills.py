@@ -144,6 +144,35 @@ def test_partitioned_peer_trips_its_breaker_then_read_through_heals(
     assert daemon.drain_and_wait() == 0
 
 
+def test_peer_dead_at_put_time_gets_every_entry_once_healed(
+        tmp_path, fleet, tier, drill_baseline):
+    """A peer that is down while a sweep puts its results and comes up
+    later ends up holding every entry, with no read and no ``cache
+    sync``: the pusher keeps each put pending until the peer takes it."""
+    remote_root = str(tmp_path / "remote")
+    port = free_port()
+    tiered = tier(f"127.0.0.1:{port}")
+    assert _sweep(tiered).results == drill_baseline.results
+    keys = [(kind, fp) for kind, fp, _e in tiered.local_store().iter_index()]
+    assert len(keys) == len(drill_baseline.results)
+    peer = tiered.peers[0]
+    assert peer.errors >= 1 and peer.replicated == 0, peer.stats()
+    daemon = fleet(remote_root, port=port)
+    remote = ArtifactStore(remote_root)
+
+    def missing():
+        return [key for key in keys if remote.read(*key) is None]
+
+    deadline = time.monotonic() + 30.0
+    while missing() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not missing(), f"never replicated: {missing()} ({peer.stats()})"
+    assert peer.replicated == len(keys), peer.stats()
+    assert tiered.remote_stats()["replication"] == {"backlog": 0,
+                                                    "dropped": 0}
+    assert daemon.drain_and_wait() == 0
+
+
 def test_federated_daemons_simulate_each_cell_once(
         tmp_path, fleet, drill_baseline):
     """Daemon A simulates the matrix cold; daemon B (``--store-peers``
