@@ -12,10 +12,19 @@ with these structural changes, none of which can alter results:
   pipe width, dispatch depth, ROB size, the three D-side latency
   levels, the L2 geometry — so the branches they gate compile to
   immediate comparisons;
-* **result counters and the trace cursor are locals**: the per-block
-  ``result.<counter> += 1`` attribute round-trips and the per-block
-  walker ``__next__`` call become local int bumps and a list index,
-  published back to their objects once at the end of the run;
+* **result counters and the trace cursor are locals**, published back
+  to their objects once at the end of the run, and each count lives
+  where the run already holds it: the scheduler's instruction count
+  gives the instructions scheduled and fetched (a correct-path
+  instruction is scheduled the cycle it is fetched) and whether a
+  bundle dispatched; the branch, conditional and taken counts are one
+  sum of the blocks' packed :attr:`~repro.isa.trace.DynBlock.counts`,
+  unpacked at publish; and the walker's ``__next__`` becomes a list
+  index, its counters published from the record position and the
+  instruction count;
+* **one retire queue**, as in the oracle: one entry per block holds
+  its ROB share and its commit replay, so the loop head drains one
+  deque and both bulk jumps read one head;
 * the **L2 probe is inlined** (the L1D outcome is read off the trace's
   data stream, as in the oracle); L2 counters stay attribute updates
   because the instruction side shares that cache mid-run, and the L1D
@@ -48,6 +57,7 @@ from repro.common.types import BranchKind
 from repro.core.backend import _IU_LIMIT
 from repro.core.results import SimulationResult
 from repro.isa.program import MEM_LOAD
+from repro.isa.trace import branch_counts
 
 from repro.accel.codegen import CompiledKernel, compile_kernel
 
@@ -118,7 +128,6 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
     l2_cache = mem.l2
     l2_sets = l2_cache._sets
     iu_compact = backend._iu_compact
-    KIND_NONE = BranchKind.NONE
     KIND_COND = BranchKind.COND
     KIND_RET = BranchKind.RET
 
@@ -133,24 +142,21 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         )
 
         now = 0
-        scheduled = 0
         warm_state = None
         diverged = False
         pending = None
-        commit_queue = deque()
-        inflight = deque()
+        # The one retire queue: (commit_cycle, instructions, dyn,
+        # payload, mispredicted) per block, dyn None for a partial
+        # block at a bundle boundary (see processor.py).
+        retire = deque()
+        retire_pop = retire.popleft
+        retire_push = retire.append
+        retire_head = $NEVER
         inflight_count = 0
-        commit_head = $NEVER
-        inflight_head = $NEVER
-        commit_pop = commit_queue.popleft
-        commit_push = commit_queue.append
-        inflight_pop = inflight.popleft
-        inflight_push = inflight.append
 
         # Result counters as frame locals, published once at the end.
-        r_branches = 0
-        r_cond_branches = 0
-        r_taken = 0
+        # ``r_counts`` sums the blocks' packed branch counts.
+        r_counts = 0
         r_misp = 0
         r_cond_misp = 0
         r_ret_misp = 0
@@ -159,21 +165,21 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         r_rob_stall = 0
         r_idle = 0
         r_fetch_cycles = 0
-        r_fetched = 0
 
         # Trace replay state: the record's block list is append-only,
         # so the kernel indexes it directly and extends on exhaustion.
-        pos = walker._pos
-        walked_blocks = walker.blocks_walked
-        walked_instr = walker.instructions_walked
+        pos = pos0 = walker._pos
         blocks_len = len(rec_blocks)
         cur_dyn = cursor.dyn
         cur_off = cursor.offset
+        unscheduled0 = cur_dyn.size - cur_off if cur_dyn is not None else 0
 
-        # Scheduler state as frame locals for the whole run.
+        # Scheduler state as frame locals for the whole run.  The
+        # instruction count ``cnt`` is the run's one progress counter:
+        # every correct-path instruction fetched is scheduled at once.
         iu = backend._iu
         floor = backend._issue_floor
-        cnt = backend._count
+        cnt = cnt0 = backend._count
         last = backend._last_commit
         cic = backend._commits_in_cycle
         loads = backend.load_accesses
@@ -186,7 +192,8 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         segs = backend.seg_count
         seg_base = segs
 
-        warm_target = warmup if warmup else $NEVER
+        cnt_stop = cnt0 + max_instructions
+        cnt_warm = cnt0 + warmup if warmup else $NEVER
         cycle_limit = 400 * max_instructions + 1_000_000
 
         # The publish block runs even when the wedge guard raises, so
@@ -194,23 +201,22 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
         # position) reflects the failed run exactly like the interpreted
         # path's in-place updates do.
         try:
-            while scheduled < max_instructions and cur_dyn is not None:
+            while cnt < cnt_stop and cur_dyn is not None:
                 now += 1
                 if now > cycle_limit:
                     raise RuntimeError(
-                        f"simulation wedged: {scheduled} instructions in {now} "
-                        f"cycles (engine={engine.name}, pending={pending}, "
+                        f"simulation wedged: {cnt - cnt0} instructions in "
+                        f"{now} cycles (engine={engine.name}, "
+                        f"pending={pending}, "
                         f"diverged={diverged}, idle={r_idle})"
                     )
 
-                while commit_head <= now:
-                    _, dyn, payload, misp = commit_pop()
-                    note_commit(dyn, payload, misp)
-                    commit_head = commit_queue[0][0] if commit_queue else $NEVER
-                while inflight_head <= now:
-                    # Flat-int entries: commit * 2**20 + instruction count.
-                    inflight_count -= inflight_pop() & 1048575
-                    inflight_head = (inflight[0] >> 20) if inflight else $NEVER
+                while retire_head <= now:
+                    _, n, dyn, payload, misp = retire_pop()
+                    inflight_count -= n
+                    if dyn is not None:
+                        note_commit(dyn, payload, misp)
+                    retire_head = retire[0][0] if retire else $NEVER
 
                 if pending is not None and now >= pending[0]:
                     engine_redirect(now, pending[1], pending[2], pending[4])
@@ -221,8 +227,7 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                 if not diverged and inflight_count >= $ROB_SIZE:
                     # Window full: jump to the next queued event in bulk
                     # (bit-exact; see processor.py for the argument).
-                    nxt = (commit_head if commit_head < inflight_head
-                           else inflight_head)
+                    nxt = retire_head
                     if pending is not None and pending[0] < nxt:
                         nxt = pending[0]
                     r_rob_stall += nxt - now
@@ -237,8 +242,7 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                     # window still runs the decoupled prediction stage
                     # (see processor.py).
                     if engine._waiting_resolve and pending is not None:
-                        nxt = (commit_head if commit_head < inflight_head
-                               else inflight_head)
+                        nxt = retire_head
                         if pending[0] < nxt:
                             nxt = pending[0]
                         if nxt > now + 1:
@@ -258,7 +262,7 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                 dispatch_cycle = now + $DISPATCH_DEPTH
                 block_instrs = 0
                 block_commit = 0
-                correct_in_bundle = 0
+                bundle_cnt = cnt
                 frag_iter = iter(bundle)
                 for frag in frag_iter:
                     start, count, pred_next, ckpt, payload = frag
@@ -340,8 +344,6 @@ $PROBE_SLOT
                         seg_commit = last
                         # ==== end inlined segment scheduler ==================
 
-                        scheduled += take
-                        correct_in_bundle += take
                         remaining -= take
 
                         if cur_off + take == size:
@@ -354,13 +356,7 @@ $PROBE_SLOT
                                 ck = ckpt
                                 pl = payload
                             actual_next = dyn.next_addr
-                            kind = dyn.kind
-                            if kind is not KIND_NONE:
-                                r_branches += 1
-                                if kind is KIND_COND:
-                                    r_cond_branches += 1
-                                if dyn.taken:
-                                    r_taken += 1
+                            r_counts += dyn.counts
                             mispredicted = False
                             if pred is None:
                                 r_indirect += 1
@@ -370,6 +366,7 @@ $PROBE_SLOT
                             elif pred != actual_next:
                                 mispredicted = True
                                 r_misp += 1
+                                kind = dyn.kind
                                 if kind is KIND_COND:
                                     r_cond_misp += 1
                                 elif kind is KIND_RET:
@@ -377,15 +374,12 @@ $PROBE_SLOT
                                 pending = (complete + 1, actual_next, ck,
                                            True, dyn)
                                 diverged = True
-                            commit_push((seg_commit, dyn, pl, mispredicted))
-                            if seg_commit < commit_head:
-                                commit_head = seg_commit
-                            inflight_push(
-                                seg_commit * 1048576 + block_instrs + take
-                            )
-                            if seg_commit < inflight_head:
-                                inflight_head = seg_commit
-                            inflight_count += block_instrs + take
+                            block_instrs += take
+                            retire_push((seg_commit, block_instrs, dyn, pl,
+                                         mispredicted))
+                            if seg_commit < retire_head:
+                                retire_head = seg_commit
+                            inflight_count += block_instrs
                             block_instrs = 0
                             # Inlined walker __next__ (record replay).
                             if pos >= blocks_len:
@@ -394,8 +388,6 @@ $PROBE_SLOT
                             if pos < blocks_len:
                                 cur_dyn = rec_blocks[pos]
                                 pos += 1
-                                walked_blocks += 1
-                                walked_instr += cur_dyn.size
                                 cur_off = 0
                             else:
                                 cur_dyn = None
@@ -428,34 +420,36 @@ $PROBE_SLOT
                         break
 
                 if block_instrs:
-                    inflight_push(block_commit * 1048576 + block_instrs)
-                    if block_commit < inflight_head:
-                        inflight_head = block_commit
+                    retire_push((block_commit, block_instrs, None, None,
+                                 False))
+                    if block_commit < retire_head:
+                        retire_head = block_commit
                     inflight_count += block_instrs
 
-                if correct_in_bundle:
+                if cnt != bundle_cnt:
                     r_fetch_cycles += 1
-                    r_fetched += correct_in_bundle
 
-                if scheduled >= warm_target and warm_state is None:
+                if cnt >= cnt_warm and warm_state is None:
                     warm_state = (
-                        now, scheduled,
-                        (r_branches, r_cond_branches, r_taken, r_misp,
-                         r_cond_misp, r_ret_misp, r_indirect, r_wrong,
-                         r_rob_stall, r_idle),
-                        r_fetch_cycles, r_fetched,
+                        now, cnt,
+                        (r_counts, r_misp, r_cond_misp, r_ret_misp,
+                         r_indirect, r_wrong, r_rob_stall, r_idle,
+                         r_fetch_cycles),
                     )
 
-                if scheduled >= max_instructions:
+                if cnt >= cnt_stop:
                     break
         finally:
             # -- publish the loop-local state back to the objects ------------
             cursor.dyn = cur_dyn
             cursor.offset = cur_off
             cursor.exhausted = cur_dyn is None
+            # Every block walked was scheduled whole, but for the
+            # unscheduled tail of the block at the cursor.
             walker._pos = pos
-            walker.blocks_walked = walked_blocks
-            walker.instructions_walked = walked_instr
+            walker.blocks_walked += pos - pos0
+            walker.instructions_walked += cnt - cnt0 - unscheduled0 + (
+                cur_dyn.size - cur_off if cur_dyn is not None else 0)
 
             backend._issue_floor = floor
             backend._count = cnt
@@ -468,37 +462,21 @@ $PROBE_SLOT
             dl1_cache.misses = dl1_miss
             dl1_cache.evictions = dl1_evict
 
-        result.branches = r_branches
-        result.cond_branches = r_cond_branches
-        result.taken_branches = r_taken
-        result.mispredictions = r_misp
-        result.cond_mispredictions = r_cond_misp
-        result.return_mispredictions = r_ret_misp
-        result.indirect_resolutions = r_indirect
-        result.wrong_path_instructions = r_wrong
-        result.rob_stall_cycles = r_rob_stall
-        result.idle_cycles = r_idle
-        result.fetch_cycles = r_fetch_cycles
-        result.fetched_instructions = r_fetched
-        result.instructions = scheduled
-        result.cycles = now if now > last else last
+        counts = (r_counts, r_misp, r_cond_misp, r_ret_misp, r_indirect,
+                  r_wrong, r_rob_stall, r_idle, r_fetch_cycles)
+        start_now, start_cnt = 0, cnt0
         if warm_state is not None:
-            warm_now, warm_sched, warm_counts, warm_fc, warm_fi = warm_state
-            result.instructions = scheduled - warm_sched
-            result.cycles = (now if now > last else last) - warm_now
-            result.fetch_cycles = r_fetch_cycles - warm_fc
-            result.fetched_instructions = r_fetched - warm_fi
-            (wb, wcb, wt, wm, wcm, wrm, wi, ww, wrs, widle) = warm_counts
-            result.branches = r_branches - wb
-            result.cond_branches = r_cond_branches - wcb
-            result.taken_branches = r_taken - wt
-            result.mispredictions = r_misp - wm
-            result.cond_mispredictions = r_cond_misp - wcm
-            result.return_mispredictions = r_ret_misp - wrm
-            result.indirect_resolutions = r_indirect - wi
-            result.wrong_path_instructions = r_wrong - ww
-            result.rob_stall_cycles = r_rob_stall - wrs
-            result.idle_cycles = r_idle - widle
+            start_now, start_cnt, warm_counts = warm_state
+            counts = [c - w for c, w in zip(counts, warm_counts)]
+        (result.branches, result.cond_branches,
+         result.taken_branches) = branch_counts(counts[0])
+        (result.mispredictions, result.cond_mispredictions,
+         result.return_mispredictions, result.indirect_resolutions,
+         result.wrong_path_instructions, result.rob_stall_cycles,
+         result.idle_cycles, result.fetch_cycles) = counts[1:]
+        # Every correct-path instruction fetched was scheduled.
+        result.instructions = result.fetched_instructions = cnt - start_cnt
+        result.cycles = (now if now > last else last) - start_now
         result.engine_stats = stats_dict()
         result.memory_stats = mem_stats()
         result.extras = {"segments": segs - seg_base}
@@ -537,6 +515,7 @@ _NAMESPACE = {
     "deque": deque,
     "BranchKind": BranchKind,
     "SimulationResult": SimulationResult,
+    "branch_counts": branch_counts,
 }
 
 

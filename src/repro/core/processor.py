@@ -175,13 +175,15 @@ class Processor:
         diverged = False
         # (resolve_cycle, correct_addr, ckpt, counts_as_mispredict, dyn)
         pending: Optional[Tuple[int, int, object, bool, DynBlock]] = None
-        # Commit feedback queue: (commit_cycle, dyn, payload, mispredicted)
-        commit_queue: Deque[Tuple[int, DynBlock, object, bool]] = deque()
-        # ROB occupancy: (commit_cycle, instruction_count) per block
-        inflight: Deque[Tuple[int, int]] = deque()
+        # The retire queue, one entry per dispatched block: (commit_cycle,
+        # instructions, dyn, payload, mispredicted).  Its instructions
+        # occupy the ROB until the commit cycle; then the block's commit
+        # is replayed to the engine.  A partial block at a bundle
+        # boundary pushes dyn None: it holds the ROB only.
+        retire: Deque[Tuple[int, int, Optional[DynBlock], object, bool]]
+        retire = deque()
         inflight_count = 0
-        commit_head = _NEVER
-        inflight_head = _NEVER
+        retire_head = _NEVER
         dispatch_depth = core.dispatch_depth
         rob_size = core.rob_size
         ib = INSTRUCTION_BYTES
@@ -192,10 +194,8 @@ class Processor:
         engine_cycle = engine.cycle
         note_commit = engine.note_commit
         dispatch_seg = backend.dispatch_segment
-        commit_pop = commit_queue.popleft
-        commit_push = commit_queue.append
-        inflight_pop = inflight.popleft
-        inflight_push = inflight.append
+        retire_pop = retire.popleft
+        retire_push = retire.append
         walker_next = cursor._walker.__next__
         account_block = self._account_block
         account_mispredict = self._account_mispredict
@@ -215,16 +215,15 @@ class Processor:
                     f"diverged={diverged}, idle={result.idle_cycles})"
                 )
 
-            # Head cycles are cached as ints: commit slots are allocated
-            # in order, so both queues are non-decreasing and the head
-            # is always the minimum.
-            while commit_head <= now:
-                _, dyn, payload, misp = commit_pop()
-                note_commit(dyn, payload, misp)
-                commit_head = commit_queue[0][0] if commit_queue else _NEVER
-            while inflight_head <= now:
-                inflight_count -= inflight_pop()[1]
-                inflight_head = inflight[0][0] if inflight else _NEVER
+            # The head cycle is cached as an int: commit slots are
+            # allocated in order, so the queue is non-decreasing and the
+            # head is always the minimum.
+            while retire_head <= now:
+                _, n, dyn, payload, misp = retire_pop()
+                inflight_count -= n
+                if dyn is not None:
+                    note_commit(dyn, payload, misp)
+                retire_head = retire[0][0] if retire else _NEVER
 
             if pending is not None and now >= pending[0]:
                 _, correct_addr, ckpt, _, resolved = pending
@@ -235,13 +234,12 @@ class Processor:
 
             if not diverged and inflight_count >= rob_size:
                 # Nothing can change while the window stays full: the
-                # next state change is a queued commit, an in-flight
-                # retirement or the pending redirect.  Account the
-                # stalled cycles in bulk and jump there (bit-exact: the
-                # per-cycle loop would classify every skipped cycle as a
-                # ROB stall and touch nothing else).
-                nxt = commit_head if commit_head < inflight_head \
-                    else inflight_head
+                # next state change is the retire queue's head (a commit
+                # replay, a ROB release or both) or the pending redirect.
+                # Account the stalled cycles in bulk and jump there
+                # (bit-exact: the per-cycle loop would classify every
+                # skipped cycle as a ROB stall and touch nothing else).
+                nxt = retire_head
                 if pending is not None and pending[0] < nxt:
                     nxt = pending[0]
                 result.rob_stall_cycles += nxt - now
@@ -259,8 +257,7 @@ class Processor:
                 # decoupled engines keep predicting into the FTQ during
                 # an I-cache stall, so skipping would lose that work.
                 if engine._waiting_resolve and pending is not None:
-                    nxt = commit_head if commit_head < inflight_head \
-                        else inflight_head
+                    nxt = retire_head
                     if pending[0] < nxt:
                         nxt = pending[0]
                     if nxt > now + 1:
@@ -335,13 +332,12 @@ class Processor:
                             pending = (complete + 1, actual_next, ck,
                                        True, dyn)
                             diverged = True
-                        commit_push((commit, dyn, pl, mispredicted))
-                        if commit < commit_head:
-                            commit_head = commit
-                        inflight_push((commit, block_instrs + take))
-                        if commit < inflight_head:
-                            inflight_head = commit
-                        inflight_count += block_instrs + take
+                        block_instrs += take
+                        retire_push((commit, block_instrs, dyn, pl,
+                                     mispredicted))
+                        if commit < retire_head:
+                            retire_head = commit
+                        inflight_count += block_instrs
                         block_instrs = 0
                         try:
                             cur_dyn = walker_next()
@@ -382,9 +378,9 @@ class Processor:
             if block_instrs:
                 # Partial block at the bundle boundary still occupies
                 # the window until its (future) block commit completes.
-                inflight_push((block_commit, block_instrs))
-                if block_commit < inflight_head:
-                    inflight_head = block_commit
+                retire_push((block_commit, block_instrs, None, None, False))
+                if block_commit < retire_head:
+                    retire_head = block_commit
                 inflight_count += block_instrs
 
             if correct_in_bundle:

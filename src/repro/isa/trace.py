@@ -27,6 +27,25 @@ from repro.isa.cfg import ControlFlowGraph
 from repro.isa.program import LinearBlock, Program
 
 
+#: Bits per field of :attr:`DynBlock.counts`: a sum of them carries one
+#: field into the next only past 2**40 blocks.
+_COUNT_BITS = 40
+_COUNT_MASK = (1 << _COUNT_BITS) - 1
+
+#: :attr:`DynBlock.counts` of a branch, by (conditional, taken).
+_BRANCH_COUNTS = {
+    (cond, taken): 1 | cond << _COUNT_BITS | taken << 2 * _COUNT_BITS
+    for cond in (False, True) for taken in (False, True)
+}
+
+
+def branch_counts(packed: int) -> Tuple[int, int, int]:
+    """Unpack a sum of :attr:`DynBlock.counts` into its (branches,
+    conditional branches, taken branches) totals."""
+    return (packed & _COUNT_MASK, (packed >> _COUNT_BITS) & _COUNT_MASK,
+            packed >> 2 * _COUNT_BITS)
+
+
 class DynBlock:
     """One dynamic basic-block execution in the trace.
 
@@ -36,10 +55,14 @@ class DynBlock:
     rather than properties.  Because instances are immutable, walkers
     intern and re-emit one object per distinct (block, taken, next)
     triple instead of allocating a fresh record per dynamic block.
+
+    ``counts`` packs the block's contribution to the branch, conditional
+    and taken counters into one int, so the run kernel adds one number
+    per block; :func:`branch_counts` unpacks a sum of them.
     """
 
     __slots__ = ("lb", "taken", "next_addr", "addr", "size", "kind",
-                 "meta", "sched")
+                 "meta", "sched", "counts")
 
     def __init__(self, lb: LinearBlock, taken: bool, next_addr: int) -> None:
         self.lb = lb
@@ -54,6 +77,8 @@ class DynBlock:
         # reads ``meta`` once per block of the trace.
         self.meta = lb._meta
         self.sched = lb._sched
+        self.counts = 0 if self.kind is BranchKind.NONE else _BRANCH_COUNTS[
+            self.kind is BranchKind.COND, bool(taken)]
 
     @property
     def target_addr(self) -> int:

@@ -32,6 +32,7 @@ from repro.serve.client import (
     ServeDraining,
     ServeError,
     ServeOverloaded,
+    ServeRefused,
     ServeUnavailable,
     StoreIntegrityError,
     StorePeerUnusable,
@@ -59,6 +60,7 @@ __all__ = [
     "ServeDraining",
     "ServeError",
     "ServeOverloaded",
+    "ServeRefused",
     "ServeUnavailable",
     "StoreIntegrityError",
     "StorePeerUnusable",

@@ -90,8 +90,13 @@ class _Daemon:
     ``port=0`` (the default) binds an ephemeral port, discovered from
     the ready line; a fixed ``port`` lets the caller know the daemon's
     address before it boots, which a fault plan aimed at one node of a
-    fleet needs.
+    fleet needs.  Once the daemon is gone (:meth:`kill`,
+    :meth:`drain_and_wait`, or leaving the ``with`` block), its stdout
+    pipe is read to the end and closed.
     """
+
+    #: Seconds to wait for the pipe's end once the daemon has exited.
+    REAP_TIMEOUT = 10.0
 
     def __init__(self, store: Optional[str], *extra: str,
                  faults: Optional[str] = None, port: int = 0) -> None:
@@ -128,13 +133,17 @@ class _Daemon:
         line = self.proc.stdout.readline()
         prefix = "repro-serve: listening on "
         if not line.startswith(prefix):
-            self.proc.kill()
+            self._kill_group()
+            self.proc.wait(timeout=60)
+            self.proc.stdout.close()
             raise AssertionError(f"daemon did not come up: {line!r}")
         host, _, port = line[len(prefix):].strip().rpartition(":")
         self.client = ServeClient(host, int(port))
         # Drain the remaining stdout on a reaper thread so a chatty
         # daemon can never block on a full pipe.
-        threading.Thread(target=self.proc.stdout.read, daemon=True).start()
+        self.reaper = threading.Thread(target=self.proc.stdout.read,
+                                       daemon=True)
+        self.reaper.start()
 
     @property
     def address(self) -> str:
@@ -143,10 +152,24 @@ class _Daemon:
     def kill(self) -> None:
         self._kill_group()
         self.proc.wait(timeout=60)
+        self._reap()
 
     def drain_and_wait(self, timeout: float = 300.0) -> int:
         self.client.drain()
-        return self.proc.wait(timeout=timeout)
+        code = self.proc.wait(timeout=timeout)
+        self._reap()
+        return code
+
+    def _reap(self) -> None:
+        """Join the reaper, then close the pipe it read to the end.
+
+        A reaper still reading after ``REAP_TIMEOUT`` (some survivor
+        holds the pipe open) keeps the pipe: closing a file another
+        thread is reading blocks until that read returns.
+        """
+        self.reaper.join(self.REAP_TIMEOUT)
+        if not self.reaper.is_alive():
+            self.proc.stdout.close()
 
     def _kill_group(self) -> None:
         try:
@@ -161,6 +184,7 @@ class _Daemon:
         if self.proc.poll() is None:
             self._kill_group()
             self.proc.wait(timeout=60)
+        self._reap()
 
 
 if __name__ == "__main__":

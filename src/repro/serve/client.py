@@ -43,6 +43,7 @@ __all__ = [
     "ServeDraining",
     "ServeError",
     "ServeOverloaded",
+    "ServeRefused",
     "ServeUnavailable",
     "StoreIntegrityError",
     "StorePeerUnusable",
@@ -65,8 +66,7 @@ _TRANSIENT_CONNECT_ERRNOS = frozenset({errno.ECONNREFUSED, errno.ECONNRESET})
 
 class ServeError(Exception):
     """Any client-visible failure talking to a serve daemon: as itself,
-    a response timeout, a bad frame, or a ``bad_request``, ``internal``
-    or ``frame_too_large`` answer."""
+    a response timeout, a bad frame, or an ``internal`` answer."""
 
 
 class ServeUnavailable(ServeError):
@@ -79,6 +79,13 @@ class ServeOverloaded(ServeError):
 
 class ServeDraining(ServeError):
     """The daemon is shutting down and no longer admits work."""
+
+
+class ServeRefused(ServeError):
+    """The daemon answered, and refused this one request
+    (``bad_request``, ``frame_too_large``), or the client would not send
+    it past the daemon's frame limit: the connection works, but the
+    same request would be refused again."""
 
 
 class StoreIntegrityError(ServeError):
@@ -102,6 +109,8 @@ class StoreVersionSkew(StorePeerUnusable):
 #: :class:`ServeError`.  ``version_skew`` is raised apart: it carries
 #: the peer's salt.
 _ERROR_CLASSES = {
+    protocol.ERROR_BAD_REQUEST: ServeRefused,
+    protocol.ERROR_FRAME_TOO_LARGE: ServeRefused,
     protocol.ERROR_OVERLOADED: ServeOverloaded,
     protocol.ERROR_DRAINING: ServeDraining,
     protocol.ERROR_INTEGRITY: StoreIntegrityError,
@@ -371,7 +380,7 @@ class ServeClient:
         oid = hashlib.sha256(data).hexdigest()
         payload = base64.b64encode(data).decode("ascii")
         if self.max_frame is not None and len(payload) + 512 > self.max_frame:
-            raise ServeError(
+            raise ServeRefused(
                 f"{self.address}: {kind}/{fp} payload ({len(payload)}b "
                 f"base64) exceeds peer frame limit {self.max_frame}")
         response = self._store_request({

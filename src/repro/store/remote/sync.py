@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 from repro.serve.client import (
     ServeClient,
     ServeError,
+    ServeRefused,
     StoreIntegrityError,
     StorePeerUnusable,
 )
@@ -61,8 +62,8 @@ def sync_with_peers(
 
     ``direction`` is ``pull`` (fetch what the peer has and we lack),
     ``push`` (the reverse) or ``both``.  Each row reports ``pulled``,
-    ``pushed``, ``errors`` (integrity-refused or transport-dropped
-    transfers, and listed keys the local store refuses) and
+    ``pushed``, ``errors`` (transfers refused by either side or dropped
+    by the transport, and listed keys the local store refuses) and
     ``skipped`` (version skew / storeless / unreachable peers are
     skipped whole, with the reason).
     """
@@ -116,7 +117,7 @@ def _sync_kind(
         for fp in sorted(set(remote) - set(local)):
             try:
                 found = client.store_get(kind, fp)
-            except StoreIntegrityError as exc:
+            except (StoreIntegrityError, ServeRefused) as exc:
                 row["errors"] += 1
                 emit(f"{client.address}: pull {kind}/{fp} refused ({exc})")
                 continue
@@ -134,7 +135,7 @@ def _sync_kind(
     if direction in ("push", "both"):
         want = sorted(set(local) - set(remote))
         for fp, outcome in push_missing(store, client, kind, want):
-            if isinstance(outcome, StoreIntegrityError):
+            if isinstance(outcome, ServeError):
                 row["errors"] += 1
                 emit(f"{client.address}: push {kind}/{fp} refused "
                      f"({outcome})")
@@ -147,15 +148,16 @@ def push_missing(
     client: ServeClient,
     kind: str,
     fps: List[str],
-) -> Iterator[Tuple[str, Union[bool, StoreIntegrityError]]]:
+) -> Iterator[Tuple[str, Union[bool, ServeError]]]:
     """Push to ``client`` each of ``fps`` it lacks; yield ``(fp, outcome)``.
 
     Each batch is re-probed with ``store_has`` right before its puts
     (another pusher may have filled it meanwhile).  ``outcome`` is True
     when pushed, False when verified present on the peer or missing or
-    torn locally (unverifiable bytes are never pushed), or the peer's
-    :class:`StoreIntegrityError` refusal.  Any other
-    :class:`ServeError` propagates, leaving the rest unsettled.
+    torn locally (unverifiable bytes are never pushed), or the
+    :class:`StoreIntegrityError` or :class:`ServeRefused` that refused
+    this one entry.  Any other :class:`ServeError` propagates, leaving
+    the rest unsettled.
     """
     for start in range(0, len(fps), PUSH_BATCH):
         chunk = fps[start:start + PUSH_BATCH]
@@ -168,7 +170,7 @@ def push_missing(
             entry, data = found
             try:
                 client.store_put(kind, fp, data, entry["meta"])
-            except StoreIntegrityError as exc:
+            except (StoreIntegrityError, ServeRefused) as exc:
                 yield fp, exc
                 continue
             yield fp, True

@@ -23,13 +23,17 @@ helper (:meth:`TieredStore._record`), not retried blindly:
 * :class:`~repro.serve.client.StoreIntegrityError` (bytes that do not
   hash to their oid) bumps a quarantine counter and is not retried — a
   lying peer can cost a recompute, never a wrong artifact.
-* any other :class:`~repro.serve.client.ServeError` (refused, reset,
-  timed out, garbage frames, daemon-side errors) strikes the peer's
-  circuit breaker (:class:`repro.cluster.health.NodeHealth` — the same
-  state machine, backoff, and deterministic jitter the cluster pool
-  uses) and leaves the rest pending; a dead peer is only re-contacted
-  when its probe backoff expires, and the read or push that contacts
-  it is the probe.
+* :class:`~repro.serve.client.ServeRefused` (the peer answered and
+  refused the one request, e.g. a put past its frame limit) counts one
+  error and warns once per peer; the key leaves the pending set, and
+  the breaker is not struck.
+* any other :class:`~repro.serve.client.ServeError` (connection
+  refused, reset, timed out, garbage frames, daemon-side errors)
+  strikes the peer's circuit breaker
+  (:class:`repro.cluster.health.NodeHealth` — the same state machine,
+  backoff, and deterministic jitter the cluster pool uses) and leaves
+  the rest pending; a dead peer is only re-contacted when its probe
+  backoff expires, and the read or push that contacts it is the probe.
 
 When every peer is unusable or dead the tier warns once and runs
 local-only — bit-identical to having no peers at all.
@@ -47,6 +51,7 @@ from repro.cluster.health import HealthPolicy, NodeHealth
 from repro.serve.client import (
     ServeClient,
     ServeError,
+    ServeRefused,
     StoreIntegrityError,
     StorePeerUnusable,
     StoreVersionSkew,
@@ -223,7 +228,14 @@ class TieredStore(ArtifactStore):
         else:
             peer.errors += 1
             obs.STORE_REMOTE_ERRORS.inc(peer=peer.address)
-            if probing:
+            if isinstance(exc, ServeRefused):
+                # No health strike either: the peer answered, and
+                # asking again would be refused again.
+                warn_once(f"store.remote.refused:{peer.address}",
+                          f"store peer {peer.address} refused a request "
+                          f"({exc}); refusals count in its errors and "
+                          f"are not retried")
+            elif probing:
                 peer.health.record_probe(now, False)
             else:
                 peer.health.record_failure(now)
@@ -289,7 +301,7 @@ class TieredStore(ArtifactStore):
                         self.local_store(), peer.client, kind, sorted(fps)):
                     with self._cond:
                         peer.pending.discard((kind, fp))
-                    if isinstance(outcome, StoreIntegrityError):
+                    if isinstance(outcome, ServeError):
                         self._record(peer, outcome)
                     elif outcome:
                         peer.replicated += 1

@@ -58,6 +58,9 @@ def test_engine_width_parity(gzip_small, arch, width):
     accel = _run(gzip_small, arch, width, "accel")
     interp = _run(gzip_small, arch, width, "interp")
     assert result_digest(accel) == result_digest(interp)
+    # The kernel publishes its instruction count as both counters.
+    for result in (accel, interp):
+        assert result.fetched_instructions == result.instructions
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -80,9 +83,15 @@ def _published_state(processor):
     """Backend, cache, walker and cursor state after a run."""
     backend = processor.backend
     dl1 = processor.mem.dl1
-    walker = processor.cursor._walker
+    cursor = processor.cursor
+    walker = cursor._walker
     # Every load and store is one L1D access, and indexes the stream.
     assert backend.load_accesses + backend.store_accesses == dl1.accesses
+    # The walker has walked the record up to its position, and every
+    # instruction it walked is scheduled but the cursor block's tail.
+    assert walker.blocks_walked == walker._pos
+    assert (walker.instructions_walked - (cursor.dyn.size - cursor.offset)
+            == backend.instructions)
     return (
         backend.instructions, backend.last_commit_cycle,
         backend.load_accesses, backend.store_accesses,
@@ -98,7 +107,8 @@ def _published_state(processor):
 def test_resumed_run_parity(gzip_small, arch):
     """A processor that runs again continues its trace, and its data
     stream, where it stopped: 2,000 then 3,000 more instructions
-    publish the same state in both modes."""
+    publish the same state in both modes, the walkers' two counters
+    included, after each run."""
     states = []
     for mode in ("accel", "interp"):
         processor = _build(gzip_small, arch, 8, mode)

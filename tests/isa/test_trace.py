@@ -5,7 +5,7 @@ import pytest
 from repro.common.types import BranchKind
 from repro.isa.layout import natural_order, optimized_order
 from repro.isa.program import link
-from repro.isa.trace import TraceWalker, profile_edges
+from repro.isa.trace import TraceWalker, branch_counts, profile_edges
 from repro.isa.workloads import build_benchmark, prepare_program, ref_trace_seed
 
 from helpers import build_tiny_cfg
@@ -59,12 +59,9 @@ class TestTraceWalker:
 
     def test_walker_counts(self, tiny_program):
         walker = TraceWalker(tiny_program, seed=5)
-        for _ in range(100):
-            next(walker)
-        assert walker.blocks_walked == 100
-        assert walker.instructions_walked == sum(
-            dyn_size for dyn_size in [0]
-        ) or walker.instructions_walked > 0
+        sizes = [next(walker).size for _ in range(100)]
+        assert walker.blocks_walked == walker._pos == 100
+        assert walker.instructions_walked == sum(sizes) > 0
 
     def test_deterministic(self, tiny_program):
         w1 = TraceWalker(tiny_program, seed=11)
@@ -123,3 +120,45 @@ class TestLayoutInvariance:
         a = real_instructions(base, 5000)
         b = real_instructions(opt, 5000)
         assert a == b
+
+
+class TestPackedBranchCounts:
+    """``DynBlock.counts`` packs a block's branch, conditional-branch
+    and taken-branch counts; the run kernel sums it per block."""
+
+    @staticmethod
+    def _blocks(name, optimized):
+        program = prepare_program(name, optimized=optimized, scale=0.4)
+        record = TraceWalker(program, ref_trace_seed(name)).record
+        record.extend()
+        record.extend()
+        return record.blocks
+
+    @staticmethod
+    def _recount(blocks):
+        branches = [d for d in blocks if d.kind is not BranchKind.NONE]
+        return (
+            len(branches),
+            sum(d.kind is BranchKind.COND for d in branches),
+            sum(bool(d.taken) for d in branches),
+        )
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    @pytest.mark.parametrize("name", ["gzip", "twolf"])
+    def test_sum_equals_an_explicit_recount(self, name, optimized):
+        blocks = self._blocks(name, optimized)
+        recount = self._recount(blocks)
+        assert min(recount) > 0
+        assert branch_counts(sum(d.counts for d in blocks)) == recount
+
+    def test_fields_do_not_carry_past_2_32(self):
+        samples = {}  # one block per distinct packed value
+        for dyn in self._blocks("gzip", True):
+            samples.setdefault(dyn.counts, dyn)
+        # No branch; a conditional not taken or taken; an
+        # unconditional transfer (always taken).
+        assert len(samples) == 4
+        n = 2 ** 32 + 5  # every block n times: each field passes 2**32
+        expected = tuple(n * c for c in self._recount(samples.values()))
+        assert min(expected) > 2 ** 32
+        assert branch_counts(n * sum(samples)) == expected

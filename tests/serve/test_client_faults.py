@@ -28,6 +28,7 @@ from repro.serve.client import (
     ServeDraining,
     ServeError,
     ServeOverloaded,
+    ServeRefused,
     ServeUnavailable,
     StoreIntegrityError,
     StorePeerUnusable,
@@ -38,13 +39,14 @@ from repro.serve.client import (
 # ----------------------------------------------------------------------
 # one table: every failure -> one class, for a serve op and a store op
 # ----------------------------------------------------------------------
-#: The class each wire error code raises.
+#: The class each wire error code raises.  ``ServeRefused`` means the
+#: daemon answered and refused this one request.
 CODE_CLASSES = {
-    protocol.ERROR_BAD_REQUEST: ServeError,
+    protocol.ERROR_BAD_REQUEST: ServeRefused,
     protocol.ERROR_OVERLOADED: ServeOverloaded,
     protocol.ERROR_DRAINING: ServeDraining,
     protocol.ERROR_INTERNAL: ServeError,
-    protocol.ERROR_FRAME_TOO_LARGE: ServeError,
+    protocol.ERROR_FRAME_TOO_LARGE: ServeRefused,
     protocol.ERROR_INTEGRITY: StoreIntegrityError,
     protocol.ERROR_VERSION_SKEW: StoreVersionSkew,
     protocol.ERROR_NO_STORE: StorePeerUnusable,

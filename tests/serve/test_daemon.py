@@ -55,6 +55,16 @@ def test_daemon_smoke_cold_warm_bitidentical_drain(tmp_path, fleet):
     assert daemon.drain_and_wait() == 0
 
 
+def test_killed_daemon_leaves_no_pipe_open(fleet):
+    """Killing a daemon reaps its stdout: the reaper thread has read
+    the pipe to its end and the pipe is closed, not left to the
+    garbage collector."""
+    daemon = fleet(None)
+    daemon.kill()
+    assert not daemon.reaper.is_alive()
+    assert daemon.proc.stdout.closed
+
+
 def test_daemon_answers_bad_requests_typed(fleet):
     daemon = fleet(None)
     with pytest.raises(ServeError, match="bad_request"):

@@ -29,6 +29,7 @@ from repro.serve import protocol
 from repro.serve.client import (
     ServeClient,
     ServeError,
+    ServeRefused,
     StoreIntegrityError,
     StorePeerUnusable,
     StoreVersionSkew,
@@ -293,12 +294,12 @@ class TestClientServer:
         peer.store.put("result", FP, b"payload")
         client = _client(peer.address)
         # Garble the client's own store_get request frame: the daemon
-        # answers bad_request, which is a plain ServeError.
+        # answers bad_request, a refusal of this one request.
         with active_plan(FaultSpec("net_garbage", match="store_get",
                                    times=1)):
             with pytest.raises(ServeError, match="bad_request") as err:
                 client.store_get("result", FP)
-        assert type(err.value) is ServeError
+        assert type(err.value) is ServeRefused
         # The plan is spent: the very next call works.
         assert client.store_get("result", FP)[1] == b"payload"
 
@@ -328,7 +329,7 @@ class TestClientServer:
     def test_oversized_put_refused_client_side(self, peer):
         client = _client(peer.address)
         client.max_frame = 1024  # as if hello() learned a small cap
-        with pytest.raises(ServeError, match="frame limit"):
+        with pytest.raises(ServeRefused, match="frame limit"):
             client.store_put("result", FP, b"x" * 4096)
         assert peer.store.get("result", FP) is None
 
@@ -341,7 +342,7 @@ class TestClientServer:
                               max_frame_bytes=2048) as server:
             host, port = server.address
             client = _client(f"{host}:{port}")
-            with pytest.raises(ServeError, match="frame_too_large"):
+            with pytest.raises(ServeRefused, match="frame_too_large"):
                 client.store_put("result", FP, b"x" * 8192)
 
 
@@ -413,6 +414,34 @@ class TestTieredStore:
         assert tier.flush_replication(timeout=10)
         assert peer.store.get("result", FP) == b"dropped once"
         assert tier.peers[0].replicated == 1
+
+    def test_refused_push_settles_and_spares_the_peer(self, tmp_path):
+        """A put the peer refuses (past its frame limit) costs one
+        counted error and one warning: the entry next to it arrives,
+        the breaker stays closed and read-through keeps working."""
+        root = str(tmp_path / "capped-store")
+        with ExperimentServer(store_root=root, max_workers=1,
+                              max_frame_bytes=4096) as server:
+            host, port = server.address
+            held = ArtifactStore(root)
+            held.put("result", FP3, b"held by the peer")
+            tier = self._tier(tmp_path, f"{host}:{port}")
+            with pytest.warns(RuntimeWarning, match="refused"):
+                tier.put("result", FP, b"x" * 8192)
+                tier.put("result", FP2, b"small")
+                assert tier.flush_replication(timeout=10)
+            assert held.get("result", FP2) == b"small"
+            assert held.get("result", FP) is None
+            peer = tier.peers[0]
+            # Later passes neither retry the refused key nor strike.
+            for _ in range(3):
+                assert tier.flush_replication(timeout=10)
+            assert (peer.errors, peer.replicated) == (1, 1)
+            assert peer.health.state == HEALTHY
+            assert tier.get("result", FP3) == b"held by the peer"
+            tier.close(timeout=5)
+            assert tier.remote_stats()["replication"] == {"backlog": 0,
+                                                          "dropped": 0}
 
     def test_puts_racing_the_pusher_all_arrive(self, peer, tmp_path):
         """Four threads put while the pusher drains: no key is lost
@@ -590,6 +619,46 @@ class TestSync:
         assert [(kind, fp) for kind, fp, _e in local.iter_index()] == [
             ("result", FP)]
         assert not os.path.exists(os.path.join(local.root, "..", "x"))
+
+    def test_refused_pull_is_an_error_not_an_abort(self, peer, local,
+                                                   monkeypatch):
+        """A listed fingerprint the peer itself refuses to serve
+        (``bad_request``) costs one counted error; the keys sorted
+        after it still land."""
+        peer.store.put("result", FP, b"good")
+        listing = ServeClient.store_has
+
+        def has(self, kind, fps):
+            oids = listing(self, kind, fps)
+            if fps is None:
+                oids["../../x"] = "0" * 64
+            return oids
+
+        monkeypatch.setattr(ServeClient, "store_has", has)
+        lines = []
+        (row,) = sync_with_peers(local, peer.address, direction="pull",
+                                 out=lines.append)
+        assert (row["pulled"], row["errors"]) == (1, 1)
+        assert local.get("result", FP) == b"good"
+        assert not any("aborted" in line for line in lines)
+
+    def test_refused_push_is_reported_and_the_sync_goes_on(self, local,
+                                                           tmp_path):
+        """``cache sync --direction push`` reports a refused entry and
+        pushes the rest, keys sorted after it included."""
+        root = str(tmp_path / "capped-store")
+        with ExperimentServer(store_root=root, max_workers=1,
+                              max_frame_bytes=4096) as server:
+            host, port = server.address
+            local.put("result", FP, b"x" * 8192)
+            local.put("result", FP2, b"small")
+            lines = []
+            (row,) = sync_with_peers(local, f"{host}:{port}",
+                                     direction="push", out=lines.append)
+            assert (row["pushed"], row["errors"]) == (1, 1)
+            assert ArtifactStore(root).get("result", FP2) == b"small"
+            assert any("refused" in line and FP in line for line in lines)
+            assert not any("aborted" in line for line in lines)
 
     def test_unreachable_peer_is_skipped_whole(self, local):
         local.put("result", FP, b"a")
