@@ -18,11 +18,24 @@ the core kernel is:
 * the base-class helpers are inlined at their call sites: the busy
   check, the image-bounds check, instructions-to-line-end, the L1I-hit
   fast path of ``_fetch_line``, and the memoized ``scan_run`` lookup
-  (a dict probe on the program's scan cache).
+  (a dict probe on the program's scan cache);
+* work that repeats is done once: the trace kernel replays a trace
+  cache hit from the descriptor's fetch plan
+  (:func:`repro.fetch.trace_cache.fetch_plan`, built on the
+  descriptor's first hit) instead of re-splitting the trace each
+  cycle, and its inlined fill unit finalizes a trace with one intern
+  probe on the committed blocks.
 
-Cold paths (decode fixups, redirect, commit feedback) stay interpreter
-method calls — they run a few times per thousand cycles and sharing
-them keeps the speculative-state repair logic in exactly one place.
+The EV8 and FTB kernels inline their direction predictor's fast path.
+The stream and trace kernels call their cascaded predictor's
+``predict`` and ``update`` methods, which keep their common path to one
+frame (see :class:`repro.fetch.stream_predictor.NextStreamPredictor`),
+and the BTB, trace-cache and FTQ-request methods.  Cold paths stay
+interpreter method calls: decode fixups and redirect, which run a few
+times per thousand cycles (sharing them keeps the speculative-state
+repair logic in exactly one place), and a fill-unit intern miss
+(:meth:`repro.fetch.trace_cache._FillBuffer.derive`), which comes once
+per distinct trace.
 
 Only the four concrete engine classes are specialized; a subclass (or
 any engine these templates do not know) silently gets its interpreted
@@ -40,7 +53,9 @@ from repro.fetch.ftb import FTB_MAX_LENGTH, FTBFetchEngine
 from repro.fetch.ftq import FetchRequest
 from repro.fetch.stream import SEQUENTIAL_CHUNK, StreamFetchEngine
 from repro.fetch.stream_predictor import MAX_STREAM_LENGTH, StreamRecord
-from repro.fetch.trace_cache import TraceCacheFetchEngine
+from repro.fetch.trace_cache import (
+    PLAN_NONE, PLAN_PRE, TraceCacheFetchEngine, fetch_plan,
+)
 from repro.fetch.trace_predictor import MAX_TRACE_BRANCHES, MAX_TRACE_LENGTH
 
 from repro.accel.codegen import CompiledKernel, compile_kernel
@@ -630,8 +645,7 @@ def make_kernels(engine):
     predictor_predict = engine.predictor.predict
     predictor_update = engine.predictor.update
     path = engine.path
-    path_spec_push = path.spec_push
-    path_commit_push = path.commit_push
+    commit = path.commit
     s_partials = engine._s_partials
     ras = engine.ras
     ras_slots = ras._slots
@@ -640,9 +654,7 @@ def make_kernels(engine):
     ftq = engine.ftq
     ftq_queue = ftq._queue
     ftq_append = ftq_queue.append
-    ftq_push = ftq.push
-    ftq_pop = ftq.pop
-    ftq_head = ftq.head
+    ftq_popleft = ftq_queue.popleft
     ftq_flush = ftq.flush
     ftq_capacity = ftq.capacity
     decode_fixup = engine._decode_fixup
@@ -668,36 +680,35 @@ def make_kernels(engine):
             if prediction is None:
                 engine._skip_next_path_push = False
                 stats_counts["stream_pred_misses"] += 1
-                ckpt_pre = ($RAS_CKPT, tuple(path.spec), None)
                 nxt = pc + $SEQ_CHUNK_BYTES
-                ftq_append(Request(pc, $SEQ_CHUNK, None, nxt,
-                                   ckpt_pre=ckpt_pre, is_fallback=True))
+                ftq_append(Request(pc, $SEQ_CHUNK, None, nxt, None, None,
+                                   ($RAS_CKPT, tuple(path.spec)), True))
                 ftq.pushes += 1
                 engine.predict_addr = nxt
             else:
                 stats_counts["stream_pred_hits"] += 1
+                spec = path.spec
                 if engine._skip_next_path_push:
                     engine._skip_next_path_push = False
                 else:
-                    path_spec_push(
-                        (pc ^ (prediction.length << 20))
-                        if $LENGTH_KEYS else pc
-                    )
+                    spec.append(pc)  # inlined path.spec_push
+                    if len(spec) > $PATH_DEPTH:
+                        del spec[0]
                 kind = prediction.kind
+                length = prediction.length
                 ras_pre = $RAS_CKPT
                 if kind is KIND_RET:
                     nxt = ras_pop()
                 elif kind is KIND_CALL:
-                    ras_push(pc + prediction.length * 4)
+                    ras_push(pc + length * 4)
                     nxt = prediction.next_addr
                 else:
                     nxt = prediction.next_addr
-                path_snap = tuple(path.spec)
-                ckpt_pre = (ras_pre, path_snap, pc)
-                ckpt = ($RAS_CKPT, path_snap, pc)
-                terminal = kind if kind is not KIND_NONE else None
-                ftq_append(Request(pc, prediction.length, terminal, nxt,
-                                   None, ckpt, ckpt_pre=ckpt_pre))
+                path_snap = tuple(spec)
+                ftq_append(Request(pc, length,
+                                   kind if kind is not KIND_NONE else None,
+                                   nxt, None, ($RAS_CKPT, path_snap),
+                                   (ras_pre, path_snap)))
                 ftq.pushes += 1
                 engine.predict_addr = nxt
 
@@ -790,8 +801,8 @@ def make_kernels(engine):
 
         if done_early:
             # A decode fixup may already have flushed the queue.
-            if ftq_head() is request:
-                ftq_pop()
+            if ftq_queue and ftq_queue[0] is request:
+                ftq_popleft()
         else:
             # Inlined request.consume(n) (Fig. 6 in-place update).
             if n > request.remaining:
@@ -801,7 +812,7 @@ def make_kernels(engine):
             request.start += n * 4
             request.remaining -= n
             if request.remaining == 0:
-                ftq_pop()
+                ftq_popleft()
 
         engine.fetch_cycles += 1
         engine.fetched_instructions += emitted
@@ -814,30 +825,19 @@ def make_kernels(engine):
         while length > $MAX_STREAM_LENGTH:
             record = StreamRecord(start, $MAX_STREAM_LENGTH, KIND_NONE,
                                   start + $MAX_STREAM_BYTES)
-            predictor_update(path.commit, record, False)
+            predictor_update(commit, record, False)
             if push_history:
-                path_commit_push(
-                    (start ^ ($MAX_STREAM_LENGTH << 20))
-                    if $LENGTH_KEYS else start
-                )
+                commit.append(start)
+                if len(commit) > $PATH_DEPTH:
+                    del commit[0]
             start += $MAX_STREAM_BYTES
             length -= $MAX_STREAM_LENGTH
         record = StreamRecord(start, length, dyn.kind, dyn.next_addr)
-        predictor_update(path.commit, record, mispredicted)
+        predictor_update(commit, record, mispredicted)
         if push_history:
-            key = (start ^ (length << 20)) if $LENGTH_KEYS else start
-            path_commit_push(key)
-            pending = engine._pending_repair
-            if pending is not None and pending[1] == start:
-                # Patch the speculative placeholder left by a redirect
-                # from a fell-through terminal of this very stream.
-                try:
-                    idx = path.spec.index(pending[0])
-                except ValueError:
-                    pass  # already rolled out of the window
-                else:
-                    path.spec[idx] = key
-                engine._pending_repair = None
+            commit.append(start)  # inlined path.commit_push
+            if len(commit) > $PATH_DEPTH:
+                del commit[0]
 
     def note_commit(dyn, payload, mispredicted):
         size = dyn.size
@@ -868,9 +868,9 @@ def _stream_consts(engine) -> dict:
     consts = _common_consts(engine)
     consts["SEQ_CHUNK"] = SEQUENTIAL_CHUNK
     consts["SEQ_CHUNK_BYTES"] = SEQUENTIAL_CHUNK * INSTRUCTION_BYTES
-    consts["LENGTH_KEYS"] = bool(engine._length_keys)
     consts["MAX_STREAM_LENGTH"] = MAX_STREAM_LENGTH
     consts["MAX_STREAM_BYTES"] = MAX_STREAM_LENGTH * INSTRUCTION_BYTES
+    consts["PATH_DEPTH"] = engine.path.depth
     return consts
 
 
@@ -890,21 +890,29 @@ def make_kernels(engine):
     predictor_predict = engine.predictor.predict
     history = engine.history
     history_spec_push = history.spec_push
+    commit = history.commit
     ras = engine.ras
     ras_slots = ras._slots
     ras_push = engine.ras.push
     ras_pop = engine.ras.pop
     btb_lookup = engine.btb.lookup
     btb_update = engine.btb.update
-    tc_lookup = engine.trace_cache.lookup
-    tc_partial_match = engine.trace_cache.partial_match
+    trace_cache = engine.trace_cache
+    tc_lookup = trace_cache.lookup
+    tc_partial_match = trace_cache.partial_match
+    tc_insert = trace_cache.insert
+    store_all = not engine.selective_storage
+    predictor_update = engine.predictor.update
     fill = engine._fill
-    finalize_trace = engine._finalize_trace
+    pieces = fill.pieces
+    pieces_append = pieces.append
+    pieces_clear = pieces.clear
+    intern_get = fill._intern.get
+    fill_derive = fill.derive
     ftq = engine.ftq
     ftq_queue = ftq._queue
     ftq_append = ftq_queue.append
-    ftq_push = ftq.push
-    ftq_pop = ftq.pop
+    ftq_popleft = ftq_queue.popleft
     ftq_capacity = ftq.capacity
     scan_cache_get = program._scan_cache.get
     scan = scan_run
@@ -1099,21 +1107,22 @@ def make_kernels(engine):
             else:
                 stats_counts["trace_pred_hits"] += 1
                 ras_pre = $RAS_CKPT
-                history_spec_push(descriptor.start)
-                hist_snap = tuple(history.spec)
+                spec = history.spec
+                spec.append(descriptor.start)  # inlined spec_push
+                if len(spec) > $PATH_DEPTH:
+                    del spec[0]
+                hist_snap = tuple(spec)
                 for return_addr in descriptor.call_returns:
                     ras_push(return_addr)
                 if descriptor.terminal_kind is KIND_RET:
                     nxt = ras_pop()
                 else:
                     nxt = descriptor.next_addr
-                ckpt = ($RAS_CKPT, hist_snap)
-                ckpt_pre = (ras_pre, hist_snap)
                 tk = descriptor.terminal_kind
-                terminal = tk if tk is not KIND_NONE else None
                 ftq_append(Request(descriptor.start, descriptor.length,
-                                   terminal, nxt, None, ckpt,
-                                   ckpt_pre=ckpt_pre, descriptor=descriptor))
+                                   tk if tk is not KIND_NONE else None,
+                                   nxt, None, ($RAS_CKPT, hist_snap),
+                                   (ras_pre, hist_snap), False, descriptor))
                 ftq.pushes += 1
                 engine.predict_addr = nxt
                 engine._spec_fill_start = nxt
@@ -1132,28 +1141,59 @@ def make_kernels(engine):
                 engine._seg_off = 0
                 engine._prefix_left = 0
                 hit = tc_lookup(descriptor)
-                if not hit and $PARTIAL_MATCHING:
-                    partial = tc_partial_match(descriptor)
-                    if partial is not None and partial.interior_taken:
-                        engine._prefix_left = (
-                            partial.length
-                            if partial.length < descriptor.length
-                            else descriptor.length
-                        )
-                        stats_counts["tc_partial_hits"] += 1
                 if hit:
                     stats_counts["tc_hits"] += 1
+                    plan = descriptor.plan
+                    if plan is None:
+                        plan = descriptor.plan = fetch_plan(
+                            program, descriptor, $WIDTH)
+                    engine._plan = plan
                 else:
+                    if $PARTIAL_MATCHING:
+                        partial = tc_partial_match(descriptor)
+                        if partial is not None and partial.interior_taken:
+                            engine._prefix_left = (
+                                partial.length
+                                if partial.length < descriptor.length
+                                else descriptor.length
+                            )
+                            stats_counts["tc_partial_hits"] += 1
                     stats_counts["tc_misses"] += 1
                 engine._tc_hit = hit
 
-            tc_hit = engine._tc_hit
-            if tc_hit or engine._prefix_left > 0:
-                # Trace cache (or matched prefix) delivery.
+            if engine._tc_hit:
+                # Trace cache hit: replay this cycle of the fetch plan
+                # (the skeletons of _deliver_from_trace_cache's fragments).
+                frags, emitted, seg_idx, seg_off, step = engine._plan
+                bundle = []
+                append = bundle.append
+                for code, start, count, pred_next in frags:
+                    if code == $PLAN_PRE:
+                        append((start, count, pred_next, request.ckpt_pre,
+                                None))
+                    elif code == $PLAN_NONE:
+                        append((start, count, pred_next, None, None))
+                    else:
+                        append((start, count, request.pred_next,
+                                request.ckpt, request.payload))
+                engine._seg_idx = seg_idx
+                engine._seg_off = seg_off
+                if step is None:
+                    ftq_popleft()
+                    engine._cur_req = None
+                    engine._tc_hit = None
+                else:
+                    engine._plan = step
+                engine.fetch_cycles += 1
+                engine.fetched_instructions += emitted
+                return bundle
+
+            if $PARTIAL_MATCHING and engine._prefix_left > 0:
+                # Partially-matched prefix delivery, at trace cache speed.
                 bundle = []
                 emitted = 0
                 budget = $WIDTH
-                if not tc_hit and engine._prefix_left < budget:
+                if engine._prefix_left < budget:
                     budget = engine._prefix_left
                 segments = descriptor.segments
                 nseg = len(segments)
@@ -1166,10 +1206,9 @@ def make_kernels(engine):
                     emit_run(bundle, request, descriptor, addr, take)
                     emitted += take
                     budget -= take
-                    if not tc_hit:
-                        engine._prefix_left -= take
+                    engine._prefix_left -= take
                 if engine._seg_idx >= nseg:
-                    ftq_pop()
+                    ftq_popleft()
                     engine._cur_req = None
                     engine._tc_hit = None
                 if not bundle:
@@ -1206,7 +1245,7 @@ def make_kernels(engine):
             bundle = []
             emit_run(bundle, request, descriptor, addr, take)
             if engine._seg_idx >= len(descriptor.segments):
-                ftq_pop()
+                ftq_popleft()
                 engine._cur_req = None
                 engine._tc_hit = None
             if not bundle:
@@ -1219,6 +1258,29 @@ def make_kernels(engine):
             return build_fetch(now)
         return None
 
+    def finalize(kind, next_addr):
+        # Inlined fill.finalize and engine._finalize_trace: intern probe
+        # (derive on a miss), predictor update, commit path push and
+        # (selective) trace cache fill.
+        key = (tuple(pieces), kind, next_addr)
+        descriptor = intern_get(key)
+        if descriptor is None:
+            descriptor = fill_derive(key)
+        mispredicted = fill.mispredicted
+        pieces_clear()
+        fill.length = 0
+        fill.conds = 0
+        fill.mispredicted = False
+        predictor_update(commit, descriptor, mispredicted)
+        commit.append(descriptor.start)  # inlined history.commit_push
+        if len(commit) > $PATH_DEPTH:
+            del commit[0]
+        if store_all or descriptor.interior_taken:
+            tc_insert(descriptor)
+        else:
+            trace_cache.selective_skips += 1
+        stats_counts["traces_committed"] += 1
+
     def note_commit(dyn, payload, mispredicted):
         kind = dyn.kind
         if kind is not KIND_NONE:
@@ -1226,49 +1288,46 @@ def make_kernels(engine):
             btb_update(lbx.addr + (lbx.size - 1) * 4,
                        dyn.next_addr if dyn.taken else 0, kind, dyn.taken)
 
-        fill.mispredicted = fill.mispredicted or mispredicted
-        remaining = dyn.size
-        addr = dyn.addr
-        fill_len = fill.length
-        # Length-capped chunks: a block larger than the remaining trace
-        # space splits the trace at the cap boundary (inlined add_run).
-        while remaining:
-            space = $MAX_TRACE_LENGTH - fill_len
-            if space == 0:
-                fill.length = fill_len
-                finalize_trace(KIND_NONE, addr)
-                fill_len = fill.length
-                continue
-            take = space if space < remaining else remaining
-            segments = fill.segments
-            if fill_len == 0:
-                fill.start = addr
-            if segments and (
-                segments[-1][0] + segments[-1][1] * 4 == addr
-            ):
-                segments[-1][1] += take
-            else:
-                segments.append([addr, take])
-            fill_len += take
-            addr += take * 4
-            remaining -= take
+        if mispredicted:
+            fill.mispredicted = True
+        size = dyn.size
+        fill_len = fill.length + size
+        if fill_len <= $MAX_TRACE_LENGTH:
+            pieces_append(dyn)
+        else:
+            # Length-capped pieces: a block larger than the remaining
+            # trace space splits the trace at the cap boundary.
+            fill_len -= size
+            off = 0
+            while off < size:
+                space = $MAX_TRACE_LENGTH - fill_len
+                if space == 0:
+                    finalize(KIND_NONE, dyn.addr + off * 4)
+                    fill_len = 0
+                    continue
+                take = size - off
+                if space < take:
+                    take = space
+                pieces_append(dyn if take == size else (dyn, off, take))
+                fill_len += take
+                off += take
         fill.length = fill_len
         if kind is KIND_NONE:
             return
 
         if kind is KIND_COND:
-            fill.outcomes.append(dyn.taken)
-        elif kind is KIND_CALL:
-            fill.call_returns.append(dyn.lb.fallthrough_addr)
-
+            conds = fill.conds + 1
+            fill.conds = conds
+        else:
+            conds = fill.conds
         if (
             fill_len >= $MAX_TRACE_LENGTH
-            or len(fill.outcomes) >= $MAX_TRACE_BRANCHES
+            or conds >= $MAX_TRACE_BRANCHES
             or kind is KIND_RET
             or kind is KIND_IND
             or mispredicted
         ):
-            finalize_trace(kind, dyn.next_addr)
+            finalize(kind, dyn.next_addr)
 
     return cycle, note_commit
 '''
@@ -1279,6 +1338,9 @@ def _trace_consts(engine) -> dict:
     consts["MAX_TRACE_LENGTH"] = MAX_TRACE_LENGTH
     consts["MAX_TRACE_BRANCHES"] = MAX_TRACE_BRANCHES
     consts["PARTIAL_MATCHING"] = bool(engine.partial_matching)
+    consts["PATH_DEPTH"] = engine.history.depth
+    consts["PLAN_NONE"] = PLAN_NONE
+    consts["PLAN_PRE"] = PLAN_PRE
     return consts
 
 
@@ -1291,6 +1353,7 @@ _NAMESPACE = {
     "BranchKind": BranchKind,
     "FetchRequest": FetchRequest,
     "StreamRecord": StreamRecord,
+    "fetch_plan": fetch_plan,
     "scan_run": scan_run,
 }
 

@@ -19,6 +19,7 @@ The paper's configurations (Table 2):
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,6 +128,10 @@ class DolcHasher:
             raise ValueError("index_bits must be positive")
         self.spec = spec
         self.index_bits = index_bits
+        #: ``history[window_cut:]`` is the window the hash reads: the
+        #: newest ``depth - 1`` entries (all of a shorter history, none
+        #: when the depth is 1).
+        self.window_cut = 1 - spec.depth if spec.depth > 1 else sys.maxsize
         caches = _DOLC_CACHES.get((spec, index_bits))
         if caches is None:
             caches = _DOLC_CACHES[(spec, index_bits)] = ({}, {})
@@ -135,10 +140,12 @@ class DolcHasher:
         # bounded by a deterministic clear, like the window cache, so a
         # long-lived sweep service cannot grow it without limit.
         self._fold_cache = caches[0]
-        # Memoized (history-window, current) -> (index, tag): loops make
+        # Memoized (current, window tuple) -> (index, tag): loops make
         # the same windows recur constantly, and the commit-side update
         # re-hashes exactly what the fetch side hashed.  Bounded by a
         # deterministic clear so adversarial histories cannot leak.
+        # The cascaded predictors probe it inline before calling
+        # :meth:`index_tag`.
         self._it_cache = caches[1]
 
     def _fold_addr(self, addr: int, width_bits: int) -> int:
@@ -198,7 +205,7 @@ class DolcHasher:
         spec = self.spec
         wanted = spec.depth - 1
         n = len(history)
-        window = tuple(history[n - wanted:]) if n > wanted else tuple(history)
+        window = tuple(history[self.window_cut:])
         it_cache = self._it_cache
         it_key = (current, window)
         hit = it_cache.get(it_key)

@@ -43,19 +43,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 SEQUENTIAL_CHUNK = 16
 
 
-def stream_path_key(start: int, length: int, use_length: bool = True) -> int:
-    """Path-history key for one stream.
-
-    A stream "is fully identified by the starting instruction address
-    and the stream length" (§1), so the path register can hash both —
-    this lets the path table count iterations of loops whose body and
-    exit streams share a starting address.
-    """
-    if not use_length:
-        return start
-    return start ^ (length << 20)
-
-
 class StreamFetchEngine(FetchEngine):
     """Next stream predictor + FTQ + wide-line instruction cache."""
 
@@ -72,7 +59,6 @@ class StreamFetchEngine(FetchEngine):
         super().__init__(program, machine, mem)
         self.predictor = NextStreamPredictor(predictor_config)
         self.ras = ReturnAddressStack(ras_depth)
-        self._length_keys = self.predictor.config.path_key_includes_length
         self.path = PathHistory(self.predictor.config.dolc.depth)
         self.ftq = FetchTargetQueue(machine.core.ftq_entries)
         self.predict_addr = program.entry_address
@@ -87,11 +73,6 @@ class StreamFetchEngine(FetchEngine):
         # prediction is a partial stream; its start is not pushed to the
         # path history (the commit side does not push partials either).
         self._skip_next_path_push = False
-        # Placeholder value awaiting repair in the speculative path: a
-        # fell-through terminal means the current stream's true length
-        # is unknown until it commits; the placeholder is patched then.
-        self._pending_repair: int | None = None
-        self._repair_counter = 0
 
     # ------------------------------------------------------------------
     def cycle(self, now: int) -> Optional[List[FetchFragment]]:
@@ -118,7 +99,7 @@ class StreamFetchEngine(FetchEngine):
             # is being fetched via fallback and is never pushed.
             self._skip_next_path_push = False
             self.stats.add("stream_pred_misses")
-            ckpt_pre = (self.ras.checkpoint(), tuple(self.path.spec), None)
+            ckpt_pre = (self.ras.checkpoint(), tuple(self.path.spec))
             nxt = pc + SEQUENTIAL_CHUNK * INSTRUCTION_BYTES
             self.ftq.push(
                 FetchRequest(pc, SEQUENTIAL_CHUNK, None, nxt,
@@ -130,9 +111,7 @@ class StreamFetchEngine(FetchEngine):
         if self._skip_next_path_push:
             self._skip_next_path_push = False
         else:
-            self.path.spec_push(stream_path_key(
-                pc, prediction.length, self._length_keys
-            ))
+            self.path.spec_push(pc)
         kind = prediction.kind
         ras_pre = self.ras.checkpoint()
         if kind is BranchKind.RET:
@@ -144,11 +123,9 @@ class StreamFetchEngine(FetchEngine):
             nxt = prediction.next_addr
         path_snap = tuple(self.path.spec)
         # Intermediate branches restore to before the terminal's RAS
-        # operation; the terminal restores to just after its own.  The
-        # stream start rides along so redirects can repair the length
-        # component of the just-pushed path key.
-        ckpt_pre = (ras_pre, path_snap, pc)
-        ckpt = (self.ras.checkpoint(), path_snap, pc)
+        # operation; the terminal restores to just after its own.
+        ckpt_pre = (ras_pre, path_snap)
+        ckpt = (self.ras.checkpoint(), path_snap)
         terminal = kind if kind is not BranchKind.NONE else None
         self.ftq.push(
             FetchRequest(pc, prediction.length, terminal, nxt, None, ckpt,
@@ -261,13 +238,13 @@ class StreamFetchEngine(FetchEngine):
         else:  # IND: sequential fetching cannot guess the target
             bundle.append(
                 (cursor, 1, None,
-                 (self.ras.checkpoint(), tuple(self.path.spec), None), None)
+                 (self.ras.checkpoint(), tuple(self.path.spec)), None)
             )
             self.stats.add("indirect_stalls")
             self._waiting_resolve = True
             self.ftq.flush()
             return
-        ckpt = (self.ras.checkpoint(), tuple(self.path.spec), None)
+        ckpt = (self.ras.checkpoint(), tuple(self.path.spec))
         bundle.append((cursor, 1, target, ckpt, None))
         self._resync(now, target)
         self._stall(now, self.decode_bubble)
@@ -285,9 +262,8 @@ class StreamFetchEngine(FetchEngine):
     def redirect(self, now, correct_addr, ckpt, resolved=None) -> None:
         self.ftq.flush()
         self.predict_addr = correct_addr
-        stream_start = None
         if isinstance(ckpt, tuple):
-            ras_ckpt, path_snap, stream_start = ckpt
+            ras_ckpt, path_snap = ckpt
             self.ras.restore(ras_ckpt)
             self.path.spec = list(path_snap)
         else:
@@ -301,30 +277,6 @@ class StreamFetchEngine(FetchEngine):
             and not resolved.taken
         )
         self._skip_next_path_push = nt_terminal
-        # Repair the current stream's path key: the prediction pushed a
-        # key with the *predicted* length.
-        if (self._length_keys and stream_start is not None
-                and resolved is not None and self.path.spec):
-            if resolved.taken:
-                # The actual stream ended at the resolved branch.
-                actual_len = (
-                    (resolved.lb.branch_addr - stream_start)
-                    // INSTRUCTION_BYTES + 1
-                )
-                if 0 < actual_len <= MAX_STREAM_LENGTH:
-                    self.path.spec[-1] = stream_path_key(
-                        stream_start, actual_len, True
-                    )
-            else:
-                # Length unknown until the stream commits: leave a
-                # placeholder the commit side will patch.  Placeholders
-                # live far outside the code address space so they hash
-                # like ordinary (if meaningless) keys until patched.
-                self._repair_counter += 1
-                placeholder = (0x7F00_0000_0000
-                               | (self._repair_counter & 0xFFFFFF))
-                self.path.spec[-1] = placeholder
-                self._pending_repair = (placeholder, stream_start)
         self._waiting_resolve = False
         self._busy_until = now + 1
         self.stats.add("redirects")
@@ -387,24 +339,10 @@ class StreamFetchEngine(FetchEngine):
             )
             self.predictor.update(self.path.commit_view(), record, False)
             if push_history:
-                self.path.commit_push(stream_path_key(
-                    start, MAX_STREAM_LENGTH, self._length_keys
-                ))
+                self.path.commit_push(start)
             start += MAX_STREAM_LENGTH * INSTRUCTION_BYTES
             length -= MAX_STREAM_LENGTH
         record = StreamRecord(start, length, dyn.kind, dyn.next_addr)
         self.predictor.update(self.path.commit_view(), record, mispredicted)
         if push_history:
-            key = stream_path_key(start, length, self._length_keys)
-            self.path.commit_push(key)
-            if self._pending_repair is not None and (
-                    self._pending_repair[1] == start):
-                # Patch the speculative placeholder left by a redirect
-                # from a fell-through terminal of this very stream.
-                try:
-                    idx = self.path.spec.index(self._pending_repair[0])
-                except ValueError:
-                    pass  # already rolled out of the window
-                else:
-                    self.path.spec[idx] = key
-                self._pending_repair = None
+            self.path.commit_push(start)

@@ -30,9 +30,11 @@ the FTB must.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.common.hashing import DolcHasher, DolcSpec, make_t1_index_tag
+from repro.common.hashing import (
+    DolcHasher, DolcSpec, make_t1_index_tag, shared_t1_cache,
+)
 from repro.common.stats import CounterBag
 from repro.common.types import BranchKind
 
@@ -49,14 +51,6 @@ class StreamPredictorConfig:
     second_entries: int = 6 * 1024
     second_assoc: int = 3
     dolc: DolcSpec = DolcSpec(depth=12, older_bits=2, last_bits=4, current_bits=10)
-    #: Hash (start, length) stream identifiers into the path history
-    #: (§1: a stream is identified by its start address *and* length),
-    #: letting the path table count iterations of loops whose body and
-    #: exit streams share a start address.  Off by default: §3.2 hashes
-    #: "the previous fetch addresses", and measured across the suite the
-    #: address-only path predicts slightly better (predicted-length
-    #: errors poison the speculative register despite redirect repair).
-    path_key_includes_length: bool = False
 
     @property
     def first_sets(self) -> int:
@@ -93,27 +87,13 @@ class StreamRecord:
                 f"{self.kind.name} -> {self.next_addr:#x})")
 
 
-class StreamPrediction:
-    """What the predictor hands the fetch engine (one per lookup hit)."""
-
-    __slots__ = ("start", "length", "kind", "next_addr", "from_path_table")
-
-    def __init__(
-        self,
-        start: int,
-        length: int,
-        kind: BranchKind,
-        next_addr: int,
-        from_path_table: bool,
-    ) -> None:
-        self.start = start
-        self.length = length
-        self.kind = kind
-        self.next_addr = next_addr
-        self.from_path_table = from_path_table
-
-
 class _Entry:
+    """One table entry; :meth:`NextStreamPredictor.predict` returns it.
+
+    The fetch engine reads ``length``, ``kind`` and ``next_addr`` at
+    once, before any update can change them.
+    """
+
     __slots__ = ("tag", "length", "kind", "next_addr", "counter")
 
     def __init__(self, tag: int, record: StreamRecord) -> None:
@@ -146,21 +126,6 @@ class _StreamTable:
         self.sets = sets
         self.assoc = assoc
         self._sets: List[List[_Entry]] = [[] for _ in range(sets)]
-
-    def lookup(self, index: int, tag: int) -> Optional[_Entry]:
-        ways = self._sets[index & (self.sets - 1)]
-        if ways and ways[0].tag == tag:  # MRU fast path
-            return ways[0]
-        for i, entry in enumerate(ways):
-            if entry.tag == tag:
-                if i:
-                    ways.insert(0, ways.pop(i))
-                return entry
-        return None
-
-    def present(self, index: int, tag: int) -> bool:
-        ways = self._sets[index & (self.sets - 1)]
-        return any(entry.tag == tag for entry in ways)
 
     def update(self, index: int, tag: int, record: StreamRecord,
                allow_allocate: bool) -> bool:
@@ -202,16 +167,29 @@ class _StreamTable:
 
 
 class NextStreamPredictor:
-    """Cascaded (address + path) next stream predictor."""
+    """Cascaded (address + path) next stream predictor.
+
+    ``predict`` runs in one frame on its common path: it probes the
+    address and path index/tag memos inline (a hasher runs only on a
+    memo miss) and scans both tables' ways itself.  ``update`` probes
+    the same memos inline and makes one positional call per table.
+    """
 
     def __init__(self, config: StreamPredictorConfig | None = None) -> None:
         self.config = config or StreamPredictorConfig()
         cfg = self.config
         self._t1 = _StreamTable(cfg.first_sets, cfg.first_assoc)
         self._t2 = _StreamTable(cfg.second_sets, cfg.second_assoc)
-        self._t1_bits = cfg.first_sets.bit_length() - 1
-        self._t1_index_tag = make_t1_index_tag(self._t1_bits)
+        self._t1_sets = self._t1._sets
+        self._t2_sets = self._t2._sets
+        self._t1_mask = cfg.first_sets - 1
+        self._t2_mask = cfg.second_sets - 1
+        t1_bits = cfg.first_sets.bit_length() - 1
+        self._t1_index_tag = make_t1_index_tag(t1_bits)
+        self._t1_get = shared_t1_cache(t1_bits).get
         self._hasher = DolcHasher(cfg.dolc, cfg.second_sets.bit_length() - 1)
+        self._t2_get = self._hasher._it_cache.get
+        self._t2_cut = self._hasher.window_cut
         # Hot-path event counters as plain ints; see the stats property.
         self.lookups = 0
         self.misses = 0
@@ -233,34 +211,45 @@ class NextStreamPredictor:
             "upgrades": self.upgrades,
         })
 
-    def _t2_index_tag(self, history: Sequence[int], addr: int) -> Tuple[int, int]:
-        return self._hasher.index_tag(history, addr)
-
     # ------------------------------------------------------------------
     def predict(
         self, history: Sequence[int], fetch_addr: int
-    ) -> Optional[StreamPrediction]:
-        """Look up both tables; a path-table hit wins (paper §3.2)."""
-        i1, t1 = self._t1_index_tag(fetch_addr)
-        e1 = self._t1.lookup(i1, t1)
-        i2, t2 = self._t2_index_tag(history, fetch_addr)
-        e2 = self._t2.lookup(i2, t2)
+    ) -> Optional[_Entry]:
+        """Look up both tables; a path-table hit wins (paper §3.2).
+
+        Returns the winning table entry, or None on a miss in both.
+        """
+        i1, t1 = (self._t1_get(fetch_addr)
+                  or self._t1_index_tag(fetch_addr))
+        ways = self._t1_sets[i1 & self._t1_mask]
+        for e1 in ways:
+            if e1.tag == t1:
+                if e1 is not ways[0]:  # a hit moves to MRU
+                    ways.remove(e1)
+                    ways.insert(0, e1)
+                break
+        else:
+            e1 = None
+        i2, t2 = (self._t2_get((fetch_addr, tuple(history[self._t2_cut:])))
+                  or self._hasher.index_tag(history, fetch_addr))
+        ways = self._t2_sets[i2 & self._t2_mask]
+        for e2 in ways:
+            if e2.tag == t2:
+                if e2 is not ways[0]:
+                    ways.remove(e2)
+                    ways.insert(0, e2)
+                break
+        else:
+            e2 = None
         self.lookups += 1
-        entry = e2 or e1
-        if entry is None:
-            self.misses += 1
-            return None
         if e2 is not None:
             self.path_hits += 1
-        else:
-            self.address_hits += 1
-        return StreamPrediction(
-            start=fetch_addr,
-            length=entry.length,
-            kind=entry.kind,
-            next_addr=entry.next_addr,
-            from_path_table=e2 is not None,
-        )
+            return e2
+        if e1 is None:
+            self.misses += 1
+            return None
+        self.address_hits += 1
+        return e1
 
     # ------------------------------------------------------------------
     def update(
@@ -279,16 +268,17 @@ class NextStreamPredictor:
           when the stream was mispredicted (the upgrade rule);
         * present in a table: hysteresis refresh.
         """
-        i1, t1 = self._t1_index_tag(record.start)
-        i2, t2 = self._t2_index_tag(history, record.start)
+        start = record.start
+        i1, t1 = self._t1_get(start) or self._t1_index_tag(start)
+        i2, t2 = (self._t2_get((start, tuple(history[self._t2_cut:])))
+                  or self._hasher.index_tag(history, start))
         # One fused scan per table: ``update`` reports prior presence.
         # A present t2 entry updates regardless of the allocate flag,
         # and an absent one may allocate exactly when the original
         # ``in_t2 or first_appearance or mispredicted`` rule allowed it
         # (absent means that reduces to ``not in_t1 or mispredicted``).
-        in_t1 = self._t1.update(i1, t1, record, allow_allocate=True)
-        in_t2 = self._t2.update(i2, t2, record,
-                                allow_allocate=not in_t1 or mispredicted)
+        in_t1 = self._t1.update(i1, t1, record, True)
+        in_t2 = self._t2.update(i2, t2, record, not in_t1 or mispredicted)
         self.updates += 1
         if mispredicted and not in_t2:
             self.upgrades += 1

@@ -133,69 +133,161 @@ class TraceStore:
 
 
 class _FillBuffer:
-    """Commit-side fill unit assembling traces from retired blocks."""
+    """Commit-side fill unit: the pieces of the trace being built.
+
+    The fill unit appends each committed :class:`DynBlock` (walkers
+    intern them, so one object stands for every occurrence of a block
+    with one outcome) to ``pieces``; where the length cap splits a
+    block, it appends a ``(dyn, off, take)`` piece for the ``take``
+    instructions from offset ``off`` instead.  A trace is then fixed by
+    ``(pieces, terminal_kind, next_addr)``, the key ``finalize`` interns
+    descriptors by: loopy codes commit the same few traces millions of
+    times, so segments, outcomes and call returns are derived
+    (:meth:`derive`) only when that lookup misses, and the predictor's
+    equality checks mostly hit the identity fast path.  (Two piece
+    sequences can fix one trace: the head of a block cut by the cap is
+    the same whichever way the block's branch went.  Such descriptors
+    are equal but distinct objects.)  The intern table is bounded
+    (cleared) so pathological trace variety cannot grow it without
+    limit.
+
+    ``length`` counts the instructions and ``conds`` the conditional
+    branches in ``pieces``; ``mispredicted`` is set when a block of the
+    trace was.
+    """
 
     def __init__(self) -> None:
-        #: Interned descriptors: loopy codes commit the same few traces
-        #: millions of times, and descriptors are immutable — interning
-        #: skips re-deriving ``outcome_bits``/``key``/``interior_taken``
-        #: and lets the predictor's equality checks hit the identity
-        #: fast path.  Bounded (cleared) so pathological trace variety
-        #: cannot grow it without limit.
         self._intern: dict = {}
-        self.reset(0)
-
-    def reset(self, start: int) -> None:
-        self.start = start
-        self.segments: List[List[int]] = []  # [addr, count] pairs
-        self.outcomes: List[bool] = []
+        self.pieces: list = []
         self.length = 0
-        self.call_returns: List[int] = []
+        self.conds = 0
         self.mispredicted = False
 
-    @property
-    def empty(self) -> bool:
-        return self.length == 0
-
-    def add_run(self, addr: int, count: int) -> None:
-        if self.empty:
-            self.start = addr
-        if self.segments and (
-            self.segments[-1][0] + self.segments[-1][1] * INSTRUCTION_BYTES
-            == addr
-        ):
-            self.segments[-1][1] += count
-        else:
-            self.segments.append([addr, count])
-        self.length += count
-
-    def finalize(self, terminal_kind: BranchKind, next_addr: int) -> TraceDescriptor:
-        # ``length`` is the segment-count sum, so it (and every derived
-        # field) is determined by the key below: interning is sound.
-        key = (
-            self.start,
-            tuple(self.outcomes),
-            tuple([(a, n) for a, n in self.segments]),
-            terminal_kind,
-            next_addr,
-            tuple(self.call_returns),
-        )
-        intern = self._intern
-        descriptor = intern.get(key)
+    def finalize(self, terminal_kind: BranchKind,
+                 next_addr: int) -> TraceDescriptor:
+        """The descriptor of the buffered trace; empties the buffer."""
+        key = (tuple(self.pieces), terminal_kind, next_addr)
+        descriptor = self._intern.get(key)
         if descriptor is None:
-            if len(intern) > 4096:  # deterministic bound
-                intern.clear()
-            descriptor = intern[key] = TraceDescriptor(
-                start=self.start,
-                outcomes=key[1],
-                segments=key[2],
-                length=self.length,
-                terminal_kind=terminal_kind,
-                next_addr=next_addr,
-                call_returns=key[5],
-            )
-        self.reset(next_addr)
+            descriptor = self.derive(key)
+        self.pieces.clear()
+        self.length = 0
+        self.conds = 0
+        self.mispredicted = False
         return descriptor
+
+    def derive(self, key: tuple) -> TraceDescriptor:
+        """Build the descriptor of an intern ``key`` and intern it.
+
+        Contiguous pieces merge into one segment; a piece that ends its
+        block carries the block's branch, whose outcome (conditional)
+        or return address (call) the trace records.
+        """
+        pieces, terminal_kind, next_addr = key
+        segments: List[List[int]] = []  # [addr, count] pairs
+        outcomes = []
+        call_returns = []
+        length = 0
+        for piece in pieces:
+            if piece.__class__ is tuple:
+                dyn, off, take = piece
+            else:
+                dyn, off, take = piece, 0, piece.size
+            addr = dyn.addr + off * INSTRUCTION_BYTES
+            if segments and (
+                segments[-1][0] + segments[-1][1] * INSTRUCTION_BYTES == addr
+            ):
+                segments[-1][1] += take
+            else:
+                segments.append([addr, take])
+            length += take
+            if off + take == dyn.size:
+                if dyn.kind is BranchKind.COND:
+                    outcomes.append(dyn.taken)
+                elif dyn.kind is BranchKind.CALL:
+                    call_returns.append(dyn.lb.fallthrough_addr)
+        intern = self._intern
+        if len(intern) > 4096:  # deterministic bound
+            intern.clear()
+        descriptor = intern[key] = TraceDescriptor(
+            start=segments[0][0],
+            outcomes=tuple(outcomes),
+            segments=tuple([(a, n) for a, n in segments]),
+            length=length,
+            terminal_kind=terminal_kind,
+            next_addr=next_addr,
+            call_returns=tuple(call_returns),
+        )
+        return descriptor
+
+
+#: What fills a fetch-plan fragment's prediction fields: nothing, the
+#: request's ``ckpt_pre``, or its ``(pred_next, ckpt, payload)``.
+PLAN_NONE, PLAN_PRE, PLAN_LAST = 0, 1, 2
+
+
+def fetch_plan(program: Program, descriptor: TraceDescriptor,
+               width: int) -> tuple:
+    """The cycles of delivering ``descriptor`` from the trace cache.
+
+    A trace-cache hit fills every cycle with ``width`` instructions,
+    crossing taken branches, until the trace ends, so the fragments of
+    each cycle depend only on the descriptor, the width and the
+    program, except for the request's prediction fields.  The plan is
+    the first of those cycles, as linked steps ``(frags, emitted,
+    seg_idx, seg_off, next_step)``: ``frags`` holds one ``(code, start,
+    count, pred_next)`` skeleton per fragment (``code`` one of
+    ``PLAN_NONE``, ``PLAN_PRE`` and ``PLAN_LAST``; ``pred_next`` None
+    under ``PLAN_LAST``), ``emitted`` their instruction total,
+    ``seg_idx``/``seg_off`` the segment cursor after the cycle, and
+    ``next_step`` None on the last cycle.
+
+    The split rules are those of
+    :meth:`TraceCacheFetchEngine._emit_run`, which stays the plan's
+    oracle: a fragment ends at every interior conditional (implicitly
+    not taken) and at every segment end, and a cycle that ends inside
+    a segment ends its last fragment sequentially.
+    """
+    ib = INSTRUCTION_BYTES
+    segments = descriptor.segments
+    last = len(segments) - 1
+    cycles = []
+    frags: list = []
+    budget = width
+    for seg_idx, (seg_addr, seg_len) in enumerate(segments):
+        off = 0
+        while off < seg_len:
+            take = min(budget, seg_len - off)
+            addr = seg_addr + off * ib
+            end = addr + take * ib
+            off += take
+            budget -= take
+            at_boundary = off == seg_len
+            skip_addr = end - ib if at_boundary else -1
+            frag_start = addr
+            for baddr, lb in scan_run(program, addr, take)[0]:
+                if baddr != skip_addr and lb.kind is BranchKind.COND:
+                    frags.append((PLAN_PRE, frag_start,
+                                  (baddr - frag_start) // ib + 1, baddr + ib))
+                    frag_start = baddr + ib
+            count = (end - frag_start) // ib
+            if not at_boundary:
+                if count:
+                    frags.append((PLAN_NONE, frag_start, count, end))
+            elif seg_idx == last:
+                frags.append((PLAN_LAST, frag_start, count, None))
+            else:
+                frags.append((PLAN_PRE, frag_start, count,
+                              segments[seg_idx + 1][0]))
+            if not budget or (at_boundary and seg_idx == last):
+                cursor = (seg_idx + 1, 0) if at_boundary else (seg_idx, off)
+                cycles.append((tuple(frags), width - budget) + cursor)
+                frags = []
+                budget = width
+    plan = None
+    for cycle in reversed(cycles):
+        plan = cycle + (plan,)
+    return plan
 
 
 class TraceCacheFetchEngine(FetchEngine):
@@ -228,12 +320,15 @@ class TraceCacheFetchEngine(FetchEngine):
         self.partial_matching = partial_matching
         self.predict_addr = program.entry_address
         self._fill = _FillBuffer()
-        self._fill.reset(program.entry_address)
         # Progress through the head request's descriptor.
         self._cur_req: Optional[FetchRequest] = None
         self._seg_idx = 0
         self._seg_off = 0
         self._tc_hit: Optional[bool] = None
+        #: The accelerated kernel's next step of the head request's
+        #: fetch plan (see :func:`fetch_plan`) while the trace cache
+        #: delivers it; the interpreted engine does not use it.
+        self._plan: Optional[tuple] = None
         #: Instructions of the current request still serviceable from a
         #: partially-matched stored trace (partial matching only).
         self._prefix_left = 0
@@ -360,7 +455,13 @@ class TraceCacheFetchEngine(FetchEngine):
     ) -> Tuple[List[FetchFragment], int]:
         """A trace cache (or partial-match prefix) hit: up to ``width``
         instructions, crossing taken branches freely, no instruction
-        cache involvement."""
+        cache involvement.
+
+        The accelerated kernel replays a full hit from the descriptor's
+        :func:`fetch_plan` instead; this method (with :meth:`_emit_run`)
+        is that plan's oracle, and still serves partial-match prefixes
+        in both modes.
+        """
         bundle: List[FetchFragment] = []
         emitted = 0
         budget = self.width
@@ -411,7 +512,8 @@ class TraceCacheFetchEngine(FetchEngine):
         """Append ``count`` instructions from the current segment
         position (never crossing a segment boundary), split into
         fragments at interior conditional branches, with the final
-        prediction taken from the trace."""
+        prediction taken from the trace.  The oracle of
+        :func:`fetch_plan`'s split rules."""
         segments = descriptor.segments
         last_idx = len(segments) - 1
         seg_idx = self._seg_idx
@@ -585,31 +687,28 @@ class TraceCacheFetchEngine(FetchEngine):
 
         fill = self._fill
         fill.mispredicted = fill.mispredicted or mispredicted
-        remaining = dyn.size
-        addr = dyn.addr
-        # Length-capped chunks: a block larger than the remaining trace
+        size = dyn.size
+        off = 0
+        # Length-capped pieces: a block larger than the remaining trace
         # space splits the trace at the cap boundary.
-        while remaining:
+        while off < size:
             space = MAX_TRACE_LENGTH - fill.length
             if space == 0:
-                self._finalize_trace(BranchKind.NONE, addr)
+                self._finalize_trace(BranchKind.NONE,
+                                     dyn.addr + off * INSTRUCTION_BYTES)
                 continue
-            take = min(space, remaining)
-            fill.add_run(addr, take)
-            addr += take * INSTRUCTION_BYTES
-            remaining -= take
-        is_last_chunk_branch = kind is not BranchKind.NONE and remaining == 0
-        if not is_last_chunk_branch:
+            take = min(space, size - off)
+            fill.pieces.append(dyn if take == size else (dyn, off, take))
+            fill.length += take
+            off += take
+        if kind is BranchKind.NONE:
             return
-
         if kind is BranchKind.COND:
-            fill.outcomes.append(dyn.taken)
-        elif kind is BranchKind.CALL:
-            fill.call_returns.append(dyn.lb.fallthrough_addr)
+            fill.conds += 1
 
         ends_trace = (
             fill.length >= MAX_TRACE_LENGTH
-            or len(fill.outcomes) >= MAX_TRACE_BRANCHES
+            or fill.conds >= MAX_TRACE_BRANCHES
             or kind in (BranchKind.RET, BranchKind.IND)
             # Trace selection restarts at misprediction redirect points,
             # so future fetches at this address find a matching trace.
@@ -620,8 +719,6 @@ class TraceCacheFetchEngine(FetchEngine):
 
     def _finalize_trace(self, terminal_kind: BranchKind, next_addr: int) -> None:
         fill = self._fill
-        if fill.empty:
-            return
         mispredicted = fill.mispredicted
         descriptor = fill.finalize(terminal_kind, next_addr)
         # The predictor only reads the history during the call (the

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.common.hashing import DolcHasher, DolcSpec, make_t1_index_tag
+from repro.common.hashing import (
+    DolcHasher, DolcSpec, make_t1_index_tag, shared_t1_cache,
+)
 from repro.common.stats import CounterBag
 from repro.common.types import BranchKind
 
@@ -34,18 +36,25 @@ class TraceDescriptor:
     segments are separated by taken branches.  ``call_returns`` lists
     the return addresses pushed by calls inside the trace, in order.
 
-    A plain ``__slots__`` class (the fill unit builds one per committed
-    trace, a hot path) with the derived values — ``outcome_bits``, the
-    path-hashing ``key``, ``interior_taken`` — precomputed once at
-    construction instead of recomputed per property access.  Treat
-    instances as immutable; equality compares the full identity exactly
-    like the frozen dataclass it replaces (the predictor's hysteresis
-    update relies on it).
+    A plain ``__slots__`` class with the derived values —
+    ``outcome_bits``, the path-hashing ``key``, ``interior_taken`` —
+    precomputed once at construction instead of recomputed per property
+    access.  The fill unit interns one per distinct committed trace.
+    Treat instances as immutable; equality compares the full identity
+    exactly like the frozen dataclass it replaces (the predictor's
+    hysteresis update relies on it).
+
+    ``plan`` is not part of the identity: it caches the fetch plan the
+    accelerated trace engine replays when the trace cache delivers this
+    trace (see :func:`repro.fetch.trace_cache.fetch_plan`), built for
+    the width of the one engine whose fill unit interned the
+    descriptor, on its first trace-cache hit.  It stays None on
+    descriptors the trace cache never delivers.
     """
 
     __slots__ = ("start", "outcomes", "segments", "length",
                  "terminal_kind", "next_addr", "call_returns",
-                 "outcome_bits", "key", "interior_taken")
+                 "outcome_bits", "key", "interior_taken", "plan")
 
     def __init__(
         self,
@@ -82,6 +91,7 @@ class TraceDescriptor:
         self.key = start ^ (bits << 3) ^ (len(outcomes) << 1)
         #: True when the trace crosses a taken branch (a "red" trace).
         self.interior_taken = len(segments) > 1
+        self.plan = None
 
     def _identity(self) -> tuple:
         return (self.start, self.outcomes, self.segments, self.length,
@@ -140,21 +150,6 @@ class _TraceTable:
         self.assoc = assoc
         self._sets: List[List[_Entry]] = [[] for _ in range(sets)]
 
-    def lookup(self, index: int, tag: int) -> Optional[_Entry]:
-        ways = self._sets[index & (self.sets - 1)]
-        if ways and ways[0].tag == tag:  # MRU fast path
-            return ways[0]
-        for i, entry in enumerate(ways):
-            if entry.tag == tag:
-                if i:
-                    ways.insert(0, ways.pop(i))
-                return entry
-        return None
-
-    def present(self, index: int, tag: int) -> bool:
-        ways = self._sets[index & (self.sets - 1)]
-        return any(entry.tag == tag for entry in ways)
-
     def update(self, index: int, tag: int, descriptor: TraceDescriptor,
                allow_allocate: bool) -> bool:
         """Hysteresis update; optionally allocate on a tag miss.
@@ -195,16 +190,29 @@ class _TraceTable:
 
 
 class NextTracePredictor:
-    """Cascaded next trace predictor over trace-id path history."""
+    """Cascaded next trace predictor over trace-id path history.
+
+    ``predict`` and ``update`` are built like those of
+    :class:`~repro.fetch.stream_predictor.NextStreamPredictor`: memos
+    probed and ways scanned inline, one positional call per table
+    update.
+    """
 
     def __init__(self, config: TracePredictorConfig | None = None) -> None:
         self.config = config or TracePredictorConfig()
         cfg = self.config
         self._t1 = _TraceTable(cfg.first_sets, cfg.first_assoc)
         self._t2 = _TraceTable(cfg.second_sets, cfg.second_assoc)
-        self._t1_bits = cfg.first_sets.bit_length() - 1
-        self._t1_index_tag = make_t1_index_tag(self._t1_bits)
+        self._t1_sets = self._t1._sets
+        self._t2_sets = self._t2._sets
+        self._t1_mask = cfg.first_sets - 1
+        self._t2_mask = cfg.second_sets - 1
+        t1_bits = cfg.first_sets.bit_length() - 1
+        self._t1_index_tag = make_t1_index_tag(t1_bits)
+        self._t1_get = shared_t1_cache(t1_bits).get
         self._hasher = DolcHasher(cfg.dolc, cfg.second_sets.bit_length() - 1)
+        self._t2_get = self._hasher._it_cache.get
+        self._t2_cut = self._hasher.window_cut
         # Hot-path event counters as plain ints; see the stats property.
         self.lookups = 0
         self.misses = 0
@@ -225,32 +233,50 @@ class NextTracePredictor:
             "updates": self.updates,
         })
 
-    def _t2_index_tag(self, history: Sequence[int], addr: int) -> Tuple[int, int]:
-        return self._hasher.index_tag(history, addr)
-
     # ------------------------------------------------------------------
     def predict(
         self, history: Sequence[int], fetch_addr: int
     ) -> Optional[TraceDescriptor]:
         """Predict the trace starting at ``fetch_addr``; path hit wins."""
-        i1, t1 = self._t1_index_tag(fetch_addr)
-        e1 = self._t1.lookup(i1, t1)
-        i2, t2 = self._t2_index_tag(history, fetch_addr)
-        e2 = self._t2.lookup(i2, t2)
+        i1, t1 = (self._t1_get(fetch_addr)
+                  or self._t1_index_tag(fetch_addr))
+        ways = self._t1_sets[i1 & self._t1_mask]
+        for e1 in ways:
+            if e1.tag == t1:
+                if e1 is not ways[0]:  # a hit moves to MRU
+                    ways.remove(e1)
+                    ways.insert(0, e1)
+                break
+        else:
+            e1 = None
+        i2, t2 = (self._t2_get((fetch_addr, tuple(history[self._t2_cut:])))
+                  or self._hasher.index_tag(history, fetch_addr))
+        ways = self._t2_sets[i2 & self._t2_mask]
+        for entry in ways:
+            if entry.tag == t2:
+                if entry is not ways[0]:
+                    ways.remove(entry)
+                    ways.insert(0, entry)
+                break
+        else:
+            entry = None
         self.lookups += 1
-        entry = e2 or e1
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry.descriptor.start != fetch_addr:
+        path_hit = entry is not None
+        if not path_hit:
+            entry = e1
+            if entry is None:
+                self.misses += 1
+                return None
+        descriptor = entry.descriptor
+        if descriptor.start != fetch_addr:
             # Aliased entry describing a different location: unusable.
             self.alias_rejects += 1
             return None
-        if e2 is not None:
+        if path_hit:
             self.path_hits += 1
         else:
             self.address_hits += 1
-        return entry.descriptor
+        return descriptor
 
     # ------------------------------------------------------------------
     def update(
@@ -260,11 +286,12 @@ class NextTracePredictor:
         mispredicted: bool,
     ) -> None:
         """Commit-time update (same allocation/upgrade rules as streams)."""
-        i1, t1 = self._t1_index_tag(descriptor.start)
-        i2, t2 = self._t2_index_tag(history, descriptor.start)
+        start = descriptor.start
+        i1, t1 = self._t1_get(start) or self._t1_index_tag(start)
+        i2, t2 = (self._t2_get((start, tuple(history[self._t2_cut:])))
+                  or self._hasher.index_tag(history, start))
         # One fused scan per table (see NextStreamPredictor.update for
         # the allocation-rule equivalence argument).
-        in_t1 = self._t1.update(i1, t1, descriptor, allow_allocate=True)
-        self._t2.update(i2, t2, descriptor,
-                        allow_allocate=not in_t1 or mispredicted)
+        in_t1 = self._t1.update(i1, t1, descriptor, True)
+        self._t2.update(i2, t2, descriptor, not in_t1 or mispredicted)
         self.updates += 1

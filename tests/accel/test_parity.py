@@ -103,12 +103,13 @@ def _published_state(processor):
     )
 
 
-@pytest.mark.parametrize("arch", ["ev8", "stream"])
+@pytest.mark.parametrize("arch", ["ev8", "stream", "trace"])
 def test_resumed_run_parity(gzip_small, arch):
     """A processor that runs again continues its trace, and its data
     stream, where it stopped: 2,000 then 3,000 more instructions
     publish the same state in both modes, the walkers' two counters
-    included, after each run."""
+    included, after each run.  The trace engine also carries a fetch
+    request, and the kernel its fetch-plan cursor, across the runs."""
     states = []
     for mode in ("accel", "interp"):
         processor = _build(gzip_small, arch, 8, mode)
@@ -321,17 +322,32 @@ def test_partial_matching_kernel_parity():
     assert results["accel"]["engine_stats"].get("tc_partial_hits", 0) > 0
 
 
+def test_store_everything_kernel_parity():
+    """The "store everything" ablation (``selective_storage=False``)
+    also stores the blue traces the kernel's fetch plans then replay;
+    pin it where the trace cache actually delivers."""
+    program = prepare_program("vpr", optimized=False, scale=0.6)
+    results = {}
+    for mode in ("accel", "interp"):
+        processor = build_processor(
+            "trace", program, 8, benchmark="vpr", optimized=False,
+            trace_seed=ref_trace_seed("vpr"),
+            selective_storage=False, engine_mode=mode,
+        )
+        results[mode] = result_digest(processor.run(30_000))
+    assert results["accel"] == results["interp"]
+    assert results["accel"]["engine_stats"].get("tc_hits", 0) > 0
+
+
 def test_nondefault_predictor_config_parity(gzip_small):
-    """Engine-config knobs that fold into kernel constants (stream
-    length-keyed path hashing) and ones that stay runtime (table
-    geometry) both preserve parity."""
+    """A non-default stream predictor geometry (runtime state, not a
+    kernel constant) preserves parity."""
     from dataclasses import replace
 
     from repro.fetch.stream_predictor import StreamPredictorConfig
 
     config = replace(
         StreamPredictorConfig(),
-        path_key_includes_length=True,
         first_entries=2048,
         second_entries=4096, second_assoc=4,
     )

@@ -87,11 +87,13 @@ class TestCascade:
         for _ in range(6):
             p.update(path_a, stream_a, True)   # mispredicted -> upgraded
             p.update(path_b, stream_b, True)
+        path_hits = p.path_hits
         pred_a = p.predict(path_a, 0x1000)
         pred_b = p.predict(path_b, 0x1000)
         assert pred_a.length == 10
         assert pred_b.length == 30
-        assert pred_a.from_path_table or pred_b.from_path_table
+        # At least one of the two came from the path table.
+        assert p.path_hits > path_hits
 
     def test_loop_trip_counting(self):
         """The cascade predicts a fixed-trip loop exit via the path."""

@@ -5,6 +5,8 @@ import pytest
 from repro.common.types import BranchKind
 from repro.fetch.trace_cache import TraceStore, _FillBuffer
 from repro.fetch.trace_predictor import TraceDescriptor
+from repro.isa.program import LinearBlock
+from repro.isa.trace import DynBlock
 
 
 def desc(start=0x1000, outcomes=(True,), shape=((0x1000, 6), (0x1200, 6)),
@@ -69,30 +71,57 @@ class TestTraceStore:
         assert store.partial_match(predicted) is None
 
 
+def block(addr, size, kind=BranchKind.NONE, taken=False, nxt=None):
+    """A committed block: ``size`` instructions at ``addr``."""
+    lb = LinearBlock(0, addr, size, kind, nxt, None, True)
+    return DynBlock(lb, taken, nxt if taken else addr + 4 * size)
+
+
 class TestFillBuffer:
     def test_contiguous_runs_merge(self):
         fill = _FillBuffer()
-        fill.reset(0x1000)
-        fill.add_run(0x1000, 4)
-        fill.add_run(0x1010, 3)  # contiguous
-        assert len(fill.segments) == 1
-        assert fill.segments[0] == [0x1000, 7]
+        fill.pieces += [block(0x1000, 4),
+                        block(0x1010, 3, BranchKind.COND)]  # contiguous
+        d = fill.finalize(BranchKind.COND, 0x101C)
+        assert d.segments == ((0x1000, 7),)
+        assert d.outcomes == (False,)
 
     def test_taken_branch_starts_new_segment(self):
         fill = _FillBuffer()
-        fill.reset(0x1000)
-        fill.add_run(0x1000, 4)
-        fill.add_run(0x2000, 3)  # non-contiguous (after a taken branch)
-        assert len(fill.segments) == 2
+        fill.pieces += [block(0x1000, 4, BranchKind.COND, True, 0x2000),
+                        block(0x2000, 3)]  # after a taken branch
+        d = fill.finalize(BranchKind.NONE, 0x200C)
+        assert d.segments == ((0x1000, 4), (0x2000, 3))
+        assert d.outcomes == (True,)
+
+    def test_split_piece_carries_branch_only_at_block_end(self):
+        """A block cut by the length cap: only the piece that ends the
+        block records its branch."""
+        fill = _FillBuffer()
+        call = block(0x1000, 6, BranchKind.CALL, True, 0x3000)
+        fill.pieces += [(call, 0, 4)]
+        head = fill.finalize(BranchKind.NONE, 0x1010)
+        assert head.call_returns == () and head.length == 4
+        fill.pieces += [(call, 4, 2)]
+        tail = fill.finalize(BranchKind.CALL, 0x3000)
+        assert tail.segments == ((0x1010, 2),)
+        assert tail.call_returns == (0x1018,)
 
     def test_finalize_produces_descriptor_and_resets(self):
         fill = _FillBuffer()
-        fill.reset(0x1000)
-        fill.add_run(0x1000, 4)
-        fill.outcomes.append(True)
+        fill.pieces.append(block(0x1000, 4, BranchKind.COND, True, 0x3000))
+        fill.length, fill.conds, fill.mispredicted = 4, 1, True
         d = fill.finalize(BranchKind.COND, 0x3000)
         assert d.start == 0x1000
         assert d.length == 4
         assert d.next_addr == 0x3000
-        assert fill.empty
-        assert fill.start == 0x3000
+        assert (fill.pieces, fill.length, fill.conds,
+                fill.mispredicted) == ([], 0, 0, False)
+
+    def test_recurring_trace_is_interned(self):
+        fill = _FillBuffer()
+        pieces = [block(0x1000, 4, BranchKind.COND, True, 0x2000)]
+        fill.pieces += pieces
+        first = fill.finalize(BranchKind.COND, 0x2000)
+        fill.pieces += pieces
+        assert fill.finalize(BranchKind.COND, 0x2000) is first

@@ -212,23 +212,18 @@ class TestWriteDegradation:
         assert cache.store.get_entry("result", "ab" * 32) is None
 
     def test_readonly_store_warns_once(self, tmp_path, capsys):
-        import os
-        import stat
+        """A store whose writes all fail warns once, not per put.  A
+        regular file where ``entries/`` belongs makes every put fail
+        with ENOTDIR, which holds for root too (``chmod`` would not)."""
         root = tmp_path / "ro"
         root.mkdir()
-        os.chmod(root, stat.S_IRUSR | stat.S_IXUSR)
-        if os.access(str(root / "x"), os.W_OK) or os.geteuid() == 0:
-            os.chmod(root, stat.S_IRWXU)
-            pytest.skip("running as root; chmod cannot make dir read-only")
+        (root / "entries").write_text("")
         from repro.core.results import SimulationResult
         cache = ArtifactCache(str(root))
         result = SimulationResult(benchmark="b", engine="e", width=8,
                                   optimized=True, cycles=10, instructions=20)
-        try:
-            cache.put_result("ab" * 32, result)
-            cache.put_result("cd" * 32, result)
-        finally:
-            os.chmod(root, stat.S_IRWXU)
+        cache.put_result("ab" * 32, result)
+        cache.put_result("cd" * 32, result)
         assert capsys.readouterr().err.count("will not be cached") == 1
 
 
