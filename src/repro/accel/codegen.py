@@ -30,6 +30,7 @@ __all__ = [
     "clear_compile_cache",
     "compile_kernel",
     "render",
+    "splice",
 ]
 
 
@@ -67,6 +68,25 @@ def render(template: str, consts: Dict[str, object]) -> str:
     return Template(template).substitute(
         {name: repr(value) for name, value in consts.items()}
     )
+
+
+def splice(template: str, name: str, block: str) -> str:
+    """Put ``block`` in place of every line that holds only ``$NAME``.
+
+    Each copy takes the indentation of the line it replaces, so one
+    shared code fragment can be spliced at several nesting depths; an
+    empty ``block`` deletes those lines.
+    """
+    marker = "$" + name
+    lines = []
+    for line in template.splitlines(True):
+        if line.strip() == marker:
+            pad = line[:len(line) - len(line.lstrip())]
+            lines.extend(pad + row if row.strip() else row
+                         for row in block.splitlines(True))
+        else:
+            lines.append(line)
+    return "".join(lines)
 
 
 def compile_kernel(

@@ -26,7 +26,9 @@ with these structural changes, none of which can alter results:
   its ROB share and its commit replay, so the loop head drains one
   deque and both bulk jumps read one head;
 * the **L2 probe is inlined** (the L1D outcome is read off the trace's
-  data stream, as in the oracle); L2 counters stay attribute updates
+  data stream, as in the oracle) and tests ``tag in ways`` before it
+  reorders a set, since most probes miss (an L1D miss is usually an
+  L2 miss too); L2 counters stay attribute updates
   because the instruction side shares that cache mid-run, and the L1D
   counters are derived from the access count at publish time;
 * the **per-slot loop is lean**: it iterates the segment's schedule
@@ -34,7 +36,11 @@ with these structural changes, none of which can alter results:
   ``ready_base = max(dispatch_cycle + 1, floor)``, computed once per
   segment and clamped again when a compaction raises the floor, so
   only dependences can raise it; and commit slots come from one
-  three-way branch.
+  three-way branch.  The loop body is one template block spliced
+  twice: a segment that starts with ``len(iu) + take <= IU_LIMIT``
+  runs the copy without the compaction check, since a slot adds at
+  most one cycle to the table and the check cannot fire; any other
+  segment runs the copy that checks after every slot.
 
 One further bit-exact micro-optimization rides along: the warmup
 snapshot copies the local counter tuple instead of the result
@@ -59,7 +65,7 @@ from repro.core.results import SimulationResult
 from repro.isa.program import MEM_LOAD
 from repro.isa.trace import branch_counts
 
-from repro.accel.codegen import CompiledKernel, compile_kernel
+from repro.accel.codegen import CompiledKernel, compile_kernel, splice
 
 __all__ = ["run_kernel", "run_kernel_source"]
 
@@ -77,27 +83,83 @@ tag = line >> $L2_SHIFT
 l2_cache.accesses += 1
 if ways and ways[0] == tag:
     dlat = $LVL1
+elif tag in ways:
+    ways.remove(tag)
+    ways.insert(0, tag)
+    dlat = $LVL1
 else:
-    try:
-        ways.remove(tag)
-    except ValueError:
-        l2_cache.misses += 1
-        ways.insert(0, tag)
-        if len(ways) > $L2_ASSOC:
-            ways.pop()
-            l2_cache.evictions += 1
-        dlat = $LVL2
-    else:
-        ways.insert(0, tag)
-        dlat = $LVL1
+    l2_cache.misses += 1
+    ways.insert(0, tag)
+    if len(ways) > $L2_ASSOC:
+        ways.pop()
+        l2_cache.evictions += 1
+    dlat = $LVL2
 """
 
+# One slot of the inlined segment scheduler: the body of the per-slot
+# loop over ``seg_sched``.  It is spliced twice, with and without the
+# compaction check at $IU_CHECK (see the module docstring).
+_SLOT_BLOCK = """\
+issue = ready_base
+if d1:
+    dep = completions[(cnt - d1) & 127]
+    if dep > issue:
+        issue = dep
+if d2:
+    dep = completions[(cnt - d2) & 127]
+    if dep > issue:
+        issue = dep
+used = iu.get(issue, 0)
+while used >= $WIDTH:
+    issue += 1
+    used = iu.get(issue, 0)
+iu[issue] = used + 1
+$IU_CHECK
 
-def _indent(block: str, spaces: int) -> str:
-    pad = " " * spaces
-    return "\n".join(
-        pad + line if line else line for line in block.splitlines()
-    )
+if mem:
+    try:
+        code = codes[loads + stores]
+    except IndexError:
+        data_extend()
+        code = codes[loads + stores]
+    if code < 0:
+        dlat = $LVL0
+    else:
+        dl1_miss += 1
+        dl1_evict += code & 1
+        a = code >> 1
+        $PROBE_SLOT
+    if mem == $MEM_LOAD:
+        latency += dlat
+        loads += 1
+    else:
+        stores += 1
+
+complete = issue + latency
+completions[cnt & 127] = complete
+cnt += 1
+
+if complete >= last:
+    last = complete + 1
+    cic = 1
+elif cic >= $WIDTH:
+    last += 1
+    cic = 1
+else:
+    cic += 1
+"""
+
+# Issue-table compaction once the table holds more than $IU_LIMIT
+# cycles; a compaction can raise the floor, and the rest of the
+# segment then searches from it.
+_IU_CHECK = """\
+if len(iu) > $IU_LIMIT:
+    iu_compact(issue)
+    iu = backend._iu
+    floor = backend._issue_floor
+    if floor > ready_base:
+        ready_base = floor
+"""
 
 
 _TEMPLATE = '''\
@@ -288,59 +350,14 @@ def make_run(processor, engine_cycle=None, engine_note_commit=None):
                         ready_base = dispatch_cycle + 1
                         if floor > ready_base:
                             ready_base = floor
-                        for mem, latency, d1, d2 in seg_sched:
-                            issue = ready_base
-                            if d1:
-                                dep = completions[(cnt - d1) & 127]
-                                if dep > issue:
-                                    issue = dep
-                            if d2:
-                                dep = completions[(cnt - d2) & 127]
-                                if dep > issue:
-                                    issue = dep
-                            used = iu.get(issue, 0)
-                            while used >= $WIDTH:
-                                issue += 1
-                                used = iu.get(issue, 0)
-                            iu[issue] = used + 1
-                            if len(iu) > $IU_LIMIT:
-                                iu_compact(issue)
-                                iu = backend._iu
-                                floor = backend._issue_floor
-                                if floor > ready_base:
-                                    ready_base = floor
-
-                            if mem:
-                                try:
-                                    code = codes[loads + stores]
-                                except IndexError:
-                                    data_extend()
-                                    code = codes[loads + stores]
-                                if code < 0:
-                                    dlat = $LVL0
-                                else:
-                                    dl1_miss += 1
-                                    dl1_evict += code & 1
-                                    a = code >> 1
-$PROBE_SLOT
-                                if mem == $MEM_LOAD:
-                                    latency += dlat
-                                    loads += 1
-                                else:
-                                    stores += 1
-
-                            complete = issue + latency
-                            completions[cnt & 127] = complete
-                            cnt += 1
-
-                            if complete >= last:
-                                last = complete + 1
-                                cic = 1
-                            elif cic >= $WIDTH:
-                                last += 1
-                                cic = 1
-                            else:
-                                cic += 1
+                        if len(iu) + take <= $IU_LIMIT:
+                            # Each slot adds at most one cycle to the
+                            # table, so this segment cannot compact.
+                            for mem, latency, d1, d2 in seg_sched:
+                                $SLOT_LEAN
+                        else:
+                            for mem, latency, d1, d2 in seg_sched:
+                                $SLOT_CHECKED
                         seg_commit = last
                         # ==== end inlined segment scheduler ==================
 
@@ -485,9 +502,11 @@ $PROBE_SLOT
     return run
 '''
 
-# Splice the L2-probe block into the per-slot loop at the surrounding
-# indentation.
-_TEMPLATE = _TEMPLATE.replace("$PROBE_SLOT", _indent(_PROBE_BLOCK, 36))
+_SLOT_BLOCK = splice(_SLOT_BLOCK, "PROBE_SLOT", _PROBE_BLOCK)
+_TEMPLATE = splice(_TEMPLATE, "SLOT_LEAN",
+                   splice(_SLOT_BLOCK, "IU_CHECK", ""))
+_TEMPLATE = splice(_TEMPLATE, "SLOT_CHECKED",
+                   splice(_SLOT_BLOCK, "IU_CHECK", _IU_CHECK))
 
 
 def _consts(processor) -> dict:

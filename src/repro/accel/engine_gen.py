@@ -26,8 +26,14 @@ the core kernel is:
   cycle, and its inlined fill unit finalizes a trace with one intern
   probe on the committed blocks.
 
-The EV8 and FTB kernels inline their direction predictor's fast path.
-The stream and trace kernels call their cascaded predictor's
+The EV8 and FTB kernels inline their direction predictor's
+``predict``: the EV8 kernel the 2bcgskew bank indices and vote, the FTB
+kernel the packed perceptron dot product (one table-built field mask,
+one AND, one ``%`` and one ``bit_count``, with the input byte count
+folded in; see :mod:`repro.branch.perceptron`).  Both inline the MRU
+hit of their target buffer's lookup (the BTB's, the FTB's) and call
+the method for anything else; training stays a predictor method call
+at commit.  The stream and trace kernels call their cascaded predictor's
 ``predict`` and ``update`` methods, which keep their common path to one
 frame (see :class:`repro.fetch.stream_predictor.NextStreamPredictor`),
 and the BTB, trace-cache and FTQ-request methods.  Cold paths stay
@@ -58,7 +64,7 @@ from repro.fetch.trace_cache import (
 )
 from repro.fetch.trace_predictor import MAX_TRACE_BRANCHES, MAX_TRACE_LENGTH
 
-from repro.accel.codegen import CompiledKernel, compile_kernel
+from repro.accel.codegen import CompiledKernel, compile_kernel, splice
 
 __all__ = ["cycle_kernel", "cycle_kernel_source", "make_kernels"]
 
@@ -99,19 +105,19 @@ def make_kernels(engine):
     stats_counts = engine.stats._counts
     predictor_predict = engine.predictor.predict
     predictor_update = engine.predictor.update
-    bim_c = engine.predictor._bim_c
-    g0_c = engine.predictor._g0_c
-    g1_c = engine.predictor._g1_c
-    meta_c = engine.predictor._meta_c
+    bim_c = engine.predictor._bim
+    g0_c = engine.predictor._g0
+    g1_c = engine.predictor._g1
+    meta_c = engine.predictor._meta
     history = engine.history
-    spec_push = history.spec_push
-    commit_push = history.commit_push
     ras = engine.ras
     ras_slots = ras._slots
     ras_push = engine.ras.push
     ras_pop = engine.ras.pop
-    btb_lookup = engine.btb.lookup
-    btb_update = engine.btb.update
+    btb = engine.btb
+    btb_sets = btb._sets
+    btb_lookup = btb.lookup
+    btb_update = btb.update
     scan_cache_get = program._scan_cache.get
     scan = scan_run
     image_start = engine._image_start
@@ -199,7 +205,7 @@ def make_kernels(engine):
                 ckpt = ($RAS_CKPT, hist_snap)
                 stats_counts["cond_predictions"] += 1
                 if pred:
-                    entry = btb_lookup(baddr)
+                    $BTB_LOOKUP
                     if entry is not None:
                         target = entry.target
                     else:
@@ -218,7 +224,7 @@ def make_kernels(engine):
                 cursor = baddr + 4
                 continue
             if kind is KIND_JUMP or kind is KIND_CALL:
-                entry = btb_lookup(baddr)
+                $BTB_LOOKUP
                 if entry is not None:
                     target = entry.target
                 else:
@@ -236,7 +242,8 @@ def make_kernels(engine):
                 cursor = None
                 break
             if kind is KIND_RET:
-                if btb_lookup(baddr) is None:
+                $BTB_LOOKUP
+                if entry is None:
                     until = now + $DECODE_BUBBLE
                     if until > engine._busy_until:
                         engine._busy_until = until
@@ -249,7 +256,7 @@ def make_kernels(engine):
                 cursor = None
                 break
             # Indirect jump: only the BTB can supply a target at fetch.
-            entry = btb_lookup(baddr)
+            $BTB_LOOKUP
             ckpt = ($RAS_CKPT, history.spec)
             if entry is not None:
                 append((cursor, run, entry.target, ckpt, None))
@@ -298,11 +305,29 @@ def make_kernels(engine):
 '''
 
 
+#: Inlined BTB lookup for the branch at ``baddr`` into ``entry``: the
+#: MRU hit (with its lookup count) in line, anything else through
+#: :meth:`~repro.branch.btb.BranchTargetBuffer.lookup`.
+_BTB_LOOKUP = """\
+word_b = baddr >> 2
+ways_b = btb_sets[word_b & $BTB_SET_MASK]
+if ways_b and ways_b[0].tag == word_b >> $BTB_TAG_SHIFT:
+    btb.lookups += 1
+    entry = ways_b[0]
+else:
+    entry = btb_lookup(baddr)
+"""
+
+_EV8_TEMPLATE = splice(_EV8_TEMPLATE, "BTB_LOOKUP", _BTB_LOOKUP)
+
+
 def _ev8_consts(engine) -> dict:
     consts = _common_consts(engine)
     slot_bytes = engine.width * INSTRUCTION_BYTES
     consts["SLOT_BYTES"] = slot_bytes
     consts["SLOT_MASK"] = slot_bytes - 1
+    consts["BTB_SET_MASK"] = engine.btb._index_mask
+    consts["BTB_TAG_SHIFT"] = engine.btb._tag_shift
     # TwoBcGskew geometry for the inlined predict.
     predictor = engine.predictor
     bits = predictor._index_bits
@@ -338,11 +363,11 @@ def make_kernels(engine):
     predictor_predict = engine.predictor.predict
     predictor_update = engine.predictor.update
     perc_local = engine.predictor._local
-    perc_epoch = engine.predictor._epoch
-    perc_memo_get = engine.predictor._y_memo.get
+    perc_base = engine.predictor._base
+    perc_packed = engine.predictor._packed
+    perc_tables = engine.predictor._tables
+    table_get = list.__getitem__
     history = engine.history
-    spec_push = history.spec_push
-    commit_push = history.commit_push
     ras = engine.ras
     ras_slots = ras._slots
     ras_push = engine.ras.push
@@ -350,8 +375,6 @@ def make_kernels(engine):
     ftq = engine.ftq
     ftq_queue = ftq._queue
     ftq_append = ftq_queue.append
-    ftq_push = ftq.push
-    ftq_pop = ftq.pop
     ftq_popleft = ftq_queue.popleft
     ftq_head = ftq.head
     ftq_capacity = ftq.capacity
@@ -422,22 +445,22 @@ def make_kernels(engine):
                     engine.predict_addr = nxt
                 else:
                     if kind is KIND_COND:
-                        # Inlined PerceptronPredictor.predict fast path:
-                        # the epoch-memoized dot product answers straight
-                        # from the memo; a memo miss takes the method
-                        # (which computes and installs it).
+                        # Inlined PerceptronPredictor.predict: the packed
+                        # dot product (see repro.branch.perceptron).
                         hist_f = history.spec
                         word_f = term_pc >> 2
                         pidx = word_f & $PP_MASK
                         lidx = word_f & $PL_MASK
                         bits_f = (((hist_f & $GH_MASK) << $LH_BITS)
                                   | perc_local[lidx])
-                        y = perc_memo_get((pidx, perc_epoch[pidx], bits_f))
-                        if y is None:
-                            pred, info = predictor_predict(term_pc, hist_f)
-                        else:
-                            pred = y >= 0
-                            info = (pidx, lidx, bits_f, y)
+                        select = sum(map(table_get, perc_tables,
+                                         bits_f.to_bytes($PERC_BYTES,
+                                                         "little")))
+                        y = perc_base[pidx] + 2 * (
+                            (perc_packed[pidx] & select) % $PERC_MODULUS
+                            + $PERC_WMIN * bits_f.bit_count())
+                        pred = y >= 0
+                        info = (pidx, lidx, bits_f, y)
                         history.spec = ((hist_f << 1) | pred) & $HIST_MASK
                         payload = ("term", info)
                         nxt = entry.target if pred else term_pc + 4
@@ -619,12 +642,15 @@ def _ftb_consts(engine) -> dict:
     consts["FTB_MAX_BYTES"] = FTB_MAX_LENGTH * INSTRUCTION_BYTES
     consts["FTB_SET_MASK"] = engine.ftb._mask
     consts["FTB_TAG_SHIFT"] = engine.ftb._tag_shift
-    # Perceptron geometry for the inlined memo fast path.
+    # Perceptron geometry for the inlined dot product.
     predictor = engine.predictor
     consts["PP_MASK"] = predictor._pidx_mask
     consts["PL_MASK"] = predictor._lidx_mask
     consts["GH_MASK"] = predictor._ghist_mask
     consts["LH_BITS"] = predictor._lh_bits
+    consts["PERC_BYTES"] = predictor._n_bytes
+    consts["PERC_MODULUS"] = predictor._modulus
+    consts["PERC_WMIN"] = predictor._wmin
     consts["HIST_MASK"] = engine.history._mask
     return consts
 

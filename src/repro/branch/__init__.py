@@ -1,7 +1,6 @@
 """Branch prediction substrate shared by the fetch architectures."""
 
 from repro.branch.history import HistoryRegister, PathHistory
-from repro.branch.bimodal import TwoBitCounter, CounterTable
 from repro.branch.btb import BranchTargetBuffer, BTBEntry
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.twobcgskew import TwoBcGskew
@@ -10,8 +9,6 @@ from repro.branch.perceptron import PerceptronPredictor
 __all__ = [
     "HistoryRegister",
     "PathHistory",
-    "TwoBitCounter",
-    "CounterTable",
     "BranchTargetBuffer",
     "BTBEntry",
     "ReturnAddressStack",

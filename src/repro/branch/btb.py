@@ -24,13 +24,6 @@ class BTBEntry:
         self.kind = kind
         self.counter = 2  # weakly taken: it was just taken
 
-    def update_direction(self, taken: bool) -> None:
-        if taken:
-            if self.counter < 3:
-                self.counter += 1
-        elif self.counter > 0:
-            self.counter -= 1
-
     @property
     def predict_taken(self) -> bool:
         return self.counter >= 2
@@ -95,10 +88,15 @@ class BranchTargetBuffer:
         tag = word >> self._tag_shift
         for i, entry in enumerate(ways):
             if entry.tag == tag:
-                entry.update_direction(taken)
+                # Train the 2-bit direction counter, saturating at 0..3.
+                counter = entry.counter
                 if taken:
+                    if counter < 3:
+                        entry.counter = counter + 1
                     entry.target = target
                     entry.kind = kind
+                elif counter > 0:
+                    entry.counter = counter - 1
                 if i:
                     ways.insert(0, ways.pop(i))
                 return

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.branch.bimodal import CounterTable
 from repro.common.hashing import fold_xor
 
 
@@ -44,19 +43,17 @@ class TwoBcGskew:
     def __init__(self, config: GskewConfig | None = None) -> None:
         self.config = config or GskewConfig()
         entries = self.config.bank_entries
-        self._bim = CounterTable(entries)
-        self._g0 = CounterTable(entries)
-        self._g1 = CounterTable(entries)
-        self._meta = CounterTable(entries, init=2)  # slight e-gskew bias
+        if entries < 1 or entries & (entries - 1):
+            raise ValueError("bank_entries must be a power of two")
+        # Each bank is a plain list of 2-bit counters (0..3, >= 2
+        # predicts taken), indexed by the bank-masked indices predict()
+        # computes.
+        self._bim = [1] * entries
+        self._g0 = [1] * entries
+        self._g1 = [1] * entries
+        self._meta = [2] * entries  # slight e-gskew bias
         self._index_bits = entries.bit_length() - 1
         self._fold_limit = 1 << (4 * self._index_bits)
-        # Direct references to the banks' counter lists: predict/update
-        # run once per conditional branch and the CounterTable method
-        # hops are measurable there.  Indices are already bank-masked.
-        self._bim_c = self._bim._counters
-        self._g0_c = self._g0._counters
-        self._g1_c = self._g1._counters
-        self._meta_c = self._meta._counters
         self._h0_mask = (1 << self.config.short_history_bits) - 1
         self._h1_mask = (1 << self.config.history_bits) - 1
 
@@ -99,37 +96,51 @@ class TwoBcGskew:
         else:  # pragma: no cover
             meta_i = fold_xor(v, bits)
 
-        p_bim = self._bim_c[bim_i] >= 2
-        p_g0 = self._g0_c[g0_i] >= 2
-        p_g1 = self._g1_c[g1_i] >= 2
+        p_bim = self._bim[bim_i] >= 2
+        p_g0 = self._g0[g0_i] >= 2
+        p_g1 = self._g1[g1_i] >= 2
         p_eskew = (p_bim + p_g0 + p_g1) >= 2
-        prediction = p_eskew if self._meta_c[meta_i] >= 2 else p_bim
+        prediction = p_eskew if self._meta[meta_i] >= 2 else p_bim
         return prediction, (bim_i, g0_i, g1_i, meta_i, p_bim, p_eskew)
 
     def update(self, info: PredictionInfo, taken: bool) -> None:
-        """Commit-time update with the EV8 partial-update policy."""
-        bim_i, g0_i, g1_i, meta_i, p_bim, p_eskew = info
-        use_eskew = self._meta_c[meta_i] >= 2
-        prediction = p_eskew if use_eskew else p_bim
+        """Commit-time update with the EV8 partial-update policy.
 
-        if prediction == taken:
-            if p_bim != p_eskew:
-                # The chooser picked the right side: reinforce it.
-                self._meta.update(meta_i, use_eskew)
-            # Strengthen only the agreeing banks.
-            if p_bim == taken:
-                self._bim.strengthen(bim_i, taken)
+        The counter steps act on the bank lists in place: training moves
+        a counter one step toward an outcome, saturating at 0 and 3;
+        strengthening moves it only if it already predicts the outcome
+        (2 -> 3 toward taken, 1 -> 0 toward not taken).
+        """
+        bim_i, g0_i, g1_i, meta_i, p_bim, p_eskew = info
+        meta = self._meta
+        use_eskew = meta[meta_i] >= 2
+        if p_bim != p_eskew:
+            # Steer the chooser toward whichever side was right (on a
+            # correct prediction, the side it chose).
+            end, step = (3, 1) if p_eskew == taken else (0, -1)
+            if meta[meta_i] != end:
+                meta[meta_i] += step
+        bim = self._bim
+        g0 = self._g0
+        g1 = self._g1
+
+        if (p_eskew if use_eskew else p_bim) == taken:
+            # Correct: strengthen only the agreeing banks.
+            strong, weak = (3, 2) if taken else (0, 1)
+            if p_bim == taken and bim[bim_i] == weak:
+                bim[bim_i] = strong
             if use_eskew or p_bim != taken:
-                if (self._g0_c[g0_i] >= 2) == taken:
-                    self._g0.strengthen(g0_i, taken)
-                if (self._g1_c[g1_i] >= 2) == taken:
-                    self._g1.strengthen(g1_i, taken)
+                if g0[g0_i] == weak:
+                    g0[g0_i] = strong
+                if g1[g1_i] == weak:
+                    g1[g1_i] = strong
             return
 
-        # Misprediction: steer the chooser toward whichever was correct,
-        # then train all direction banks with the actual outcome.
-        if p_bim != p_eskew:
-            self._meta.update(meta_i, p_eskew == taken)
-        self._bim.update(bim_i, taken)
-        self._g0.update(g0_i, taken)
-        self._g1.update(g1_i, taken)
+        # Misprediction: train all direction banks with the outcome.
+        end, step = (3, 1) if taken else (0, -1)
+        if bim[bim_i] != end:
+            bim[bim_i] += step
+        if g0[g0_i] != end:
+            g0[g0_i] += step
+        if g1[g1_i] != end:
+            g1[g1_i] += step

@@ -10,6 +10,12 @@ every load/store probes one), so the event counters are plain integer
 slot attributes rather than a string-keyed bag; they are exported in
 :class:`~repro.common.stats.CounterBag` form only when statistics are
 summarized.
+
+A probe tests the MRU way first, then membership (``tag in ways``)
+before it reorders the set: sets are a few ways long, and on the
+D side most L2 probes miss, where a ``remove`` would raise and catch
+an exception per probe.  The accel core kernel inlines the same
+sequence for the L2 (:mod:`repro.accel.core_gen`).
 """
 
 from __future__ import annotations
@@ -73,17 +79,16 @@ class Cache:
         # be an identity operation).
         if ways and ways[0] == tag:
             return True
-        try:
+        if tag in ways:
             ways.remove(tag)
-        except ValueError:
-            self.misses += 1
             ways.insert(0, tag)
-            if len(ways) > self._assoc:
-                ways.pop()
-                self.evictions += 1
-            return False
+            return True
+        self.misses += 1
         ways.insert(0, tag)
-        return True
+        if len(ways) > self._assoc:
+            ways.pop()
+            self.evictions += 1
+        return False
 
     def access_tail(self, ways: List[int], tag: int) -> bool:
         """Non-MRU remainder of :meth:`access`.
@@ -93,17 +98,16 @@ class Cache:
         hits and miss fills — counter and LRU semantics are exactly
         those of :meth:`access` (which stays the canonical entry point).
         """
-        try:
+        if tag in ways:
             ways.remove(tag)
-        except ValueError:
-            self.misses += 1
             ways.insert(0, tag)
-            if len(ways) > self._assoc:
-                ways.pop()
-                self.evictions += 1
-            return False
+            return True
+        self.misses += 1
         ways.insert(0, tag)
-        return True
+        if len(ways) > self._assoc:
+            ways.pop()
+            self.evictions += 1
+        return False
 
     def probe(self, addr: int) -> bool:
         """Check residency without changing any state."""

@@ -16,7 +16,10 @@ import pytest
 
 from helpers import result_digest
 
+from repro.branch.perceptron import PerceptronConfig
+from repro.branch.twobcgskew import GskewConfig
 from repro.common.params import CacheParams, default_machine
+from repro.core.backend import _IU_LIMIT
 from repro.experiments.configs import ARCHITECTURES, build_processor
 from repro.experiments.runner import RunSpec, reset_program_cache, run_matrix
 from repro.isa.layout import natural_order
@@ -31,12 +34,12 @@ N_INSTR = 6000
 WARMUP = 1500
 
 
-def _build(program, arch, width, mode, machine=None):
+def _build(program, arch, width, mode, machine=None, **overrides):
     return build_processor(
         arch, program, width,
         benchmark="gzip", optimized=True,
         trace_seed=ref_trace_seed("gzip"),
-        machine=machine, engine_mode=mode,
+        machine=machine, engine_mode=mode, **overrides,
     )
 
 
@@ -241,18 +244,82 @@ def test_over_full_table_parity(gzip_small):
     of the later slots of its segment, which must then start their
     issue search at the new floor.
     """
-    base = default_machine(2)
+    states = _seeded_table_states(gzip_small, 2, 4096)
+    assert states["accel"] == states["interp"]
+
+
+def _seeded_table_states(program, width, seeded):
+    """Digest, issue floor and issue table, per mode, of a ``width``-wide
+    EV8 run on a 600-cycle memory whose issue table starts with
+    ``seeded`` cycles far in the future."""
+    base = default_machine(width)
     machine = dataclasses.replace(base, memory=dataclasses.replace(
         base.memory, memory_latency=600))
     states = {}
     for mode in ("accel", "interp"):
-        processor = _build(gzip_small, "ev8", 2, mode, machine=machine)
-        processor.backend._iu = {1_000_000 + c: 2 for c in range(4096)}
+        processor = _build(program, "ev8", width, mode, machine=machine)
+        processor.backend._iu = {1_000_000 + c: 2 for c in range(seeded)}
         digest = result_digest(processor.run(1500))
         backend = processor.backend
         assert backend._issue_floor > 0, mode
         states[mode] = (digest, backend._issue_floor, backend._iu)
+    return states
+
+
+def test_over_full_table_parity_wide(gzip_small):
+    """The width-8 core kernel agrees through a table that starts just
+    under the limit.
+
+    A segment that starts with room in the table for all its slots
+    runs the slot loop without the compaction check.  With
+    ``_IU_LIMIT - 16`` cycles seeded far in the future, the first ten
+    segments of this trace do; the eleventh (8 slots) starts with 4,093
+    cycles in the table, runs the checked loop and compacts after its
+    fourth slot, and from then on both loops alternate.
+    """
+    states = _seeded_table_states(gzip_small, 8, _IU_LIMIT - 16)
     assert states["accel"] == states["interp"]
+
+
+def _predictor_parity(program, arch, n=6000, **overrides):
+    """Both modes agree on one width-8 cell's digest, issue floor and
+    issue table; returns the last mode's processor."""
+    states = {}
+    for mode in ("accel", "interp"):
+        processor = _build(program, arch, 8, mode, **overrides)
+        digest = result_digest(processor.run(n, warmup=1500))
+        backend = processor.backend
+        states[mode] = (digest, backend._issue_floor, backend._iu)
+    assert states["accel"] == states["interp"]
+    return processor
+
+
+@pytest.mark.parametrize("shape", [(8, 4, -128, 127), (4, 3, -8, 7)])
+def test_perceptron_geometry_parity(gzip_small, shape):
+    """The FTB kernel folds the perceptron's byte count and field
+    geometry into its dot product: 12 inputs take two bytes, and 7
+    inputs with weights -8..7 take one, with weights that saturate at
+    both ends within 20,000 instructions."""
+    global_bits, local_bits, wmin, wmax = shape
+    config = PerceptronConfig(
+        global_history_bits=global_bits, local_history_bits=local_bits,
+        weight_min=wmin, weight_max=wmax,
+    )
+    processor = _predictor_parity(gzip_small, "ftb", n=20_000,
+                                  perceptron_config=config)
+    predictor = processor.engine.predictor
+    assert predictor._n_bytes == (global_bits + local_bits + 7) // 8
+    if wmax - wmin < 255:
+        weights = {w for pidx in range(config.num_perceptrons)
+                   for w in predictor.weights(pidx)}
+        assert wmin in weights and wmax in weights
+
+
+def test_gskew_geometry_parity(gzip_small):
+    """A 1024-entry 2bcgskew folds other index constants into the EV8
+    kernel's inlined predict."""
+    _predictor_parity(gzip_small, "ev8",
+                      gskew_config=GskewConfig(bank_entries=1024))
 
 
 class TestExtras:

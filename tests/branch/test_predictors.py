@@ -118,7 +118,7 @@ class TestPerceptron:
         pidx = (0x4000 >> 2) & (pred.config.num_perceptrons - 1)
         assert all(
             pred.config.weight_min <= w <= pred.config.weight_max
-            for w in pred._weights[pidx]
+            for w in pred.weights(pidx)
         )
 
     def test_rejects_bad_config(self):
@@ -137,10 +137,9 @@ class TestPerceptron:
         ghist=st.integers(0, 2**64 - 1),
     )
     def test_predict_matches_the_bit_loop(self, shape, seed, pc, ghist):
-        """The memo-miss dot product equals a loop over every input bit,
+        """The packed dot product equals a loop over every input bit,
         for any weights and inputs; the shapes cover 54 inputs (the
-        Table 2 default), 12 (a padded last byte) and 7 (exactly one
-        byte with the bias)."""
+        Table 2 default), 12 (a padded last byte) and 7 (one byte)."""
         global_bits, local_bits = shape
         cfg = PerceptronConfig(
             num_perceptrons=16, global_history_bits=global_bits,
@@ -152,12 +151,11 @@ class TestPerceptron:
         for pidx in range(cfg.num_perceptrons):
             weights = [rng.randint(cfg.weight_min, cfg.weight_max)
                        for _ in range(n + 1)]
-            pred._weights[pidx] = weights
-            pred._wsum[pidx] = sum(weights[1:])
+            pred.set_weights(pidx, weights)
         pred._local = [rng.getrandbits(local_bits)
                        for _ in range(cfg.local_table_entries)]
         taken, (pidx, _lidx, bits, y) = pred.predict(pc, ghist)
-        weights = pred._weights[pidx]
+        weights = pred.weights(pidx)
         expected = weights[0] + sum(
             weights[i + 1] if (bits >> i) & 1 else -weights[i + 1]
             for i in range(n)

@@ -161,3 +161,86 @@ class TestFastCounters:
         c.access(0x080)   # C evicts A (the true LRU), not B
         assert c.probe(0x040) is True
         assert c.probe(0x000) is False
+
+
+class _ReferenceCache:
+    """A test-local copy of an earlier ``Cache.access``: the non-MRU
+    path removes the tag and treats ``ValueError`` as a miss."""
+
+    def __init__(self, cache):
+        self.accesses = self.misses = self.evictions = 0
+        self._sets = [[] for _ in cache._sets]
+        self._offset_bits = cache._offset_bits
+        self._index_mask = cache._index_mask
+        self._tag_shift = cache._tag_shift
+        self._assoc = cache._assoc
+
+    def access(self, addr):
+        line = addr >> self._offset_bits
+        ways = self._sets[line & self._index_mask]
+        tag = line >> self._tag_shift
+        self.accesses += 1
+        if ways and ways[0] == tag:
+            return True
+        try:
+            ways.remove(tag)
+        except ValueError:
+            self.misses += 1
+            ways.insert(0, tag)
+            if len(ways) > self._assoc:
+                ways.pop()
+                self.evictions += 1
+            return False
+        ways.insert(0, tag)
+        return True
+
+
+def _state(cache):
+    return (cache._sets, cache.accesses, cache.misses, cache.evictions)
+
+
+def _tail_access(cache, addr):
+    """What the accel kernels do: the MRU check and the access count in
+    line, then ``access_tail`` for everything else."""
+    line = addr >> cache._offset_bits
+    ways = cache._sets[line & cache._index_mask]
+    tag = line >> cache._tag_shift
+    cache.accesses += 1
+    return bool(ways and ways[0] == tag) or cache.access_tail(ways, tag)
+
+
+class TestReferenceDifferential:
+    """``access`` and ``access_tail`` against the reference: return
+    value, LRU order and counters on each kind of probe."""
+
+    # One set, two ways: A, then B, puts A at the LRU end.
+    CASES = {
+        "mru_hit": [0x000, 0x040, 0x040],
+        "non_mru_hit": [0x000, 0x040, 0x000],
+        "miss_without_eviction": [0x000, 0x040],
+        "miss_with_eviction": [0x000, 0x040, 0x080],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("entry", ["access", "access_tail"])
+    def test_each_kind_of_probe(self, case, entry):
+        cache = small_cache(assoc=2, sets=1)
+        ref = _ReferenceCache(cache)
+        probe = cache.access if entry == "access" else (
+            lambda addr: _tail_access(cache, addr))
+        for addr in self.CASES[case]:
+            assert probe(addr) == ref.access(addr)
+            assert _state(cache) == _state(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=1 << 14),
+                    max_size=300),
+           st.sampled_from(["access", "access_tail"]))
+    def test_random_sequences(self, addresses, entry):
+        cache = small_cache(assoc=4, sets=4)
+        ref = _ReferenceCache(cache)
+        probe = cache.access if entry == "access" else (
+            lambda addr: _tail_access(cache, addr))
+        for addr in addresses:
+            assert probe(addr) == ref.access(addr)
+        assert _state(cache) == _state(ref)
